@@ -15,6 +15,7 @@ streams. Cross-platform bit-exactness is not promised.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -25,10 +26,10 @@ from .model import NO_CHILD, BstTree, LeftProfile, Permutation, RbParams
 
 _MASK64 = (1 << 64) - 1
 
-# Subtree sizes at or below this use plain Python scan/recursion paths;
-# larger ones switch to log-gamma inversion and vectorized level sweeps.
+# Splits of at most _SCAN_LIMIT (or 16 theta) nodes scan the per-step record chances, larger
+# ones bisect; uniform subtrees of at most _EXACT_MAX nodes draw their height from a table.
 _SCAN_LIMIT = 64
-_BFS_MIN_N = 4096
+_EXACT_MAX = 64
 
 
 def _mix64(z: int) -> int:
@@ -260,79 +261,78 @@ class HeightSample(NamedTuple):
     profile: LeftProfile
 
 
-def _spine_profile(n: int, theta: float, rng: RandomSource) -> list[int]:
-    """Left-subtree sizes along the rightmost path, drawn split by split."""
-    sizes = []
-    m = n
-    while m > 0:
-        k = _sample_left_size(m, theta, rng)
-        sizes.append(k)
-        m -= k + 1
-    return sizes
+def _spine_profile(n: int, theta: float, rng: RandomSource) -> np.ndarray:
+    """Left-subtree sizes along the rightmost path, as an int64 array.
 
-
-def _uniform_heights_scalar(seeds: list[tuple[int, int]], rng: RandomSource) -> int:
-    """Deepest node depth over uniform BSTs rooted at given (size, depth)."""
-    best = -1
-    stack = list(seeds)
-    while stack:
-        m, depth = stack.pop()
-        if depth > best:
-            best = depth
-        split = int(rng.random() * m)
-        right = m - 1 - split
-        if split:
-            stack.append((split, depth + 1))
-        if right:
-            stack.append((right, depth + 1))
-    return best
-
-
-def _uniform_heights_bfs(sizes: list[int], rng: RandomSource) -> int:
-    """Deepest node depth over uniform BSTs, size[j] rooted at depth j + 1.
-
-    Sweeps one depth level at a time with vectorized splits; each node is
-    touched exactly once, so the sweep is O(total size).
+    Splits bisect one by one down to m <= max(_SCAN_LIMIT, 16 theta). All later ones scan,
+    so the tail is one draw of m uniforms, read as split-by-split scans would while m < 4096.
     """
-    best = -1
-    frontier = np.empty(0, dtype=np.int64)
-    depth = 0
-    r = len(sizes)
+    head, m = [], n
+    while m > 0 and (theta == 0.0 or m > max(_SCAN_LIMIT, 16.0 * theta)):
+        head.append(_sample_left_size(m, theta, rng))
+        m -= head[-1] + 1
+    hits = np.flatnonzero(rng.randoms(m) < theta / (theta + np.arange(m - 1, -1, -1)))
+    return np.concatenate((np.array(head, dtype=np.int64), hits - np.concatenate(([-1], hits[:-1])) - 1))
+
+
+@functools.cache
+def _uniform_height_cdf(k_max: int) -> np.ndarray:
+    """``T[m, h + 1] = P(H_m <= h)`` for uniform BSTs of m <= k_max nodes, h >= -1.
+
+    Devroye's recursion: ``F_m(h) = (1/m) sum_k F_k(h - 1) F_{m-1-k}(h - 1)``.
+    """
+    table = np.zeros((k_max + 1, k_max + 1))
+    table[0] = 1.0
+    for m in range(1, k_max + 1):
+        table[m, 1:] = (table[:m, :-1] * table[m - 1 :: -1, :-1]).sum(axis=0) / m
+    table.flags.writeable = False
+    return table
+
+
+def _sweep_height(sizes: np.ndarray, rng: RandomSource) -> int:
+    """Height of a tree whose j-th spine node carries a uniform BST of sizes[j].
+
+    Every subtree starts at once at depth j + 1. Each round splits all live nodes with one
+    draw and drops nodes whose reach, depth + size - 1, cannot beat the best depth so far;
+    nodes of at most _EXACT_MAX nodes read the draw from the exact height table instead.
+    """
+    table = _uniform_height_cdf(_EXACT_MAX)
+    best, size, depth = len(sizes) - 1, sizes, np.arange(1, len(sizes) + 1)
     while True:
-        depth += 1
-        parts = [frontier]
-        if depth <= r and sizes[depth - 1] > 0:
-            parts.append(np.array([sizes[depth - 1]], dtype=np.int64))
-        current = np.concatenate(parts) if len(parts) > 1 else frontier
-        if current.size == 0:
-            if depth > r:
-                break
-            continue
-        best = depth
-        splits = rng.integers_below(current)
-        children = np.concatenate([splits, current - 1 - splits])
-        frontier = children[children > 0]
-    return best
+        live = (size > 0) & (depth + size > best + 1)
+        size, depth = size[live], depth[live]
+        if not len(size):
+            return best
+        us = rng.randoms(len(size))
+        small = size <= _EXACT_MAX
+        # the height read from u beats best exactly when u >= P(H_m <= best - depth);
+        # only those rows are searched, and row 0 (all ones) keeps splitting nodes out
+        rows = size * small
+        over = us >= table[rows, np.maximum(best + 1 - depth, 0) * small]
+        for m, d, u in zip(rows[over].tolist(), depth[over].tolist(), us[over].tolist()):
+            best = max(best, d - 1 + int(np.searchsorted(table[m], u, side="right")))
+        size, depth, us = size[~small], depth[~small], us[~small]
+        if not len(size):
+            return best
+        left = np.minimum((us * size).astype(np.int64), size - 1)
+        size = np.concatenate((left, size - 1 - left))
+        depth = np.concatenate((depth, depth)) + 1
 
 
 def sample_height_only(params: RbParams, rng: RandomSource) -> HeightSample:
     """Sample (height, records, profile) without materializing labels.
 
     Same joint law as :func:`sample_tree_recursive` followed by the model
-    statistics, but memory stays O(spine + frontier), so sizes in the
-    millions are fine.
+    statistics. One pruned sweep over the uniform subtrees off the spine, which
+    ends small subtrees with one draw from an exact height table, gives the
+    height in O(spine + frontier) memory, so n in the millions is fine.
     """
     n, theta = params.n, params.theta
     if n == 0:
         return HeightSample(-1, 0, LeftProfile((), 0))
     sizes = _spine_profile(n, theta, rng)
     r = len(sizes)
-    if n < _BFS_MIN_N:
-        seeds = [(k, j + 1) for j, k in enumerate(sizes) if k > 0]
-        h = max(r - 1, _uniform_heights_scalar(seeds, rng))
-    else:
-        h = max(r - 1, _uniform_heights_bfs(sizes, rng))
-    return HeightSample(h, r, LeftProfile(tuple(sizes), r))
+    return HeightSample(_sweep_height(sizes, rng), r, LeftProfile(tuple(sizes.tolist()), r))
 
 
 def sample_record_count(params: RbParams, rng: RandomSource) -> int:

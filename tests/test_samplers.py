@@ -1,10 +1,12 @@
 """Sampler laws against the enumeration oracle and analytic survivals."""
 
+import itertools
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.stats import chi2_contingency
 
 import rbtrees.samplers as samplers
 from rbtrees.analytics import (
@@ -16,6 +18,7 @@ from rbtrees.analytics import (
 )
 from rbtrees.experiments import chi_square_gof, dkw_epsilon
 from rbtrees.model import (
+    Permutation,
     RbParams,
     build_bst,
     height,
@@ -32,6 +35,8 @@ from rbtrees.samplers import (
     sample_sequential,
     sample_tree_recursive,
 )
+
+from reference import ref_scan_spine
 
 ALPHA = 1e-3
 
@@ -237,27 +242,84 @@ class TestHeightOnly:
             counts[(sample.height, sample.records)] += 1
         assert chi_square_gof(counts, expected).p_value > ALPHA
 
-    def test_bfs_path_law(self, monkeypatch):
-        # force the vectorized level sweep for a small instance and check
-        # the law still matches the oracle
-        monkeypatch.setattr(samplers, "_BFS_MIN_N", 1)
-        n, theta, trials = 6, 1.0, 20000
-        joint = enumerate_exact(RbParams(n, theta)).height_record_first
-        marg: dict[tuple, float] = {}
-        for (h, rec, _first), p in zip(joint.support, joint.probs):
-            marg[(h, rec)] = marg.get((h, rec), 0.0) + p
-        expected = ExactDistribution.from_weights(marg)
+    @pytest.mark.parametrize("path", ("table", "split"))
+    def test_sweep_law(self, path, monkeypatch):
+        # "table" keeps the default cutoff, so every subtree at these sizes
+        # takes its height from the exact table; "split" sets the cutoff to
+        # one node, so every larger subtree is split node by node
+        if path == "split":
+            monkeypatch.setattr(samplers, "_EXACT_MAX", 1)
         rng = RandomSource(17, 0)
-        counts = Counter()
-        for _ in range(trials):
-            sample = sample_height_only(RbParams(n, theta), rng)
-            counts[(sample.height, sample.records)] += 1
-        assert chi_square_gof(counts, expected).p_value > ALPHA
+        for n, theta in ((7, 0.5), (7, 2.0), (8, 0.5), (8, 2.0)):
+            joint = enumerate_exact(RbParams(n, theta)).height_record_first
+            marg: dict[tuple, float] = {}
+            for (h, rec, _first), p in zip(joint.support, joint.probs):
+                marg[(h, rec)] = marg.get((h, rec), 0.0) + p
+            expected = ExactDistribution.from_weights(marg)
+            counts = Counter()
+            for _ in range(20000):
+                sample = sample_height_only(RbParams(n, theta), rng)
+                counts[(sample.height, sample.records)] += 1
+            assert chi_square_gof(counts, expected).p_value > ALPHA, (n, theta)
+
+    def test_split_path_matches_recursive_sampler(self):
+        # two-sample chi-square on heights where subtrees above the cutoff
+        # are split; the seeds differ above bit 32 so no trial shares a stream
+        n, theta, trials = 200, 1.0, 3000
+        fast_rng, tree_rng = RandomSource(1 << 40, 0), RandomSource(2 << 40, 0)
+        fast = [sample_height_only(RbParams(n, theta), fast_rng).height for _ in range(trials)]
+        slow = [height(sample_tree_recursive(RbParams(n, theta), tree_rng)) for _ in range(trials)]
+        bins = np.arange(min(fast + slow), max(fast + slow) + 2)
+        table = np.array([np.histogram(fast, bins)[0], np.histogram(slow, bins)[0]])
+        table = table[:, table.sum(axis=0) > 0]
+        assert chi2_contingency(table).pvalue > ALPHA
 
     def test_reproducible(self):
         a = sample_height_only(RbParams(5000, 1.5), RandomSource(123, 9))
         b = sample_height_only(RbParams(5000, 1.5), RandomSource(123, 9))
         assert a == b
+
+
+class TestExactHeightTable:
+    def test_rows_match_enumeration(self):
+        table = samplers._uniform_height_cdf(samplers._EXACT_MAX)
+        for m in range(1, 9):
+            counts = Counter(
+                height(build_bst(Permutation(values)))
+                for values in itertools.permutations(range(1, m + 1))
+            )
+            total = math.factorial(m)
+            cdf = np.cumsum([counts[h] for h in range(-1, samplers._EXACT_MAX)]) / total
+            assert np.abs(table[m] - cdf).max() <= 1e-15, m
+
+    def test_shape_of_rows(self):
+        table = samplers._uniform_height_cdf(samplers._EXACT_MAX)
+        assert (np.diff(table, axis=1) >= 0).all()
+        for m in range(1, samplers._EXACT_MAX + 1):
+            assert table[m, m] == 1.0  # P(H_m <= m - 1)
+        # E[H_3] = sum over h >= 0 of P(H_3 > h) = 5/3
+        assert (1.0 - table[3, 1:]).sum() == pytest.approx(5 / 3, abs=1e-15)
+
+
+class TestSpineTail:
+    @pytest.mark.parametrize(
+        "n,theta",
+        ((2000, 0.0), (2000, 0.5), (2000, 2000.0), (20000, 20000**0.5)),
+        ids=("theta0", "theta0.5", "linear1", "power0.5"),
+    )
+    def test_matches_split_by_split_scan(self, n, theta):
+        # every split bisects until m <= max(64, 16 theta), and every split
+        # after that scans; those tails are below the 4096-variate block here
+        for stream in range(20):
+            fast_rng, ref_rng = RandomSource(5, stream), RandomSource(5, stream)
+            sizes, m = [], n
+            while m > max(samplers._SCAN_LIMIT, 16.0 * theta) or (theta == 0.0 and m > 0):
+                sizes.append(samplers._sample_left_size(m, theta, ref_rng))
+                m -= sizes[-1] + 1
+            assert m < RandomSource._BLOCK
+            sizes += ref_scan_spine(m, theta, ref_rng.random)
+            assert samplers._spine_profile(n, theta, fast_rng).tolist() == sizes
+            assert fast_rng.random() == ref_rng.random()
 
 
 class TestRecordCountSampler:
