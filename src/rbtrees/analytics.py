@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
 from scipy.special import gammainc
 
 from .model import (
@@ -29,6 +30,8 @@ from .model import (
 
 ENUMERATION_MAX_N = 8
 WEIGHT_MAX_N = 10
+# mu sums its terms in numpy chunks of this many (64 KiB of float64)
+_MU_CHUNK = 8192
 
 PROB_SUM_TOL = 1e-12
 
@@ -196,12 +199,20 @@ def weight(perm: Permutation, theta: float) -> float:
 
 
 def mu(n: int, theta: float) -> float:
-    """Expected record count: sum of theta / (theta + i) for 0 <= i < n."""
+    """Expected record count: sum of theta / (theta + i) for 0 <= i < n.
+
+    Summed term by term, which stays accurate for theta -> 0 and theta >> n (the digamma
+    form theta (psi(theta + n) - psi(theta)) cancels there): numpy sums chunks of at most
+    _MU_CHUNK terms, so memory stays small, and ``math.fsum`` adds the chunk sums.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
     if theta == 0.0:
         return 0.0
-    return math.fsum(theta / (theta + i) for i in range(n))
+    return math.fsum(
+        float(np.sum(theta / (theta + np.arange(lo, min(lo + _MU_CHUNK, n)))))
+        for lo in range(0, n, _MU_CHUNK)
+    )
 
 
 @lru_cache(maxsize=1)

@@ -31,12 +31,12 @@ from .analytics import (
 from .experiments import (
     ExperimentConfig,
     TrialSummary,
-    height_normalizer,
     log_to_stderr,
     parse_theta_value,
     run_dominance_check,
     run_height_ratio,
     run_record_concentration,
+    summarize,
 )
 from .model import RbParams, build_bst, height, record_count_tree
 from .samplers import RandomSource, sample_height_only, sample_sequential, sample_tree_recursive
@@ -368,29 +368,7 @@ def _sample_height_table(n, theta, trials, seed, method) -> list[TrialSummary]:
             raise AssertionError("height below records - 1")
         heights.append(h)
         records.append(r)
-    mean_h = math.fsum(heights) / trials
-    mean_r = math.fsum(records) / trials
-    if trials > 1:
-        sd_h = math.sqrt(math.fsum((h - mean_h) ** 2 for h in heights) / (trials - 1))
-        sd_r = math.sqrt(math.fsum((r - mean_r) ** 2 for r in records) / (trials - 1))
-    else:
-        sd_h = sd_r = 0.0
-    norm = height_normalizer(n, theta) if n >= 1 else 0.0
-    m = mu(n, theta)
-    return [
-        TrialSummary(
-            n=n,
-            theta=theta,
-            trials=trials,
-            mean_height=mean_h,
-            sd_height=sd_h,
-            mean_records=mean_r,
-            sd_records=sd_r,
-            ratio_height_norm=mean_h / norm if norm > 0.0 else math.nan,
-            ratio_records_mu=mean_r / m if m > 0.0 else math.nan,
-            seed=seed,
-        )
-    ]
+    return [summarize(n, theta, heights, records, seed)]
 
 
 def _cmd_sample(args, seed) -> tuple[OutputTable, float | None]:
@@ -543,6 +521,19 @@ _EXPERIMENT_CONFIG_KEYS = {
 }
 
 
+# JSON types of the config fields that ExperimentConfig does not check itself
+# (type(v) is int excludes booleans).
+_CONFIG_FIELD_TYPES = {
+    "seed": ("an integer", lambda v: type(v) is int),
+    "epsilon": ("a number", lambda v: type(v) in (int, float)),
+    "j_values": ("a list of integers", lambda v: type(v) is list and all(type(j) is int for j in v)),
+    "tolerances": (
+        "an object of numbers",
+        lambda v: type(v) is dict and all(type(x) in (int, float) for x in v.values()),
+    ),
+}
+
+
 def _load_experiment_settings(args) -> dict:
     settings: dict = {}
     if args.config is not None:
@@ -553,9 +544,14 @@ def _load_experiment_settings(args) -> dict:
             raise ValueError(f"cannot read {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ValueError(f"bad JSON in {args.config}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ValueError(f"{args.config} must hold a JSON object")
         unknown = set(data) - _EXPERIMENT_CONFIG_KEYS
         if unknown:
             raise UsageError(f"unknown config fields: {sorted(unknown)}")
+        for key, (kind, ok) in _CONFIG_FIELD_TYPES.items():
+            if key in data and not ok(data[key]):
+                raise ValueError(f"config field {key} must be {kind}, got {data[key]!r}")
         settings.update(data)
     if args.n_values is not None:
         settings["n_values"] = args.n_values
@@ -578,9 +574,9 @@ def _cmd_experiment(args, seed) -> tuple[OutputTable, float | None]:
     settings = _load_experiment_settings(args)
     seed = _resolve_seed(settings.get("seed"))
     config = ExperimentConfig(
-        n_values=tuple(settings["n_values"]),
+        n_values=settings["n_values"],
         theta_spec=settings["theta_spec"],
-        trials=int(settings["trials"]),
+        trials=settings["trials"],
         seed=seed,
         tolerances=settings.get("tolerances"),
     )

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -61,6 +63,10 @@ def resolve_theta(theta_spec, n: int) -> float:
     return parse_theta_value(text)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Shared experiment inputs; theta_spec is resolved per n."""
@@ -72,14 +78,19 @@ class ExperimentConfig:
     tolerances: Mapping[str, float] | None = None
 
     def __post_init__(self):
-        n_values = tuple(int(n) for n in self.n_values)
+        n_values = tuple(self.n_values) if isinstance(self.n_values, Iterable) else ()
+        if not n_values or not all(map(_is_int, n_values)):
+            raise ValueError(f"n_values must be a non-empty sequence of integers, got {self.n_values!r}")
+        n_values = tuple(int(n) for n in n_values)
         object.__setattr__(self, "n_values", n_values)
-        if not n_values:
-            raise ValueError("n_values must be non-empty")
         if any(b <= a for a, b in zip(n_values, n_values[1:])):
             raise ValueError("n_values must be strictly increasing")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        if not _is_int(self.trials):
+            raise ValueError(f"trials must be an integer, got {self.trials!r}")
+        # _stream_index packs the trial into the low 32 bits of a stream index
+        if not 1 <= self.trials < 1 << 32:
+            raise ValueError(f"trials must be in [1, 2**32), got {self.trials}")
+        object.__setattr__(self, "trials", int(self.trials))
 
     def theta_for(self, n: int) -> float:
         return resolve_theta(self.theta_spec, n)
@@ -201,6 +212,30 @@ def _mean_sd(values: np.ndarray) -> tuple[float, float]:
     return mean, sd
 
 
+def summarize(n: int, theta: float, heights, records, seed: int) -> TrialSummary:
+    """Means, sds and normalized ratios of one (n, theta) cell's heights and records.
+
+    mu(n, theta) is computed once; the height normalizer max(c_star * log n, mu) is
+    derived from it, as in :func:`height_normalizer`.
+    """
+    mean_h, sd_h = _mean_sd(np.asarray(heights))
+    mean_r, sd_r = _mean_sd(np.asarray(records))
+    m = mu(n, theta)
+    norm = max(c_star() * math.log(n), m) if n >= 1 else 0.0
+    return TrialSummary(
+        n=n,
+        theta=theta,
+        trials=len(heights),
+        mean_height=mean_h,
+        sd_height=sd_h,
+        mean_records=mean_r,
+        sd_records=sd_r,
+        ratio_height_norm=mean_h / norm if norm > 0.0 else math.nan,
+        ratio_records_mu=mean_r / m if m > 0.0 else math.nan,
+        seed=seed,
+    )
+
+
 def run_height_ratio(
     config: ExperimentConfig, threads: int = 1, progress=None
 ) -> list[TrialSummary]:
@@ -217,28 +252,12 @@ def run_height_ratio(
         heights, records = _collect_height_trials(
             n, theta, config.trials, config.seed, n_index, threads
         )
-        mean_h, sd_h = _mean_sd(heights)
-        mean_r, sd_r = _mean_sd(records)
-        norm = height_normalizer(n, theta) if n >= 1 else 0.0
-        m = mu(n, theta)
-        rows.append(
-            TrialSummary(
-                n=n,
-                theta=theta,
-                trials=config.trials,
-                mean_height=mean_h,
-                sd_height=sd_h,
-                mean_records=mean_r,
-                sd_records=sd_r,
-                ratio_height_norm=mean_h / norm if norm > 0.0 else math.nan,
-                ratio_records_mu=mean_r / m if m > 0.0 else math.nan,
-                seed=config.seed,
-            )
-        )
+        row = summarize(n, theta, heights, records, config.seed)
+        rows.append(row)
         if progress is not None:
             progress(
-                f"height-ratio n={n} theta={theta:g} mean_h={mean_h:.3f} "
-                f"ratio={rows[-1].ratio_height_norm:.4f}"
+                f"height-ratio n={n} theta={theta:g} mean_h={row.mean_height:.3f} "
+                f"ratio={row.ratio_height_norm:.4f}"
             )
     return rows
 

@@ -77,7 +77,7 @@ class LeftProfile:
         object.__setattr__(self, "sizes", sizes)
         if self.record_count != len(sizes):
             raise ValueError("record_count must equal len(sizes)")
-        if any(k < 0 for k in sizes):
+        if sizes and min(sizes) < 0:
             raise ValueError("subtree sizes must be non-negative")
 
     @property

@@ -30,6 +30,12 @@ _MASK64 = (1 << 64) - 1
 # ones bisect; uniform subtrees of at most _EXACT_MAX nodes draw their height from a table.
 _SCAN_LIMIT = 64
 _EXACT_MAX = 64
+# The spine bisects only while m > max(_SCAN_LIMIT, _SPINE_SCAN_PER_THETA * theta): one
+# bisection (~10 us) costs about as much as scanning 1024 theta uniforms in numpy (~10 ns each).
+# The scan reads at most _SPINE_SCAN_BLOCK uniforms at a time, which stay under
+# RandomSource._BLOCK so that they come through the buffer like scalar draws.
+_SPINE_SCAN_PER_THETA = 1024.0
+_SPINE_SCAN_BLOCK = 4095
 
 
 def _mix64(z: int) -> int:
@@ -264,15 +270,24 @@ class HeightSample(NamedTuple):
 def _spine_profile(n: int, theta: float, rng: RandomSource) -> np.ndarray:
     """Left-subtree sizes along the rightmost path, as an int64 array.
 
-    Splits bisect one by one down to m <= max(_SCAN_LIMIT, 16 theta). All later ones scan,
-    so the tail is one draw of m uniforms, read as split-by-split scans would while m < 4096.
+    Splits bisect one by one down to m <= max(_SCAN_LIMIT, _SPINE_SCAN_PER_THETA theta). All
+    later ones scan: step p of the remaining m steps ends a split with chance
+    theta / (theta + m - 1 - p), whichever split it falls in, so the tail is read in blocks of
+    at most _SPINE_SCAN_BLOCK uniforms, carrying the last hit from block to block. The sizes
+    and the stream position equal those of split-by-split scans for a tail of any length.
     """
     head, m = [], n
-    while m > 0 and (theta == 0.0 or m > max(_SCAN_LIMIT, 16.0 * theta)):
+    while m > 0 and (theta == 0.0 or m > max(_SCAN_LIMIT, _SPINE_SCAN_PER_THETA * theta)):
         head.append(_sample_left_size(m, theta, rng))
         m -= head[-1] + 1
-    hits = np.flatnonzero(rng.randoms(m) < theta / (theta + np.arange(m - 1, -1, -1)))
-    return np.concatenate((np.array(head, dtype=np.int64), hits - np.concatenate(([-1], hits[:-1])) - 1))
+    sizes, last = [np.array(head, dtype=np.int64)], -1
+    for lo in range(0, m, _SPINE_SCAN_BLOCK):
+        b = min(_SPINE_SCAN_BLOCK, m - lo)
+        hits = np.flatnonzero(rng.randoms(b) < theta / (theta + np.arange(m - 1 - lo, m - 1 - lo - b, -1)))
+        sizes.append(hits - np.concatenate(([last - lo], hits[:-1])) - 1)
+        if len(hits):
+            last = lo + int(hits[-1])
+    return np.concatenate(sizes)
 
 
 @functools.cache

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,22 @@ class TestMu:
         thetas = [0.1, 0.5, 1.0, 3.0, 10.0]
         across = [mu(20, t) for t in thetas]
         assert all(b > a for a, b in zip(across, across[1:]))
+
+    @pytest.mark.parametrize("n", (1, 3, 8191, 8192, 8193, 10**5))
+    def test_matches_exact_sum(self, n):
+        # chunk edges at 8192; theta from near 0 to far beyond n
+        for theta in (1e-300, 0.5, 1.0, math.sqrt(n), float(n), 1e12):
+            exact = math.fsum(theta / (theta + i) for i in range(n))
+            assert mu(n, theta) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    def test_memory_stays_small(self):
+        tracemalloc.start()
+        try:
+            mu(10**6, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestCStar:

@@ -317,6 +317,50 @@ class TestErrors:
             main(["bound", "chernoff", "--n", "10", "--theta", "1"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "field,value",
+        (
+            ("n_values", 5),
+            ("n_values", [10, "20"]),
+            ("trials", 2.5),
+            ("trials", "30"),
+            ("trials", 2**32),
+            ("seed", True),
+            ("epsilon", [0.5]),
+            ("j_values", 3),
+            ("tolerances", [1]),
+        ),
+    )
+    def test_bad_config_value_exits_1(self, tmp_path, capsys, field, value):
+        settings = {"n_values": [10], "theta_spec": 1, "trials": 5, field: value}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(settings))
+        code, out, err = run_cli(
+            ["experiment", "height-ratio", "--config", str(config), "--threads", "1"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert field in err
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[1, 2]")
+        code, _, err = run_cli(["experiment", "height-ratio", "--config", str(config)], capsys)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_too_many_trials_exits_1(self, capsys):
+        code, _, err = run_cli(
+            [
+                "experiment", "height-ratio", "--n-values", "10", "--theta-spec", "1",
+                "--trials", str(2**32), "--threads", "1",
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("error: ") and "trials" in err
+
     def test_write_failure_reports_path(self, capsys):
         code, _, err = run_cli(
             ["exact", "mu", "--n", "3", "--out", "/nonexistent-dir/x.csv"], capsys

@@ -16,9 +16,10 @@ from rbtrees.experiments import (
     run_dominance_check,
     run_height_ratio,
     run_record_concentration,
+    summarize,
 )
 from rbtrees.model import Permutation, RbParams, build_bst, shape_signature
-from rbtrees.samplers import RandomSource, sample_tree_recursive
+from rbtrees.samplers import RandomSource, sample_height_only, sample_tree_recursive
 
 from reference import ref_bst, ref_shape
 
@@ -49,6 +50,23 @@ class TestExperimentConfig:
             ExperimentConfig(n_values=(20, 10), theta_spec=1.0, trials=10)
         with pytest.raises(ValueError):
             ExperimentConfig(n_values=(10,), theta_spec=1.0, trials=0)
+
+    def test_rejects_trials_past_the_stream_index(self):
+        # a trial takes the low 32 bits of its stream index; 2**32 trials would collide
+        # with the first trials of the next n
+        assert ExperimentConfig(n_values=(10,), theta_spec=1.0, trials=2**32 - 1).trials == 2**32 - 1
+        with pytest.raises(ValueError, match="trials"):
+            ExperimentConfig(n_values=(10,), theta_spec=1.0, trials=2**32)
+
+    @pytest.mark.parametrize("n_values", (5, "10", (10, 2.5), None))
+    def test_rejects_non_integer_n_values(self, n_values):
+        with pytest.raises(ValueError, match="n_values"):
+            ExperimentConfig(n_values=n_values, theta_spec=1.0, trials=10)
+
+    @pytest.mark.parametrize("trials", (2.5, 10.0, "10", True, None))
+    def test_rejects_non_integer_trials(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            ExperimentConfig(n_values=(10,), theta_spec=1.0, trials=trials)
 
     def test_theta_for(self):
         config = ExperimentConfig(n_values=(10, 100), theta_spec="linear:1", trials=1)
@@ -154,6 +172,24 @@ class TestHeightRatio:
         assert row.mean_height == 0.0
         assert row.ratio_height_norm == 0.0
         assert row.mean_records == 1.0
+
+
+class TestSummarize:
+    def test_worked_example(self):
+        row = summarize(10, 1.0, [1, 2, 3], [1, 1, 4], seed=7)
+        assert (row.n, row.theta, row.trials, row.seed) == (10, 1.0, 3, 7)
+        assert (row.mean_height, row.sd_height) == (2.0, 1.0)
+        assert (row.mean_records, row.sd_records) == (2.0, math.sqrt(3.0))
+        assert row.ratio_height_norm == 2.0 / height_normalizer(10, 1.0)
+        assert row.ratio_records_mu == 2.0 / mu(10, 1.0)
+
+    def test_matches_run_height_ratio(self):
+        config = ExperimentConfig(n_values=(40,), theta_spec=3.0, trials=30, seed=5)
+        samples = [
+            sample_height_only(RbParams(40, 3.0), RandomSource(5, trial)) for trial in range(30)
+        ]
+        row = summarize(40, 3.0, [s.height for s in samples], [s.records for s in samples], 5)
+        assert run_height_ratio(config) == [row]
 
 
 class TestRecordConcentration:

@@ -303,20 +303,29 @@ class TestExactHeightTable:
 
 class TestSpineTail:
     @pytest.mark.parametrize(
-        "n,theta",
-        ((2000, 0.0), (2000, 0.5), (2000, 2000.0), (20000, 20000**0.5)),
-        ids=("theta0", "theta0.5", "linear1", "power0.5"),
+        "n,theta,streams",
+        (
+            (2000, 0.0, 20),
+            (2000, 0.5, 20),
+            (2000, 2000.0, 20),
+            (20000, 20000**0.5, 20),
+            (10**5, (10**5) ** 0.5, 4),
+        ),
+        ids=("theta0", "theta0.5", "linear1", "power0.5", "power0.5-multiblock"),
     )
-    def test_matches_split_by_split_scan(self, n, theta):
-        # every split bisects until m <= max(64, 16 theta), and every split
-        # after that scans; those tails are below the 4096-variate block here
-        for stream in range(20):
+    def test_matches_split_by_split_scan(self, n, theta, streams):
+        # every split bisects until m <= max(64, 1024 theta), and every split after that
+        # scans; at n = 10^5, theta = sqrt(n) the whole spine is one multi-block scan
+        for stream in range(streams):
             fast_rng, ref_rng = RandomSource(5, stream), RandomSource(5, stream)
             sizes, m = [], n
-            while m > max(samplers._SCAN_LIMIT, 16.0 * theta) or (theta == 0.0 and m > 0):
+            while m > max(samplers._SCAN_LIMIT, samplers._SPINE_SCAN_PER_THETA * theta) or (
+                theta == 0.0 and m > 0
+            ):
                 sizes.append(samplers._sample_left_size(m, theta, ref_rng))
                 m -= sizes[-1] + 1
-            assert m < RandomSource._BLOCK
+            if n == 10**5:
+                assert m == n > samplers._SPINE_SCAN_BLOCK
             sizes += ref_scan_spine(m, theta, ref_rng.random)
             assert samplers._spine_profile(n, theta, fast_rng).tolist() == sizes
             assert fast_rng.random() == ref_rng.random()
