@@ -29,7 +29,6 @@ from .model import (
 )
 
 ENUMERATION_MAX_N = 8
-WEIGHT_MAX_N = 10
 # mu sums its terms in numpy chunks of this many (64 KiB of float64)
 _MU_CHUNK = 8192
 
@@ -144,16 +143,6 @@ class TailBoundParams:
         return cls(epsilon=epsilon, M=M, k=k, C=C, lam=lam)
 
 
-def _record_count_raw(values) -> int:
-    best = 0
-    count = 0
-    for v in values:
-        if v > best:
-            best = v
-            count += 1
-    return count
-
-
 @lru_cache(maxsize=None)
 def _perm_stats(n: int):
     """Aggregate (record, first, height, profile sizes) counts over S_n."""
@@ -167,43 +156,31 @@ def _perm_stats(n: int):
     return tuple(sorted(counts.items()))
 
 
-@lru_cache(maxsize=None)
-def _record_histogram(n: int):
-    """Map record count -> number of permutations of S_n attaining it."""
-    hist: dict[int, int] = {}
-    if n <= ENUMERATION_MAX_N:
-        for (rec, _first, _h, _sizes), count in _perm_stats(n):
-            hist[rec] = hist.get(rec, 0) + count
-    else:
-        for values in itertools.permutations(range(1, n + 1)):
-            rec = _record_count_raw(values)
-            hist[rec] = hist.get(rec, 0) + 1
-    return tuple(sorted(hist.items()))
-
-
 def weight(perm: Permutation, theta: float) -> float:
     """Probability of ``perm`` under the record-biased measure.
 
-    The normalizing constant is obtained by full enumeration of S_n, so the
-    instance size is capped at n = 10.
+    The normalizing constant is the rising factorial theta (theta + 1) ... (theta + n - 1),
+    the Ewens normalizer (records and cycles are equinumerous by Foata's bijection). Its
+    first factor cancels one factor of theta**records, and the rest is summed in log space.
     """
     if theta <= 0.0:
         raise ValueError("theta must be positive; theta = 0 has no weight normalization")
     n = perm.n
-    if n > WEIGHT_MAX_N:
-        raise InstanceTooLargeError(f"weight() enumerates S_n and requires n <= {WEIGHT_MAX_N}")
     if n == 0:
         return 1.0
-    total = math.fsum(count * theta**rec for rec, count in _record_histogram(n))
-    return theta ** record_count_perm(perm) / total
+    log_terms = [(record_count_perm(perm) - 1) * math.log(theta)]
+    log_terms += (-math.log(theta + i) for i in range(1, n))
+    return math.exp(math.fsum(log_terms))
 
 
+@lru_cache(maxsize=None)
 def mu(n: int, theta: float) -> float:
     """Expected record count: sum of theta / (theta + i) for 0 <= i < n.
 
     Summed term by term, which stays accurate for theta -> 0 and theta >> n (the digamma
     form theta (psi(theta + n) - psi(theta)) cancels there): numpy sums chunks of at most
-    _MU_CHUNK terms, so memory stays small, and ``math.fsum`` adds the chunk sums.
+    _MU_CHUNK terms, so memory stays small, and ``math.fsum`` adds the chunk sums. Memoized:
+    a height-ratio row asks for it more than once.
     """
     if n < 0:
         raise ValueError("n must be non-negative")

@@ -187,12 +187,12 @@ def _height_block(args):
             )
         heights.append(sample.height)
         records.append(sample.records)
-    return lo, heights, records
+    return heights, records
 
 
 def _collect_height_trials(n, theta, trials, seed, n_index, threads):
     if threads <= 1:
-        _, heights, records = _height_block((n, theta, seed, n_index, 0, trials))
+        heights, records = _height_block((n, theta, seed, n_index, 0, trials))
         return np.asarray(heights), np.asarray(records)
     chunk = max(1, -(-trials // (threads * 4)))
     blocks = [
@@ -200,9 +200,9 @@ def _collect_height_trials(n, theta, trials, seed, n_index, threads):
         for lo in range(0, trials, chunk)
     ]
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        results = sorted(pool.map(_height_block, blocks), key=lambda item: item[0])
-    heights = [h for _, hs, _ in results for h in hs]
-    records = [r for _, _, rs in results for r in rs]
+        results = list(pool.map(_height_block, blocks))
+    heights = [h for hs, _ in results for h in hs]
+    records = [r for _, rs in results for r in rs]
     return np.asarray(heights), np.asarray(records)
 
 
@@ -215,13 +215,13 @@ def _mean_sd(values: np.ndarray) -> tuple[float, float]:
 def summarize(n: int, theta: float, heights, records, seed: int) -> TrialSummary:
     """Means, sds and normalized ratios of one (n, theta) cell's heights and records.
 
-    mu(n, theta) is computed once; the height normalizer max(c_star * log n, mu) is
-    derived from it, as in :func:`height_normalizer`.
+    Heights are divided by :func:`height_normalizer` and records by mu(n, theta), which is
+    memoized, so it is computed once per row.
     """
     mean_h, sd_h = _mean_sd(np.asarray(heights))
     mean_r, sd_r = _mean_sd(np.asarray(records))
     m = mu(n, theta)
-    norm = max(c_star() * math.log(n), m) if n >= 1 else 0.0
+    norm = height_normalizer(n, theta) if n >= 1 else 0.0
     return TrialSummary(
         n=n,
         theta=theta,

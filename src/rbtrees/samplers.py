@@ -10,7 +10,9 @@ Randomness contract: a (seed, stream_index) pair identifies a stream. The
 stream's engine is a PCG64 generator keyed by a SplitMix64 finalizer applied
 to seed XOR stream_index, so identical pairs reproduce identical draws
 within this implementation and distinct stream indices give independent
-streams. Cross-platform bit-exactness is not promised.
+streams. The stream yields uniform variates and, for root splits, binomial
+variates drawn from the same engine. Cross-platform bit-exactness is not
+promised.
 """
 
 from __future__ import annotations
@@ -20,22 +22,25 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .model import NO_CHILD, BstTree, LeftProfile, Permutation, RbParams
 
 _MASK64 = (1 << 64) - 1
 
 # Splits of at most _SCAN_LIMIT (or 16 theta) nodes scan the per-step record chances, larger
-# ones bisect; uniform subtrees of at most _EXACT_MAX nodes draw their height from a table.
+# ones draw a Beta-binomial variate; uniform subtrees of at most _EXACT_MAX nodes draw their
+# height from a table.
 _SCAN_LIMIT = 64
 _EXACT_MAX = 64
-# The spine bisects only while m > max(_SCAN_LIMIT, _SPINE_SCAN_PER_THETA * theta): one
-# bisection (~10 us) costs about as much as scanning 1024 theta uniforms in numpy (~10 ns each).
-# The scan reads at most _SPINE_SCAN_BLOCK uniforms at a time, which stay under
-# RandomSource._BLOCK so that they come through the buffer like scalar draws.
+# The spine draws split by split only while m > max(_SCAN_LIMIT, _SPINE_SCAN_PER_THETA * theta):
+# a tail of m nodes holds about theta log(1 + m / theta) splits (7 theta at m = 1024 theta),
+# which cost about as much drawn one by one (~3 us each) as its m uniforms scanned in numpy
+# (~10 ns each). The scan reads at most _SPINE_SCAN_BLOCK uniforms at a time, which only
+# bounds its memory.
 _SPINE_SCAN_PER_THETA = 1024.0
 _SPINE_SCAN_BLOCK = 4095
+# sample_sequential keeps its open positions in a list up to this n, in a Fenwick tree past it
+_LIST_MAX_N = 50_000
 
 
 def _mix64(z: int) -> int:
@@ -47,7 +52,7 @@ def _mix64(z: int) -> int:
 
 
 class RandomSource:
-    """A reproducible uniform-variate stream.
+    """A reproducible stream of uniform variates, with binomial ones on request.
 
     Scalar draws are served from an internal block buffer for speed; this is
     an implementation detail and does not affect reproducibility.
@@ -82,11 +87,9 @@ class RandomSource:
         return float(value)
 
     def randoms(self, count: int) -> np.ndarray:
-        """``count`` uniform variates in [0, 1) as a float64 array."""
+        """The next ``count`` uniform variates, the same as ``count`` calls of :meth:`random`."""
         if count < 0:
             raise ValueError("count must be non-negative")
-        if count >= self._BLOCK:
-            return self._gen.random(count)
         available = len(self._buf) - self._pos
         if count <= available:
             out = self._buf[self._pos : self._pos + count].copy()
@@ -97,9 +100,9 @@ class RandomSource:
         tail = self._gen.random(count - len(head))
         return np.concatenate([head, tail])
 
-    def integers_below(self, bounds: np.ndarray) -> np.ndarray:
-        """Per-element uniform integers in [0, bounds); bounds must be >= 1."""
-        return self._gen.integers(0, bounds)
+    def binomial(self, trials, probs):
+        """Binomial(trials, probs) variates from the stream's engine, elementwise for arrays."""
+        return self._gen.binomial(trials, probs)
 
 
 class _Fenwick:
@@ -147,7 +150,7 @@ def sample_sequential(params: RbParams, rng: RandomSource) -> Permutation:
     """
     n, theta = params.n, params.theta
     values = [0] * n
-    if n > 128:
+    if n > _LIST_MAX_N:
         fen = _Fenwick(n)
         for i in range(1, n + 1):
             others = n - i
@@ -171,18 +174,29 @@ def sample_sequential(params: RbParams, rng: RandomSource) -> Permutation:
     return Permutation(tuple(values))
 
 
-def _log_left_survival(m, theta, k):
-    """log P(left subtree size >= k) in a record-biased tree of size m."""
-    return gammaln(m) - gammaln(m - k) + gammaln(theta + (m - k)) - gammaln(theta + m)
+def _split_sizes(m, theta: float, rng: RandomSource):
+    """Left-subtree sizes of record-biased trees of m >= 1 nodes; m is an int or an int64 array.
+
+    The size is Beta-binomial(m - 1, 1, theta): Binomial(m - 1, W) with W = 1 - U**(1/theta)
+    of law Beta(1, theta), so P(K = k) = theta (m-1)!/(m-1-k)! Gamma(theta+m-1-k)/Gamma(theta+m).
+    """
+    if theta == 0.0:
+        return m - 1
+    if isinstance(m, np.ndarray):
+        with np.errstate(divide="ignore"):
+            w = -np.expm1(np.log(rng.randoms(len(m))) / theta)
+    else:
+        u = rng.random()
+        w = -math.expm1(math.log(u) / theta) if u > 0.0 else 1.0
+    return rng.binomial(m - 1, w)
 
 
 def _sample_left_size(m: int, theta: float, rng: RandomSource) -> int:
     """Left-subtree size (first value minus 1) for a tree of m >= 1 nodes.
 
     Small or bias-dominated instances scan the per-step record chances
-    directly, mirroring the sequential mechanism; large ones invert the
-    closed-form survival function by binary search on its log-gamma form,
-    which is the same law in O(log m) time.
+    directly, mirroring the sequential mechanism; large ones draw the same
+    law in closed form with :func:`_split_sizes`.
     """
     if theta == 0.0:
         return m - 1
@@ -191,38 +205,7 @@ def _sample_left_size(m: int, theta: float, rng: RandomSource) -> int:
             if rng.random() < theta / (theta + (m - i)):
                 return i - 1
         return m - 1
-    u = rng.random()
-    if u <= 0.0:
-        return m - 1
-    log_u = math.log(u)
-    lg_m = math.lgamma(m)
-    lg_tm = math.lgamma(theta + m)
-    lo, hi = 0, m - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        log_s = lg_m - math.lgamma(m - mid) + math.lgamma(theta + (m - mid)) - lg_tm
-        if log_s > log_u:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
-def _sample_left_sizes_vec(sizes: np.ndarray, theta: float, us: np.ndarray) -> np.ndarray:
-    """Vectorized left-subtree size draws for many trees at once."""
-    if theta == 0.0:
-        return sizes - 1
-    log_us = np.log(np.maximum(us, 1e-300))
-    lo = np.zeros(len(sizes), dtype=np.int64)
-    hi = sizes - 1
-    for _ in range(int(sizes.max()).bit_length() + 1):
-        if not (lo < hi).any():
-            break
-        mid = (lo + hi + 1) >> 1
-        take = _log_left_survival(sizes, theta, mid) > log_us
-        lo = np.where(take, mid, lo)
-        hi = np.where(take, hi, mid - 1)
-    return lo
+    return _split_sizes(m, theta, rng)
 
 
 def sample_tree_recursive(params: RbParams, rng: RandomSource) -> BstTree:
@@ -270,7 +253,7 @@ class HeightSample(NamedTuple):
 def _spine_profile(n: int, theta: float, rng: RandomSource) -> np.ndarray:
     """Left-subtree sizes along the rightmost path, as an int64 array.
 
-    Splits bisect one by one down to m <= max(_SCAN_LIMIT, _SPINE_SCAN_PER_THETA theta). All
+    Splits are drawn one by one down to m <= max(_SCAN_LIMIT, _SPINE_SCAN_PER_THETA theta). All
     later ones scan: step p of the remaining m steps ends a split with chance
     theta / (theta + m - 1 - p), whichever split it falls in, so the tail is read in blocks of
     at most _SPINE_SCAN_BLOCK uniforms, carrying the last hit from block to block. The sizes
@@ -381,10 +364,9 @@ def sample_left_profile_matrix(
     out = np.zeros((trials, max_j + 1), dtype=np.int64)
     for j in range(max_j + 1):
         active = remaining > 0
-        count = int(active.sum())
-        if count == 0:
+        if not active.any():
             break
-        ks = _sample_left_sizes_vec(remaining[active], theta, rng.randoms(count))
+        ks = _split_sizes(remaining[active], theta, rng)
         out[active, j] = ks
         remaining[active] -= ks + 1
     return out

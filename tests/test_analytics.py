@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from rbtrees.analytics import (
     root_split_pmf,
     weight,
 )
-from rbtrees.model import LeftProfile, Permutation, RbParams
+from rbtrees.model import LeftProfile, Permutation, RbParams, record_count_perm
 
 from reference import poisson_binomial_pmf, ref_bst, ref_enumerate_weighted, ref_height, ref_records
 
@@ -57,10 +58,24 @@ class TestWeight:
         )
 
     def test_errors(self):
-        with pytest.raises(InstanceTooLargeError):
-            weight(Permutation(tuple(range(1, 12))), 1.0)
         with pytest.raises(ValueError):
             weight(Permutation((1, 2)), 0.0)
+
+    @pytest.mark.parametrize("theta", (0.3, 2.5, 1e6))
+    def test_sums_to_one_over_s8(self, theta):
+        total = math.fsum(
+            weight(Permutation(values), theta) for values in itertools.permutations(range(1, 9))
+        )
+        assert abs(total - 1.0) <= 1e-14
+
+    def test_matches_exact_fractions_at_n12(self):
+        # records 5, 7, 9, 12 of a permutation of 12 values, theta = 2.5 exactly in binary
+        perm = Permutation((5, 1, 7, 2, 3, 9, 4, 12, 6, 8, 10, 11))
+        theta = Fraction(5, 2)
+        rising = math.prod(theta + i for i in range(12))
+        exact = theta ** record_count_perm(perm) / rising
+        assert record_count_perm(perm) == 4
+        assert rel_err(weight(perm, 2.5), float(exact)) <= 1e-14
 
 
 class TestMu:
@@ -97,6 +112,7 @@ class TestMu:
             assert mu(n, theta) == pytest.approx(exact, rel=1e-14, abs=0.0)
 
     def test_memory_stays_small(self):
+        mu.cache_clear()
         tracemalloc.start()
         try:
             mu(10**6, 1.0)

@@ -15,6 +15,7 @@ from rbtrees.analytics import (
     enumerate_exact,
     left_root_tail,
     mu,
+    root_split_distribution,
 )
 from rbtrees.experiments import chi_square_gof, dkw_epsilon
 from rbtrees.model import (
@@ -64,6 +65,13 @@ class TestRandomSource:
         got_a = [a.random(), *a.randoms(5000).tolist(), a.random()]
         got_b = [b.random(), *b.randoms(5000).tolist(), b.random()]
         assert got_a == got_b
+
+    @pytest.mark.parametrize("count", (1, 4095, 4096, 10000))
+    def test_block_draw_equals_scalar_draws(self, count):
+        a, b = RandomSource(3, 8), RandomSource(3, 8)
+        assert a.random() == b.random()
+        assert a.randoms(count).tolist() == [b.random() for _ in range(count)]
+        assert a.random() == b.random()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -122,7 +130,8 @@ class TestSequential:
             assert perm.values[0] == n
             assert record_count_perm(perm) == 1
 
-    def test_fenwick_path_valid_and_seeded(self):
+    def test_fenwick_path_valid_and_seeded(self, monkeypatch):
+        monkeypatch.setattr(samplers, "_LIST_MAX_N", 128)
         perm1 = sample_sequential(RbParams(500, 2.0), RandomSource(11, 4))
         perm2 = sample_sequential(RbParams(500, 2.0), RandomSource(11, 4))
         assert perm1.values == perm2.values
@@ -137,8 +146,9 @@ class TestSequential:
         se = math.sqrt(p * (1 - p) / trials)
         assert abs(hits / trials - p) <= 3 * se
 
-    def test_fenwick_left_size_law(self):
+    def test_fenwick_left_size_law(self, monkeypatch):
         # exercises the Fenwick path at n=300 against the analytic tail
+        monkeypatch.setattr(samplers, "_LIST_MAX_N", 128)
         params = RbParams(300, 2.0)
         rng = RandomSource(5, 0)
         trials = 4000
@@ -149,6 +159,44 @@ class TestSequential:
         for k in (1, 30, 100, 200, 299):
             emp = float((firsts - 1 >= k).mean())
             assert abs(emp - left_root_tail(params, k)) <= 2 * band
+
+    @pytest.mark.parametrize("theta", (0.0, 0.5, 3.0))
+    def test_list_and_fenwick_paths_agree(self, theta, monkeypatch):
+        params = RbParams(700, theta)
+        listed = [sample_sequential(params, RandomSource(12, s)).values for s in range(5)]
+        monkeypatch.setattr(samplers, "_LIST_MAX_N", 0)
+        fenwick = [sample_sequential(params, RandomSource(12, s)).values for s in range(5)]
+        assert listed == fenwick
+
+
+def _split_law(m, theta):
+    return ExactDistribution(range(m), root_split_distribution(RbParams(m, theta)))
+
+
+class TestSplitLaw:
+    # the closed-form Beta-binomial draw, where it runs, against the exact root split law
+    @pytest.mark.parametrize("theta", (0.5, 3.0))
+    def test_scalar_draw(self, theta):
+        m, trials = 200, 50000
+        assert m > max(samplers._SCAN_LIMIT, 16.0 * theta)
+        rng = RandomSource(21, 0)
+        counts = Counter(samplers._sample_left_size(m, theta, rng) for _ in range(trials))
+        assert chi_square_gof(counts, _split_law(m, theta)).p_value > ALPHA
+
+    @pytest.mark.parametrize("theta", (0.01, 1.0, 1e6))
+    def test_profile_matrix_first_column(self, theta):
+        n, trials = 1000, 10**5
+        matrix = sample_left_profile_matrix(RbParams(n, theta), trials, 0, RandomSource(22, 0))
+        counts = Counter(matrix[:, 0].tolist())
+        assert chi_square_gof(counts, _split_law(n, theta)).p_value > ALPHA
+
+    def test_scalar_draw_at_a_million_nodes(self):
+        params, trials = RbParams(10**6, 1.0), 20000
+        rng = RandomSource(23, 0)
+        sizes = np.array([samplers._sample_left_size(params.n, 1.0, rng) for _ in range(trials)])
+        band = dkw_epsilon(trials)
+        for k in (1, 10, 1000, 10**5, 5 * 10**5, 9 * 10**5, 999_999):
+            assert abs(float((sizes >= k).mean()) - left_root_tail(params, k)) <= band
 
 
 def _hrf_key_from_perm(perm):
@@ -362,7 +410,7 @@ class TestRecordCountSampler:
 
 class TestProfileMatrix:
     def test_first_column_law(self):
-        # the vectorized log-gamma inversion against the enumerated left size
+        # the vectorized Beta-binomial draw against the enumerated left size
         n, theta, trials = 7, 2.0, 30000
         expected = enumerate_exact(RbParams(n, theta)).left_subtree_size
         matrix = sample_left_profile_matrix(RbParams(n, theta), trials, 0, RandomSource(6, 0))
