@@ -217,7 +217,7 @@ def _u64(text: str) -> int:
 def _theta(text: str) -> float:
     try:
         value = parse_theta_value(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad theta {text!r}: {exc}") from exc
     if not math.isfinite(value) or value < 0.0:
         raise argparse.ArgumentTypeError("theta must be finite and >= 0")
@@ -524,6 +524,7 @@ _EXPERIMENT_CONFIG_KEYS = {
 # JSON types of the config fields that ExperimentConfig does not check itself
 # (type(v) is int excludes booleans).
 _CONFIG_FIELD_TYPES = {
+    "theta_spec": ("a number or a string", lambda v: type(v) in (int, float, str)),
     "seed": ("an integer", lambda v: type(v) is int),
     "epsilon": ("a number", lambda v: type(v) in (int, float)),
     "j_values": ("a list of integers", lambda v: type(v) is list and all(type(j) is int for j in v)),

@@ -36,7 +36,12 @@ def parse_theta_value(text: str) -> float:
     """Parse a theta literal: a decimal string or a rational like '3/2'."""
     text = text.strip()
     if "/" in text:
-        return float(Fraction(text))
+        try:
+            return float(Fraction(text))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
+        except OverflowError:
+            raise ValueError(f"{text!r} is too large for a float") from None
     return float(text)
 
 
@@ -58,7 +63,10 @@ def resolve_theta(theta_spec, n: int) -> float:
         if tag == "linear":
             return value * n
         if tag == "power":
-            return float(n) ** value
+            try:
+                return float(n) ** value
+            except OverflowError:
+                raise ValueError(f"theta spec {text!r} overflows at n = {n}") from None
         raise ValueError(f"unknown theta spec tag {tag!r}")
     return parse_theta_value(text)
 

@@ -39,8 +39,6 @@ _EXACT_MAX = 64
 # bounds its memory.
 _SPINE_SCAN_PER_THETA = 1024.0
 _SPINE_SCAN_BLOCK = 4095
-# sample_sequential keeps its open positions in a list up to this n, in a Fenwick tree past it
-_LIST_MAX_N = 50_000
 
 
 def _mix64(z: int) -> int:
@@ -105,41 +103,6 @@ class RandomSource:
         return self._gen.binomial(trials, probs)
 
 
-class _Fenwick:
-    """Order-statistics set over positions 1..n (membership counts)."""
-
-    def __init__(self, n: int):
-        self.n = n
-        tree = [0] * (n + 1)
-        for i in range(1, n + 1):
-            tree[i] += 1
-            j = i + (i & -i)
-            if j <= n:
-                tree[j] += tree[i]
-        self.tree = tree
-        self.log = n.bit_length()
-
-    def remove(self, i: int) -> None:
-        n, tree = self.n, self.tree
-        while i <= n:
-            tree[i] -= 1
-            i += i & -i
-
-    def select(self, rank: int) -> int:
-        """The position holding the rank-th smallest member (1-indexed)."""
-        pos = 0
-        remaining = rank
-        tree, n = self.tree, self.n
-        bit = 1 << self.log
-        while bit:
-            nxt = pos + bit
-            if nxt <= n and tree[nxt] < remaining:
-                pos = nxt
-                remaining -= tree[nxt]
-            bit >>= 1
-        return pos + 1
-
-
 def sample_sequential(params: RbParams, rng: RandomSource) -> Permutation:
     """Draw a record-biased permutation by sequential placement.
 
@@ -147,30 +110,33 @@ def sample_sequential(params: RbParams, rng: RandomSource) -> Permutation:
     probability theta / (theta + n - i) and to a uniformly chosen other open
     position otherwise; for theta = 0 the leftmost position is taken only
     when it is the only one left. Consumes between n and 2n uniforms.
+
+    The open positions sit unordered in ``slots[:n - i + 1]`` with ``where``
+    mapping each to its index there; a filled one is swap-removed with the
+    last open slot (Durstenfeld's shuffle step), so every step is O(1). ``lo``
+    only moves right, past filled positions, after the leftmost one is taken.
     """
     n, theta = params.n, params.theta
     values = [0] * n
-    if n > _LIST_MAX_N:
-        fen = _Fenwick(n)
-        for i in range(1, n + 1):
-            others = n - i
-            u = rng.random()
-            if others == 0 or (theta > 0.0 and u < theta / (theta + others)):
-                pos = fen.select(1)
-            else:
-                pos = fen.select(2 + int(rng.random() * others))
-            fen.remove(pos)
-            values[pos - 1] = i
-    else:
-        open_positions = list(range(1, n + 1))
-        for i in range(1, n + 1):
-            others = n - i
-            u = rng.random()
-            if others == 0 or (theta > 0.0 and u < theta / (theta + others)):
-                pos = open_positions.pop(0)
-            else:
-                pos = open_positions.pop(1 + int(rng.random() * others))
-            values[pos - 1] = i
+    slots = list(range(n))
+    where = list(range(n))
+    lo = 0
+    for i in range(1, n + 1):
+        others = n - i
+        u = rng.random()
+        if others == 0 or (theta > 0.0 and u < theta / (theta + others)):
+            pos = lo
+        else:
+            # a uniform index among the others + 1 open slots, skipping lo's
+            j = int(rng.random() * others)
+            pos = slots[j + (j >= where[lo])]
+        values[pos] = i
+        last = slots[others]
+        slots[where[pos]] = last
+        where[last] = where[pos]
+        if pos == lo and others:
+            while values[lo]:
+                lo += 1
     return Permutation(tuple(values))
 
 
@@ -261,7 +227,7 @@ def _spine_profile(n: int, theta: float, rng: RandomSource) -> np.ndarray:
     """
     head, m = [], n
     while m > 0 and (theta == 0.0 or m > max(_SCAN_LIMIT, _SPINE_SCAN_PER_THETA * theta)):
-        head.append(_sample_left_size(m, theta, rng))
+        head.append(_split_sizes(m, theta, rng))
         m -= head[-1] + 1
     sizes, last = [np.array(head, dtype=np.int64)], -1
     for lo in range(0, m, _SPINE_SCAN_BLOCK):

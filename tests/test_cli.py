@@ -329,6 +329,7 @@ class TestErrors:
             ("epsilon", [0.5]),
             ("j_values", 3),
             ("tolerances", [1]),
+            ("theta_spec", True),
         ),
     )
     def test_bad_config_value_exits_1(self, tmp_path, capsys, field, value):
@@ -342,6 +343,21 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert field in err
+
+    @pytest.mark.parametrize("via", ("flag", "config"))
+    @pytest.mark.parametrize("spec", ("1/0", "constant:3/0", "power:1000"))
+    def test_bad_theta_spec_exits_1(self, tmp_path, capsys, spec, via):
+        argv = ["experiment", "height-ratio", "--threads", "1"]
+        if via == "flag":
+            argv += ["--n-values", "10", "--theta-spec", spec, "--trials", "5"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"n_values": [10], "theta_spec": spec, "trials": 5}))
+            argv += ["--config", str(config)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_config_must_be_an_object(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -16,6 +16,7 @@ from rbtrees.analytics import (
     left_root_tail,
     mu,
     root_split_distribution,
+    weight,
 )
 from rbtrees.experiments import chi_square_gof, dkw_epsilon
 from rbtrees.model import (
@@ -125,13 +126,12 @@ class TestSequential:
         assert sample_sequential(RbParams(0, 1.0), RandomSource(0)).values == ()
 
     def test_theta_zero_single_record(self):
-        for n in (1, 2, 5, 40, 300):
+        for n in (1, 2, 5, 40, 300, 60_000):
             perm = sample_sequential(RbParams(n, 0.0), RandomSource(3, n))
             assert perm.values[0] == n
             assert record_count_perm(perm) == 1
 
-    def test_fenwick_path_valid_and_seeded(self, monkeypatch):
-        monkeypatch.setattr(samplers, "_LIST_MAX_N", 128)
+    def test_valid_and_seeded(self):
         perm1 = sample_sequential(RbParams(500, 2.0), RandomSource(11, 4))
         perm2 = sample_sequential(RbParams(500, 2.0), RandomSource(11, 4))
         assert perm1.values == perm2.values
@@ -146,9 +146,7 @@ class TestSequential:
         se = math.sqrt(p * (1 - p) / trials)
         assert abs(hits / trials - p) <= 3 * se
 
-    def test_fenwick_left_size_law(self, monkeypatch):
-        # exercises the Fenwick path at n=300 against the analytic tail
-        monkeypatch.setattr(samplers, "_LIST_MAX_N", 128)
+    def test_left_size_law(self):
         params = RbParams(300, 2.0)
         rng = RandomSource(5, 0)
         trials = 4000
@@ -160,13 +158,25 @@ class TestSequential:
             emp = float((firsts - 1 >= k).mean())
             assert abs(emp - left_root_tail(params, k)) <= 2 * band
 
-    @pytest.mark.parametrize("theta", (0.0, 0.5, 3.0))
-    def test_list_and_fenwick_paths_agree(self, theta, monkeypatch):
-        params = RbParams(700, theta)
-        listed = [sample_sequential(params, RandomSource(12, s)).values for s in range(5)]
-        monkeypatch.setattr(samplers, "_LIST_MAX_N", 0)
-        fenwick = [sample_sequential(params, RandomSource(12, s)).values for s in range(5)]
-        assert listed == fenwick
+    @pytest.mark.parametrize("theta", (0.5, 3.0))
+    def test_s5_law(self, theta):
+        n, trials = 5, 10**5
+        expected = ExactDistribution.from_weights(
+            {p: weight(Permutation(p), theta) for p in itertools.permutations(range(1, n + 1))}
+        )
+        rng = RandomSource(31, 0)
+        counts = Counter(sample_sequential(RbParams(n, theta), rng).values for _ in range(trials))
+        assert chi_square_gof(counts, expected).p_value > ALPHA
+
+    def test_s5_law_theta_zero(self):
+        # sigma(1) = n, and the other values fill the open positions uniformly
+        n, trials = 5, 10**5
+        expected = ExactDistribution.from_weights(
+            {(n, *p): 1.0 for p in itertools.permutations(range(1, n))}
+        )
+        rng = RandomSource(31, 1)
+        counts = Counter(sample_sequential(RbParams(n, 0.0), rng).values for _ in range(trials))
+        assert chi_square_gof(counts, expected).p_value > ALPHA
 
 
 def _split_law(m, theta):
