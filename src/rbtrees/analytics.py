@@ -138,7 +138,10 @@ class TailBoundParams:
         u = epsilon * theta
         if u >= 1.0:
             raise ValueError(f"epsilon * theta must be < 1, got {u}")
-        C = 1.0 / (1.0 - (1.0 - u) * math.exp(u))
+        gap = 1.0 - (1.0 - u) * math.exp(u)
+        if gap <= 0.0:
+            raise ValueError(f"epsilon * theta = {u} is too small: C = 1 / {gap} is not finite")
+        C = 1.0 / gap
         lam = epsilon * theta * theta / (1.0 - u)
         return cls(epsilon=epsilon, M=M, k=k, C=C, lam=lam)
 

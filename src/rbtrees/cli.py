@@ -224,6 +224,13 @@ def _theta(text: str) -> float:
     return value
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -268,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact.add_argument("what", choices=["mu", "cstar", "split-pmf", "records-mgf", "enumerate"])
     p_exact.add_argument("--n", type=int, default=None)
     p_exact.add_argument("--theta", type=_theta, default=_theta(DEFAULT_THETA))
-    p_exact.add_argument("--t", type=float, default=0.0)
+    p_exact.add_argument("--t", type=_finite, default=0.0)
     p_exact.add_argument("--k", type=int, default=None)
     add_io(p_exact)
 
@@ -276,11 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("what", choices=["chernoff", "profile-tail", "height-tail"])
     p_bound.add_argument("--n", type=int, required=True)
     p_bound.add_argument("--theta", type=_theta, default=_theta(DEFAULT_THETA))
-    p_bound.add_argument("--epsilon", type=float, default=None)
-    p_bound.add_argument("--M", type=float, default=None)
+    p_bound.add_argument("--epsilon", type=_finite, default=None)
+    p_bound.add_argument("--M", type=_finite, default=None)
     p_bound.add_argument("--k", type=int, default=None)
     p_bound.add_argument("--eta", type=int, default=None)
-    p_bound.add_argument("--t", type=float, default=math.log(2.0 * math.e))
+    p_bound.add_argument("--t", type=_finite, default=math.log(2.0 * math.e))
     add_io(p_bound)
 
     p_exp = sub.add_parser("experiment", help="Monte Carlo experiment drivers")
@@ -289,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--n-values", type=_int_list, default=None)
     p_exp.add_argument("--theta-spec", default=None)
     p_exp.add_argument("--trials", type=int, default=None)
-    p_exp.add_argument("--epsilon", type=float, default=None)
+    p_exp.add_argument("--epsilon", type=_finite, default=None)
     p_exp.add_argument("--j-values", type=_int_list, default=None)
     p_exp.add_argument("--threads", type=int, default=None)
     add_io(p_exp)
@@ -526,7 +533,7 @@ _EXPERIMENT_CONFIG_KEYS = {
 _CONFIG_FIELD_TYPES = {
     "theta_spec": ("a number or a string", lambda v: type(v) in (int, float, str)),
     "seed": ("an integer", lambda v: type(v) is int),
-    "epsilon": ("a number", lambda v: type(v) in (int, float)),
+    "epsilon": ("a finite number", lambda v: type(v) in (int, float) and -math.inf < v < math.inf),
     "j_values": ("a list of integers", lambda v: type(v) is list and all(type(j) is int for j in v)),
     "tolerances": (
         "an object of numbers",
@@ -637,7 +644,7 @@ def main(argv=None) -> int:
         return 0
     except UsageError as exc:
         parser.error(str(exc))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -64,9 +64,12 @@ def resolve_theta(theta_spec, n: int) -> float:
             return value * n
         if tag == "power":
             try:
-                return float(n) ** value
-            except OverflowError:
+                theta = float(n) ** value
+            except (OverflowError, ZeroDivisionError):
                 raise ValueError(f"theta spec {text!r} overflows at n = {n}") from None
+            if theta == 0.0 and n > 0:
+                raise ValueError(f"theta spec {text!r} underflows to 0 at n = {n}")
+            return theta
         raise ValueError(f"unknown theta spec tag {tag!r}")
     return parse_theta_value(text)
 

@@ -1,18 +1,20 @@
 """Seeded random generation of record-biased permutations and trees.
 
-Two equivalent mechanisms are provided: a sequential generator that places
-values one at a time (each step picks the leftmost open position with
-probability theta / (theta + remaining)), and a recursive generator that
-draws the root split and recurses, with the left subtree uniform (theta = 1)
-and the right subtree keeping the record bias.
+Two mechanisms draw the same law. The sequential generator places values one
+at a time, each at the leftmost open position with probability
+theta / (theta + remaining) and at a uniform other one otherwise. The
+recursive generator splits top-down along the paper's decomposition: all of
+theta sits on the rightmost path (the records), split by one rule (a scan of
+the per-step record chances, or one Beta-binomial variate for large splits),
+and every subtree off it is a uniform BST with uniform splits. The height and
+record-count samplers draw that path the same way.
 
-Randomness contract: a (seed, stream_index) pair identifies a stream. The
-stream's engine is a PCG64 generator keyed by a SplitMix64 finalizer applied
-to seed XOR stream_index, so identical pairs reproduce identical draws
-within this implementation and distinct stream indices give independent
-streams. The stream yields uniform variates and, for root splits, binomial
-variates drawn from the same engine. Cross-platform bit-exactness is not
-promised.
+Randomness contract: a (seed, stream_index) pair of unsigned 64-bit integers
+identifies a stream, a PCG64 engine keyed by a SeedSequence of the pair's four
+32-bit words: distinct pairs give independent streams, identical pairs
+identical draws within this implementation. The stream yields uniform
+variates and, for closed-form splits, binomial variates from the same engine.
+Cross-platform bit-exactness is not promised.
 """
 
 from __future__ import annotations
@@ -25,28 +27,17 @@ import numpy as np
 
 from .model import NO_CHILD, BstTree, LeftProfile, Permutation, RbParams
 
-_MASK64 = (1 << 64) - 1
-
-# Splits of at most _SCAN_LIMIT (or 16 theta) nodes scan the per-step record chances, larger
-# ones draw a Beta-binomial variate; uniform subtrees of at most _EXACT_MAX nodes draw their
-# height from a table.
+# A rightmost-path split of m nodes scans the per-step record chances when theta > 0 and
+# m <= max(_SCAN_LIMIT, _SPINE_SCAN_PER_THETA * theta) (see _scans), and otherwise draws a
+# Beta-binomial variate; uniform subtrees of at most _EXACT_MAX nodes draw their height from
+# a table. Below the bound a tail of m nodes holds about theta log(1 + m / theta) splits
+# (7 theta at m = 1024 theta), which cost about as much drawn one by one (~3 us each) as its
+# m uniforms scanned in numpy (~10 ns each). _spine_profile reads at most _SPINE_SCAN_BLOCK
+# uniforms at a time, which only bounds its memory.
 _SCAN_LIMIT = 64
 _EXACT_MAX = 64
-# The spine draws split by split only while m > max(_SCAN_LIMIT, _SPINE_SCAN_PER_THETA * theta):
-# a tail of m nodes holds about theta log(1 + m / theta) splits (7 theta at m = 1024 theta),
-# which cost about as much drawn one by one (~3 us each) as its m uniforms scanned in numpy
-# (~10 ns each). The scan reads at most _SPINE_SCAN_BLOCK uniforms at a time, which only
-# bounds its memory.
 _SPINE_SCAN_PER_THETA = 1024.0
 _SPINE_SCAN_BLOCK = 4095
-
-
-def _mix64(z: int) -> int:
-    """SplitMix64 finalizer; the documented stream-derivation mix."""
-    z = (z + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
 
 
 class RandomSource:
@@ -64,8 +55,11 @@ class RandomSource:
                 raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
         self.seed = seed
         self.stream_index = stream_index
-        self._gen = np.random.Generator(np.random.PCG64(_mix64(seed ^ stream_index)))
-        self._buf = self._gen.random(self._BLOCK)
+        # four 32-bit words, so that the key is injective in the pair
+        words = (seed & 0xFFFFFFFF, seed >> 32, stream_index & 0xFFFFFFFF, stream_index >> 32)
+        key = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+        self._gen = np.random.Generator(np.random.PCG64(key))
+        self._buf = np.empty(0)
         self._pos = 0
 
     def __repr__(self):
@@ -157,29 +151,31 @@ def _split_sizes(m, theta: float, rng: RandomSource):
     return rng.binomial(m - 1, w)
 
 
-def _sample_left_size(m: int, theta: float, rng: RandomSource) -> int:
-    """Left-subtree size (first value minus 1) for a tree of m >= 1 nodes.
+def _scans(m: int, theta: float) -> bool:
+    """Whether a rightmost-path split of m nodes scans rather than draw :func:`_split_sizes`."""
+    return theta > 0.0 and m <= max(_SCAN_LIMIT, _SPINE_SCAN_PER_THETA * theta)
 
-    Small or bias-dominated instances scan the per-step record chances
-    directly, mirroring the sequential mechanism; large ones draw the same
-    law in closed form with :func:`_split_sizes`.
+
+def _sample_left_size(m: int, theta: float, rng: RandomSource) -> int:
+    """Left-subtree size (first value minus 1) for a record-biased tree of m >= 1 nodes.
+
+    Where :func:`_scans` holds, the per-step record chances are scanned directly, mirroring
+    the sequential mechanism; otherwise the same law is drawn in closed form.
     """
-    if theta == 0.0:
-        return m - 1
-    if m <= _SCAN_LIMIT or m <= 16.0 * theta:
-        for i in range(1, m + 1):
-            if rng.random() < theta / (theta + (m - i)):
-                return i - 1
-        return m - 1
-    return _split_sizes(m, theta, rng)
+    if not _scans(m, theta):
+        return _split_sizes(m, theta, rng)
+    for i in range(1, m + 1):
+        if rng.random() < theta / (theta + (m - i)):
+            return i - 1
+    return m - 1
 
 
 def sample_tree_recursive(params: RbParams, rng: RandomSource) -> BstTree:
     """Generate a record-biased tree top-down from root splits.
 
-    The root label is 1 + the drawn left size; the left subtree is generated
-    as a uniform (theta = 1) tree on the smaller labels and the right
-    subtree keeps theta. Labels come out as {1, ..., n}.
+    Rightmost-path nodes draw their left size with :func:`_sample_left_size`, every other
+    node a uniform split. Right children are popped first, so the rightmost path is drawn
+    first and its left sizes equal :func:`_spine_profile`'s for the same stream.
     """
     n, theta = params.n, params.theta
     tree = BstTree()
@@ -187,13 +183,12 @@ def sample_tree_recursive(params: RbParams, rng: RandomSource) -> BstTree:
         return tree
     labels, left, right = tree.labels, tree.left, tree.right
     tree.root = 0
-    # stack entries: (lo, hi, parent index, is_left_child, local theta)
-    stack = [(1, n, NO_CHILD, False, theta)]
+    # stack entries: (lo, hi, parent index, is_left_child, on the rightmost path)
+    stack = [(1, n, NO_CHILD, False, True)]
     while stack:
-        lo, hi, parent, is_left, local_theta = stack.pop()
+        lo, hi, parent, is_left, on_spine = stack.pop()
         m = hi - lo + 1
-        k = _sample_left_size(m, local_theta, rng)
-        label = lo + k
+        label = lo + (_sample_left_size(m, theta, rng) if on_spine else int(rng.random() * m))
         idx = len(labels)
         labels.append(label)
         left.append(NO_CHILD)
@@ -203,10 +198,10 @@ def sample_tree_recursive(params: RbParams, rng: RandomSource) -> BstTree:
                 left[parent] = idx
             else:
                 right[parent] = idx
-        if label + 1 <= hi:
-            stack.append((label + 1, hi, idx, False, local_theta))
         if lo <= label - 1:
-            stack.append((lo, label - 1, idx, True, 1.0))
+            stack.append((lo, label - 1, idx, True, False))
+        if label + 1 <= hi:
+            stack.append((label + 1, hi, idx, False, on_spine))
     return tree
 
 
@@ -219,14 +214,14 @@ class HeightSample(NamedTuple):
 def _spine_profile(n: int, theta: float, rng: RandomSource) -> np.ndarray:
     """Left-subtree sizes along the rightmost path, as an int64 array.
 
-    Splits are drawn one by one down to m <= max(_SCAN_LIMIT, _SPINE_SCAN_PER_THETA theta). All
-    later ones scan: step p of the remaining m steps ends a split with chance
+    Splits are drawn one by one in closed form until :func:`_scans` holds. All later ones
+    scan: step p of the remaining m steps ends a split with chance
     theta / (theta + m - 1 - p), whichever split it falls in, so the tail is read in blocks of
     at most _SPINE_SCAN_BLOCK uniforms, carrying the last hit from block to block. The sizes
     and the stream position equal those of split-by-split scans for a tail of any length.
     """
     head, m = [], n
-    while m > 0 and (theta == 0.0 or m > max(_SCAN_LIMIT, _SPINE_SCAN_PER_THETA * theta)):
+    while m > 0 and not _scans(m, theta):
         head.append(_split_sizes(m, theta, rng))
         m -= head[-1] + 1
     sizes, last = [np.array(head, dtype=np.int64)], -1
@@ -300,19 +295,8 @@ def sample_height_only(params: RbParams, rng: RandomSource) -> HeightSample:
 
 
 def sample_record_count(params: RbParams, rng: RandomSource) -> int:
-    """Record count alone, via the sequential mechanism's step indicators.
-
-    Step i contributes a record independently with probability
-    theta / (theta + n - i), so the count is a sum of independent Bernoulli
-    draws; this matches the record law of the full samplers.
-    """
-    n, theta = params.n, params.theta
-    if n == 0:
-        return 0
-    if theta == 0.0:
-        return 1
-    probs = theta / (theta + np.arange(n - 1, -1, -1, dtype=np.float64))
-    return int((rng.randoms(n) < probs).sum())
+    """Record count alone: the length of the rightmost path drawn by :func:`_spine_profile`."""
+    return len(_spine_profile(params.n, params.theta, rng))
 
 
 def sample_left_profile_matrix(

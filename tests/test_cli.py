@@ -1,11 +1,14 @@
 """CLI behavior: outputs, determinism, seeds, and exit codes."""
 
+import contextlib
 import csv
 import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbtrees.cli import OutputTable, ValueRow, emit, main
 from rbtrees.analytics import c_star, mu, root_split_distribution
@@ -330,6 +333,8 @@ class TestErrors:
             ("j_values", 3),
             ("tolerances", [1]),
             ("theta_spec", True),
+            ("epsilon", math.nan),
+            ("epsilon", -math.inf),
         ),
     )
     def test_bad_config_value_exits_1(self, tmp_path, capsys, field, value):
@@ -345,7 +350,7 @@ class TestErrors:
         assert field in err
 
     @pytest.mark.parametrize("via", ("flag", "config"))
-    @pytest.mark.parametrize("spec", ("1/0", "constant:3/0", "power:1000"))
+    @pytest.mark.parametrize("spec", ("1/0", "constant:3/0", "power:1000", "power:-1000"))
     def test_bad_theta_spec_exits_1(self, tmp_path, capsys, spec, via):
         argv = ["experiment", "height-ratio", "--threads", "1"]
         if via == "flag":
@@ -354,6 +359,36 @@ class TestErrors:
             config = tmp_path / "config.json"
             config.write_text(json.dumps({"n_values": [10], "theta_spec": spec, "trials": 5}))
             argv += ["--config", str(config)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["experiment", "record-concentration", "--n-values", "10", "--theta-spec", "1",
+             "--trials", "3", "--epsilon", "nan"],
+            ["bound", "chernoff", "--n", "10", "--epsilon", "inf"],
+            ["bound", "profile-tail", "--n", "10", "--epsilon", "0.1", "--M", "nan", "--k", "2"],
+            ["bound", "height-tail", "--n", "10", "--eta", "5", "--t", "inf"],
+            ["exact", "records-mgf", "--n", "3", "--t", "nan"],
+        ),
+    )
+    def test_non_finite_float_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["exact", "records-mgf", "--n", "3", "--t", "1000"],
+            ["bound", "height-tail", "--n", "10", "--eta", "5", "--t", "1000"],
+            ["bound", "profile-tail", "--n", "10", "--epsilon", "1e-320", "--M", "1", "--k", "0"],
+        ),
+    )
+    def test_out_of_range_value_exits_1(self, capsys, argv):
         code, out, err = run_cli(argv, capsys)
         assert code == 1
         assert out == ""
@@ -398,3 +433,82 @@ class TestEmit:
         )
         with pytest.raises(ValueError):
             emit(table, "xml", None)
+
+
+def _mostly(good, *bad):
+    """A value from ``good`` about seven times in eight, else one of the malformed ``bad``."""
+    return st.tuples(st.integers(0, 7), good, st.sampled_from(bad)).map(
+        lambda pick: pick[2] if pick[0] == 3 else pick[1]
+    )
+
+
+_FLOATS = _mostly(
+    st.one_of(st.floats(0.01, 1.0), st.floats(1.0, 10.0), st.integers(0, 5)).map(str),
+    "-1", "1/0", "1e308", "1e-320", "nan", "inf", "abc",
+)
+_SMALL_INTS = _mostly(st.integers(0, 64).map(str), "-1", "abc")
+_FLAG_VALUES = {
+    "--n": _SMALL_INTS,
+    "--theta": _FLOATS,
+    "--trials": _mostly(st.integers(1, 3).map(str), "0", "-1"),
+    "--method": st.sampled_from(("sequential", "recursive")),
+    "--t": _mostly(_FLOATS, "1000"),
+    "--k": _SMALL_INTS,
+    "--eta": _SMALL_INTS,
+    "--epsilon": _FLOATS,
+    "--M": _FLOATS,
+    "--n-values": _mostly(
+        st.lists(st.integers(0, 64), min_size=1, max_size=3, unique=True).map(
+            lambda v: ",".join(map(str, sorted(v)))
+        ),
+        "8,4", "-1", "1,,2",
+    ),
+    "--theta-spec": _mostly(
+        st.one_of(_FLOATS, st.sampled_from(("constant:2", "linear:1", "power:0.5", "power:-1"))),
+        "power:-1000", "power:1000", "x:1",
+    ),
+    "--j-values": st.lists(st.integers(0, 8), min_size=1, max_size=3).map(lambda v: ",".join(map(str, v))),
+    "--seed": _mostly(st.sampled_from(("0", "7", str(2**64 - 1))), str(2**64), "-1"),
+    "--format": st.sampled_from(("csv", "json")),
+}
+# (what, required flags, optional flags) per command
+_COMMANDS = {
+    "sample": (("perm", "tree", "height"), ("--n",), ("--theta", "--trials", "--method", "--seed")),
+    "exact": (("mu", "cstar", "split-pmf", "records-mgf", "enumerate"), (), ("--n", "--theta", "--t", "--k")),
+    "bound": (
+        ("chernoff", "profile-tail", "height-tail"),
+        ("--n",),
+        ("--theta", "--epsilon", "--M", "--k", "--eta", "--t", "--seed"),
+    ),
+    "experiment": (
+        ("height-ratio", "record-concentration", "dominance"),
+        ("--n-values", "--theta-spec", "--trials"),
+        ("--epsilon", "--j-values", "--seed"),
+    ),
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    whats, required, optional = _COMMANDS[command]
+    argv = [command, draw(st.sampled_from(whats))]
+    for flag in required + optional + ("--format",):
+        if flag in required or draw(st.integers(0, 3)):
+            argv += [flag, draw(_FLAG_VALUES[flag])]
+    if command == "experiment":
+        argv += ["--threads", "1"]
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_argvs())
+def test_any_argv_exits_0_1_or_2(argv):
+    # n <= 64 and trials <= 3 keep every example small; a traceback would propagate out of
+    # main and fail the test
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv

@@ -18,13 +18,14 @@ from rbtrees.analytics import (
     root_split_distribution,
     weight,
 )
-from rbtrees.experiments import chi_square_gof, dkw_epsilon
+from rbtrees.experiments import chi_square_gof, dkw_epsilon, resolve_theta
 from rbtrees.model import (
     Permutation,
     RbParams,
     build_bst,
     height,
     is_valid_bst,
+    left_profile,
     record_count_perm,
     record_count_tree,
 )
@@ -54,6 +55,21 @@ class TestRandomSource:
         a = RandomSource(42, 0)
         b = RandomSource(42, 1)
         assert [a.random() for _ in range(8)] != [b.random() for _ in range(8)]
+
+    @pytest.mark.parametrize(
+        "a,b",
+        (
+            ((0, 0), (1, 1)),
+            ((0, 5), (5, 0)),
+            ((7, 1), (7 ^ (1 << 20), 1 ^ (1 << 20))),
+            ((1 << 32, 3), (0, 1 + (3 << 32))),
+        ),
+        ids=("xor-equal", "swapped", "low-bits", "word-carry"),
+    )
+    def test_distinct_pairs_give_distinct_streams(self, a, b):
+        # a key mixed from seed ^ stream_index, or from [seed, stream_index] as integers of
+        # any width, sends at least one of these pairs to the same stream
+        assert RandomSource(*a).randoms(8).tolist() != RandomSource(*b).randoms(8).tolist()
 
     def test_stream_helper(self):
         a = RandomSource(7, 0).stream(9)
@@ -184,13 +200,12 @@ def _split_law(m, theta):
 
 
 class TestSplitLaw:
-    # the closed-form Beta-binomial draw, where it runs, against the exact root split law
+    # the closed-form Beta-binomial draw against the exact root split law
     @pytest.mark.parametrize("theta", (0.5, 3.0))
     def test_scalar_draw(self, theta):
         m, trials = 200, 50000
-        assert m > max(samplers._SCAN_LIMIT, 16.0 * theta)
         rng = RandomSource(21, 0)
-        counts = Counter(samplers._sample_left_size(m, theta, rng) for _ in range(trials))
+        counts = Counter(samplers._split_sizes(m, theta, rng) for _ in range(trials))
         assert chi_square_gof(counts, _split_law(m, theta)).p_value > ALPHA
 
     @pytest.mark.parametrize("theta", (0.01, 1.0, 1e6))
@@ -203,7 +218,7 @@ class TestSplitLaw:
     def test_scalar_draw_at_a_million_nodes(self):
         params, trials = RbParams(10**6, 1.0), 20000
         rng = RandomSource(23, 0)
-        sizes = np.array([samplers._sample_left_size(params.n, 1.0, rng) for _ in range(trials)])
+        sizes = np.array([samplers._split_sizes(params.n, 1.0, rng) for _ in range(trials)])
         band = dkw_epsilon(trials)
         for k in (1, 10, 1000, 10**5, 5 * 10**5, 9 * 10**5, 999_999):
             assert abs(float((sizes >= k).mean()) - left_root_tail(params, k)) <= band
@@ -237,6 +252,17 @@ class TestRecursiveSampler:
         tree = sample_tree_recursive(RbParams(9, 0.0), RandomSource(1))
         assert record_count_tree(tree) == 1
         assert tree.labels[tree.root] == 9
+
+    @pytest.mark.parametrize("n", (6, 2000, 20000))
+    @pytest.mark.parametrize("spec", (0.0, 0.5, 2.0, "linear:1"))
+    def test_spine_equals_spine_profile(self, n, spec):
+        # the rightmost path is drawn first, by the rule _spine_profile follows; at n = 2000
+        # and 20000 the theta <= 2 spines start with closed-form splits and end in a scan
+        theta = resolve_theta(spec, n)
+        for stream in range(3):
+            tree = sample_tree_recursive(RbParams(n, theta), RandomSource(8, stream))
+            spine = samplers._spine_profile(n, theta, RandomSource(8, stream))
+            assert left_profile(tree).sizes == tuple(spine.tolist())
 
     @pytest.mark.parametrize("theta", (0.5, 5.0))
     def test_joint_law_matches_enumeration(self, theta):
@@ -401,6 +427,20 @@ class TestRecordCountSampler:
         counts = Counter(
             sample_record_count(RbParams(n, theta), rng) for _ in range(trials)
         )
+        assert chi_square_gof(counts, expected).p_value > ALPHA
+
+    @pytest.mark.parametrize("theta", (0.5, 1.0))
+    def test_law_matches_poisson_binomial(self, theta):
+        # records are independent steps with chances p_i = theta / (theta + n - i), so the law
+        # has generating function prod(1 - p_i + p_i z); n = 2000 runs closed-form head splits
+        # and a scanned tail
+        n, trials = 2000, 20000
+        pmf = np.ones(1)
+        for p in theta / (theta + np.arange(n - 1, -1, -1.0)):
+            pmf = np.concatenate((pmf * (1.0 - p), [0.0])) + np.concatenate(([0.0], pmf * p))
+        expected = ExactDistribution(range(n + 1), pmf / math.fsum(pmf))
+        rng = RandomSource(56, 0)
+        counts = Counter(sample_record_count(RbParams(n, theta), rng) for _ in range(trials))
         assert chi_square_gof(counts, expected).p_value > ALPHA
 
     def test_mean_matches_mu_at_scale(self):
