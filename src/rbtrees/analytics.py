@@ -138,10 +138,11 @@ class TailBoundParams:
         u = epsilon * theta
         if u >= 1.0:
             raise ValueError(f"epsilon * theta must be < 1, got {u}")
-        gap = 1.0 - (1.0 - u) * math.exp(u)
-        if gap <= 0.0:
+        # 1 - (1 - u) e^u as its series: the closed form cancels to u^2 / 2 for small u
+        gap = math.fsum((k - 1) * u**k / math.factorial(k) for k in range(2, 42))
+        C = 1.0 / gap if gap > 0.0 else math.inf
+        if not math.isfinite(C):
             raise ValueError(f"epsilon * theta = {u} is too small: C = 1 / {gap} is not finite")
-        C = 1.0 / gap
         lam = epsilon * theta * theta / (1.0 - u)
         return cls(epsilon=epsilon, M=M, k=k, C=C, lam=lam)
 
@@ -275,6 +276,13 @@ def left_root_tail(params: RbParams, k: int) -> float:
     return math.exp(math.fsum(_log_survival_terms(n, theta, k)))
 
 
+def _expm1(t: float) -> float:
+    try:
+        return math.expm1(t)
+    except OverflowError:
+        raise ValueError(f"t = {t} is too large: e^t - 1 overflows a float") from None
+
+
 def records_mgf(params: RbParams, t: float) -> float:
     """E[exp(t * records)]: the product over steps of 1 + (e^t - 1) * p_i.
 
@@ -284,7 +292,7 @@ def records_mgf(params: RbParams, t: float) -> float:
     n, theta = params.n, params.theta
     if n == 0:
         return 1.0
-    em1 = math.expm1(t)
+    em1 = _expm1(t)
     terms = []
     for i in range(1, n + 1):
         denom = theta + (n - i)
@@ -384,7 +392,7 @@ def conditional_height_tail_bound(profile: LeftProfile, eta: int, t: float) -> f
     if t <= 0.0:
         raise ValueError("t must be positive")
     base = 2.0 * math.exp(-t)
-    power = math.expm1(t)
+    power = _expm1(t)
     r = profile.record_count
     terms = []
     for j in range(r + 1):

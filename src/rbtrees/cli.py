@@ -36,7 +36,6 @@ from .experiments import (
     run_dominance_check,
     run_height_ratio,
     run_record_concentration,
-    summarize,
 )
 from .model import RbParams, build_bst, height, record_count_tree
 from .samplers import RandomSource, sample_height_only, sample_sequential, sample_tree_recursive
@@ -44,6 +43,8 @@ from .samplers import RandomSource, sample_height_only, sample_sequential, sampl
 SEED_ENV_VAR = "RBL_SEED"
 DEFAULT_THETA = "1.0"
 MAX_PERM_TABLE_N = 8
+# the largest n for commands that hold O(n) objects per draw or write O(n) rows
+MAX_MATERIALIZED_N = 10**6
 
 
 class UsageError(ValueError):
@@ -304,6 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_size(n: int, what: str, hint: str) -> None:
+    if n > MAX_MATERIALIZED_N:
+        raise ValueError(f"{what} requires n <= {MAX_MATERIALIZED_N}, got {n}; {hint}")
+
+
 def _sample_perm_table(n, theta, trials, seed) -> list[PermRow]:
     if n > MAX_PERM_TABLE_N:
         raise ValueError(
@@ -331,6 +337,7 @@ def _sample_perm_table(n, theta, trials, seed) -> list[PermRow]:
 
 
 def _sample_tree_table(n, theta, trials, seed, method) -> list[TreeRow]:
+    _check_size(n, "sample tree", "use 'sample height' for large n")
     params = RbParams(n, theta)
     rng = RandomSource(seed, 0)
     counts: dict[tuple, int] = {}
@@ -360,22 +367,10 @@ def _sample_tree_table(n, theta, trials, seed, method) -> list[TreeRow]:
 
 
 def _sample_height_table(n, theta, trials, seed, method) -> list[TrialSummary]:
-    if method == "recursive":
-        config = ExperimentConfig(n_values=(n,), theta_spec=theta, trials=trials, seed=seed)
-        return run_height_ratio(config)
-    params = RbParams(n, theta)
-    rng = RandomSource(seed, 0)
-    heights = []
-    records = []
-    for _ in range(trials):
-        tree = build_bst(sample_sequential(params, rng))
-        h = height(tree)
-        r = record_count_tree(tree)
-        if h < r - 1:
-            raise AssertionError("height below records - 1")
-        heights.append(h)
-        records.append(r)
-    return [summarize(n, theta, heights, records, seed)]
+    if method == "sequential":
+        _check_size(n, "sample height --method sequential", "use 'sample height' for large n")
+    config = ExperimentConfig(n_values=(n,), theta_spec=theta, trials=trials, seed=seed)
+    return run_height_ratio(config, method=method)
 
 
 def _cmd_sample(args, seed) -> tuple[OutputTable, float | None]:
@@ -432,6 +427,7 @@ def _cmd_exact(args, seed) -> tuple[OutputTable, float | None]:
             ]
             params["k"] = args.k
         else:
+            _check_size(n, "exact split-pmf", "pass --k for one probability")
             pmf = root_split_distribution(rb)
             rows = [
                 SplitPmfRow(n=n, theta=theta, k=k, probability=p, seed=seed)
@@ -522,7 +518,6 @@ _EXPERIMENT_CONFIG_KEYS = {
     "theta_spec",
     "trials",
     "seed",
-    "tolerances",
     "epsilon",
     "j_values",
 }
@@ -535,10 +530,6 @@ _CONFIG_FIELD_TYPES = {
     "seed": ("an integer", lambda v: type(v) is int),
     "epsilon": ("a finite number", lambda v: type(v) in (int, float) and -math.inf < v < math.inf),
     "j_values": ("a list of integers", lambda v: type(v) is list and all(type(j) is int for j in v)),
-    "tolerances": (
-        "an object of numbers",
-        lambda v: type(v) is dict and all(type(x) in (int, float) for x in v.values()),
-    ),
 }
 
 
@@ -586,7 +577,6 @@ def _cmd_experiment(args, seed) -> tuple[OutputTable, float | None]:
         theta_spec=settings["theta_spec"],
         trials=settings["trials"],
         seed=seed,
-        tolerances=settings.get("tolerances"),
     )
     threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
     what = args.what

@@ -1,8 +1,11 @@
 """Experiment drivers confronting samples with exact laws and bounds.
 
-Every run_* function is a pure function of its config and seed: trials draw
-from per-trial streams derived from the config seed, and aggregation is
-order-fixed, so reruns (serial or parallel) reproduce identical tables.
+Every run_* function is a pure function of its config and seed. Monte Carlo
+trials go through one driver, :func:`_run_trials`: trial t at the i-th n draws
+from its own stream ``RandomSource(seed, (i << 32) | t)``, serially or in pool
+chunks, and the draws come back in trial order, so reruns (serial or parallel)
+reproduce identical tables. Height rows from either sampler and record-count
+rows differ only in the draw function they pass.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from numbers import Integral
 from typing import Mapping, Sequence
 
@@ -20,12 +24,13 @@ import numpy as np
 from scipy.special import gammaincc
 
 from .analytics import ExactDistribution, beta_product_survival, c_star, chernoff_record_tail, mu
-from .model import RbParams
+from .model import RbParams, build_bst, height, record_count_tree
 from .samplers import (
     RandomSource,
     sample_height_only,
     sample_left_profile_matrix,
     sample_record_count,
+    sample_sequential,
 )
 
 CHI_SQUARE_MIN_EXPECTED = 5.0
@@ -86,7 +91,6 @@ class ExperimentConfig:
     theta_spec: object
     trials: int
     seed: int = 0
-    tolerances: Mapping[str, float] | None = None
 
     def __post_init__(self):
         n_values = tuple(self.n_values) if isinstance(self.n_values, Iterable) else ()
@@ -94,6 +98,8 @@ class ExperimentConfig:
             raise ValueError(f"n_values must be a non-empty sequence of integers, got {self.n_values!r}")
         n_values = tuple(int(n) for n in n_values)
         object.__setattr__(self, "n_values", n_values)
+        if min(n_values) < 1:
+            raise ValueError(f"n_values must be at least 1, got {min(n_values)}")
         if any(b <= a for a, b in zip(n_values, n_values[1:])):
             raise ValueError("n_values must be strictly increasing")
         if not _is_int(self.trials):
@@ -105,11 +111,6 @@ class ExperimentConfig:
 
     def theta_for(self, n: int) -> float:
         return resolve_theta(self.theta_spec, n)
-
-    def tolerance(self, key: str, default: float) -> float:
-        if self.tolerances and key in self.tolerances:
-            return float(self.tolerances[key])
-        return default
 
 
 @dataclass(frozen=True)
@@ -183,38 +184,37 @@ def _stream_index(n_index: int, trial: int) -> int:
     return (n_index << 32) | trial
 
 
-def _height_block(args):
-    """Trials [lo, hi) of sample_height_only for one (n, theta) cell."""
-    n, theta, seed, n_index, lo, hi = args
+def _recursive_trial(params: RbParams, rng: RandomSource) -> tuple[int, int]:
+    sample = sample_height_only(params, rng)
+    return sample.height, sample.records
+
+
+def _sequential_trial(params: RbParams, rng: RandomSource) -> tuple[int, int]:
+    tree = build_bst(sample_sequential(params, rng))
+    return height(tree), record_count_tree(tree)
+
+
+def _trial_block(args) -> list:
+    """``draw(params, rng)`` for trials [lo, hi) of one (n, theta) cell, each on its own stream."""
+    draw, n, theta, seed, n_index, lo, hi = args
     params = RbParams(n, theta)
-    heights = []
-    records = []
-    for trial in range(lo, hi):
-        rng = RandomSource(seed, _stream_index(n_index, trial))
-        sample = sample_height_only(params, rng)
-        if sample.height < sample.records - 1:
-            raise AssertionError(
-                f"height {sample.height} below records - 1 at n={n}, theta={theta}, trial={trial}"
-            )
-        heights.append(sample.height)
-        records.append(sample.records)
-    return heights, records
+    return [draw(params, RandomSource(seed, _stream_index(n_index, t))) for t in range(lo, hi)]
 
 
-def _collect_height_trials(n, theta, trials, seed, n_index, threads):
+def _run_trials(draw, n, theta, seed, n_index, trials, threads=1) -> list:
+    """All trials of one cell, in trial order, serially or over a pool of ``threads`` workers.
+
+    Every trial has its own stream, so the result does not depend on the worker count.
+    """
     if threads <= 1:
-        heights, records = _height_block((n, theta, seed, n_index, 0, trials))
-        return np.asarray(heights), np.asarray(records)
+        return _trial_block((draw, n, theta, seed, n_index, 0, trials))
     chunk = max(1, -(-trials // (threads * 4)))
     blocks = [
-        (n, theta, seed, n_index, lo, min(lo + chunk, trials))
+        (draw, n, theta, seed, n_index, lo, min(lo + chunk, trials))
         for lo in range(0, trials, chunk)
     ]
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(_height_block, blocks))
-    heights = [h for hs, _ in results for h in hs]
-    records = [r for _, rs in results for r in rs]
-    return np.asarray(heights), np.asarray(records)
+        return list(chain.from_iterable(pool.map(_trial_block, blocks)))
 
 
 def _mean_sd(values: np.ndarray) -> tuple[float, float]:
@@ -232,7 +232,7 @@ def summarize(n: int, theta: float, heights, records, seed: int) -> TrialSummary
     mean_h, sd_h = _mean_sd(np.asarray(heights))
     mean_r, sd_r = _mean_sd(np.asarray(records))
     m = mu(n, theta)
-    norm = height_normalizer(n, theta) if n >= 1 else 0.0
+    norm = height_normalizer(n, theta)
     return TrialSummary(
         n=n,
         theta=theta,
@@ -248,21 +248,29 @@ def summarize(n: int, theta: float, heights, records, seed: int) -> TrialSummary
 
 
 def run_height_ratio(
-    config: ExperimentConfig, threads: int = 1, progress=None
+    config: ExperimentConfig, threads: int = 1, progress=None, method: str = "recursive"
 ) -> list[TrialSummary]:
     """Sample heights per n and report means, sds, and normalized ratios.
 
-    The ratio column divides by max(c_star * log n, mu(n, theta)); first and
-    second moments of the ratio follow from (mean, sd) since the normalizer
-    is a constant for fixed n. Every sample is hard-checked against
-    height >= records - 1.
+    ``method`` picks the sampler: "recursive" (:func:`sample_height_only`, the
+    rightmost-path decomposition) or "sequential" (insert a sequentially placed
+    permutation into a BST). The ratio column divides by
+    max(c_star * log n, mu(n, theta)); first and second moments of the ratio
+    follow from (mean, sd) since the normalizer is a constant for fixed n.
+    Every sample is hard-checked against height >= records - 1.
     """
+    draw = {"recursive": _recursive_trial, "sequential": _sequential_trial}[method]
     rows = []
     for n_index, n in enumerate(config.n_values):
         theta = config.theta_for(n)
-        heights, records = _collect_height_trials(
-            n, theta, config.trials, config.seed, n_index, threads
-        )
+        draws = _run_trials(draw, n, theta, config.seed, n_index, config.trials, threads)
+        heights, records = np.array(draws).T
+        below = np.flatnonzero(heights < records - 1)
+        if below.size:
+            t = int(below[0])
+            raise AssertionError(
+                f"height {heights[t]} below records - 1 at n={n}, theta={theta}, trial={t}"
+            )
         row = summarize(n, theta, heights, records, config.seed)
         rows.append(row)
         if progress is not None:
@@ -281,11 +289,10 @@ def run_record_concentration(
     For each n the empirical frequency of |records / mu - 1| > epsilon over
     the trials is put against the sum of the upper and lower exponential
     bounds; a row passes when the frequency is at most bound plus three
-    binomial standard errors (multiplier overridable via tolerances).
+    binomial standard errors.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    multiplier = config.tolerance("se_multiplier", 3.0)
     rows = []
     for n_index, n in enumerate(config.n_values):
         theta = config.theta_for(n)
@@ -293,10 +300,8 @@ def run_record_concentration(
         m = mu(n, theta)
         if m <= 0.0:
             raise ValueError(f"mu(n, theta) must be positive, got {m} at n={n}")
-        counts = np.empty(config.trials, dtype=np.int64)
-        for trial in range(config.trials):
-            rng = RandomSource(config.seed, _stream_index(n_index, trial))
-            counts[trial] = sample_record_count(params, rng)
+        draws = _run_trials(sample_record_count, n, theta, config.seed, n_index, config.trials)
+        counts = np.asarray(draws)
         beyond = np.abs(counts / m - 1.0) > epsilon
         freq = float(np.mean(beyond))
         upper = chernoff_record_tail(params, epsilon, "upper")
@@ -317,7 +322,7 @@ def run_record_concentration(
                 bound_lower=lower,
                 bound_total=total,
                 binom_se=se,
-                passed=bool(freq <= total + multiplier * se),
+                passed=bool(freq <= total + 3.0 * se),
                 seed=config.seed,
             )
         )

@@ -330,9 +330,18 @@ class TestProfileTailBound:
         assert bp.C == pytest.approx(1.0 / (1.0 - (1.0 - u) * math.exp(u)), rel=1e-14)
         assert bp.lam == pytest.approx(0.1 * 4.0 / 0.8, rel=1e-14)
 
+    @pytest.mark.parametrize("u", (1e-12, 1e-8, 1e-6, 1e-4, 0.2, 0.9))
+    def test_constant_c_matches_exact_series(self, u):
+        # C = 1 / (1 - (1 - u) e^u) with the gap summed exactly as sum_{k>=2} (k-1) u^k / k!
+        exact = Fraction(u)
+        gap = sum(Fraction(k - 1) * exact**k / math.factorial(k) for k in range(2, 80))
+        assert TailBoundParams.from_model(1.0, u, 1.0, 0).C == pytest.approx(float(1 / gap), rel=1e-14)
+
     def test_precondition_errors(self):
         with pytest.raises(ValueError):
             TailBoundParams.from_model(2.0, 0.5, 1.0, 5)  # eps*theta = 1
+        with pytest.raises(ValueError, match="not finite"):
+            TailBoundParams.from_model(1.0, 1e-320, 1.0, 0)
         bp = TailBoundParams.from_model(2.0, 0.1, 0.0, 40)
         with pytest.raises(ValueError):
             left_profile_tail_bound(RbParams(10, 2.0), bp)  # Xi >= 1

@@ -213,11 +213,13 @@ class TestExperimentCommand:
         assert all(r["seed"] == "11" for r in rows)
 
     def test_config_rejects_unknown_fields(self, tmp_path, capsys):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"n_values": [10], "theta_spec": 1, "trials": 5, "bogus": 1}))
-        with pytest.raises(SystemExit) as excinfo:
-            main(["experiment", "height-ratio", "--config", str(config)])
-        assert excinfo.value.code == 2
+        for field in ("bogus", "tolerances"):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"n_values": [10], "theta_spec": 1, "trials": 5, field: {}}))
+            with pytest.raises(SystemExit) as excinfo:
+                main(["experiment", "height-ratio", "--config", str(config)])
+            assert excinfo.value.code == 2
+            assert field in capsys.readouterr().err
 
     def test_dominance_inline(self, capsys):
         code, out, _ = run_cli(
@@ -331,7 +333,6 @@ class TestErrors:
             ("seed", True),
             ("epsilon", [0.5]),
             ("j_values", 3),
-            ("tolerances", [1]),
             ("theta_spec", True),
             ("epsilon", math.nan),
             ("epsilon", -math.inf),
@@ -386,6 +387,12 @@ class TestErrors:
             ["exact", "records-mgf", "--n", "3", "--t", "1000"],
             ["bound", "height-tail", "--n", "10", "--eta", "5", "--t", "1000"],
             ["bound", "profile-tail", "--n", "10", "--epsilon", "1e-320", "--M", "1", "--k", "0"],
+            ["sample", "height", "--n", "0"],
+            ["sample", "height", "--n", "0", "--method", "sequential"],
+            ["experiment", "height-ratio", "--n-values", "0", "--theta-spec", "1", "--trials", "1"],
+            ["sample", "tree", "--n", str(10**6 + 1)],
+            ["sample", "height", "--n", str(10**6 + 1), "--method", "sequential"],
+            ["exact", "split-pmf", "--n", str(10**6 + 1)],
         ),
     )
     def test_out_of_range_value_exits_1(self, capsys, argv):
@@ -393,6 +400,10 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        if "--t" in argv:
+            assert "t = 1000" in err
+        if str(10**6 + 1) in argv:
+            assert "'sample height'" in err or "--k" in err
 
     def test_config_must_be_an_object(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from rbtrees import experiments
 from rbtrees.analytics import ExactDistribution, enumerate_exact, mu
 from rbtrees.experiments import (
     ExperimentConfig,
@@ -18,8 +19,13 @@ from rbtrees.experiments import (
     run_record_concentration,
     summarize,
 )
-from rbtrees.model import Permutation, RbParams, build_bst, shape_signature
-from rbtrees.samplers import RandomSource, sample_height_only, sample_tree_recursive
+from rbtrees.model import Permutation, RbParams, build_bst, height, record_count_tree, shape_signature
+from rbtrees.samplers import (
+    RandomSource,
+    sample_height_only,
+    sample_sequential,
+    sample_tree_recursive,
+)
 
 from reference import ref_bst, ref_shape
 
@@ -58,7 +64,7 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="trials"):
             ExperimentConfig(n_values=(10,), theta_spec=1.0, trials=2**32)
 
-    @pytest.mark.parametrize("n_values", (5, "10", (10, 2.5), None))
+    @pytest.mark.parametrize("n_values", (5, "10", (10, 2.5), None, (0,), (-3, 10)))
     def test_rejects_non_integer_n_values(self, n_values):
         with pytest.raises(ValueError, match="n_values"):
             ExperimentConfig(n_values=n_values, theta_spec=1.0, trials=10)
@@ -72,13 +78,6 @@ class TestExperimentConfig:
         config = ExperimentConfig(n_values=(10, 100), theta_spec="linear:1", trials=1)
         assert config.theta_for(10) == 10.0
         assert config.theta_for(100) == 100.0
-
-    def test_tolerance_overrides(self):
-        config = ExperimentConfig(
-            n_values=(10,), theta_spec=1.0, trials=1, tolerances={"se_multiplier": 5.0}
-        )
-        assert config.tolerance("se_multiplier", 3.0) == 5.0
-        assert config.tolerance("missing", 2.0) == 2.0
 
 
 class TestChiSquare:
@@ -139,7 +138,26 @@ class TestHeightRatio:
 
     def test_parallel_matches_serial(self):
         config = ExperimentConfig(n_values=(60,), theta_spec=1.0, trials=120, seed=4)
-        assert run_height_ratio(config, threads=2) == run_height_ratio(config, threads=1)
+        for method in ("recursive", "sequential"):
+            pooled = run_height_ratio(config, threads=2, method=method)
+            assert pooled == run_height_ratio(config, threads=1, method=method)
+
+    @pytest.mark.parametrize("method", ("recursive", "sequential"))
+    def test_height_below_records_fails(self, monkeypatch, method):
+        monkeypatch.setattr(experiments, f"_{method}_trial", lambda params, rng: (0, 5))
+        config = ExperimentConfig(n_values=(10,), theta_spec=1.0, trials=3, seed=0)
+        with pytest.raises(AssertionError, match=r"n=10, theta=1\.0, trial=0"):
+            run_height_ratio(config, method=method)
+
+    def test_sequential_matches_sequential_trees(self):
+        # the sequential method summarizes BSTs built from sample_sequential, one stream per trial
+        config = ExperimentConfig(n_values=(30,), theta_spec=2.0, trials=20, seed=6)
+        trees = [
+            build_bst(sample_sequential(RbParams(30, 2.0), RandomSource(6, trial)))
+            for trial in range(20)
+        ]
+        row = summarize(30, 2.0, [height(t) for t in trees], [record_count_tree(t) for t in trees], 6)
+        assert run_height_ratio(config, method="sequential") == [row]
 
     def test_mean_height_monotone_in_n(self):
         config = ExperimentConfig(n_values=(50, 100, 200, 400), theta_spec=1.0, trials=400, seed=1)

@@ -1,0 +1,34 @@
+"""The scripts under scripts/ run end to end at tiny sizes."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize(
+    "script,args",
+    (
+        (
+            "height_scaling.py",
+            ["--n-values", "10,40", "--theta-specs", "constant:1,linear:1", "--trials", "4",
+             "--threads", "1"],
+        ),
+        ("bounds_audit.py", ["--n", "100", "--trials", "200", "--max-j", "3", "--k", "2"]),
+    ),
+)
+def test_script_runs(tmp_path, script, args):
+    if script == "height_scaling.py":
+        args = args + ["--out-dir", str(tmp_path)]
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *args],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout
