@@ -213,13 +213,12 @@ class TestExperimentCommand:
         assert all(r["seed"] == "11" for r in rows)
 
     def test_config_rejects_unknown_fields(self, tmp_path, capsys):
-        for field in ("bogus", "tolerances"):
-            config = tmp_path / "config.json"
-            config.write_text(json.dumps({"n_values": [10], "theta_spec": 1, "trials": 5, field: {}}))
-            with pytest.raises(SystemExit) as excinfo:
-                main(["experiment", "height-ratio", "--config", str(config)])
-            assert excinfo.value.code == 2
-            assert field in capsys.readouterr().err
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n_values": [10], "theta_spec": 1, "trials": 5, "bogus": 1}))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiment", "height-ratio", "--config", str(config)])
+        assert excinfo.value.code == 2
+        assert "bogus" in capsys.readouterr().err
 
     def test_dominance_inline(self, capsys):
         code, out, _ = run_cli(
@@ -321,6 +320,15 @@ class TestErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["bound", "chernoff", "--n", "10", "--theta", "1"])
         assert excinfo.value.code == 2
+
+    def test_tolerances_key_exits_2(self, tmp_path, capsys):
+        # tolerances was a config field; the record-concentration multiplier is now a fixed 3.0.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n_values": [10], "theta_spec": 1, "trials": 5, "tolerances": [1]}))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiment", "height-ratio", "--config", str(config), "--threads", "1"])
+        assert excinfo.value.code == 2
+        assert "tolerances" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "field,value",
