@@ -56,9 +56,7 @@ def main() -> int:
         f"-> {'OK' if row.passed else 'VIOLATED'}"
     )
 
-    dominance = run_dominance_check(
-        params, range(args.max_j + 1), args.trials, args.seed, progress=log_to_stderr
-    )
+    dominance = run_dominance_check(config, range(args.max_j + 1), progress=log_to_stderr)
     worst = max(r.max_excess for r in dominance)
     ok = all(r.passed for r in dominance)
     print(

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,6 +35,8 @@ ENUMERATION_MAX_N = 8
 _MU_CHUNK = 8192
 
 PROB_SUM_TOL = 1e-12
+# the largest x with a finite exp(x)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class InstanceTooLargeError(ValueError):
@@ -220,9 +224,26 @@ def c_star() -> float:
     return 0.5 * (lo + hi)
 
 
-def _log_survival_terms(n: int, theta: float, k: int):
-    # log of prod_{1 <= i <= k} (1 - theta / (theta + n - i)), term by term
-    return (math.log1p(-theta / (theta + (n - i))) for i in range(1, k + 1))
+def _log_survival_prefixes(n: int, theta: float, k: int):
+    """The prefix sums of log1p(-theta / (theta + n - i)) over i = 1..j, for j = 0..k.
+
+    The j-th is log P(no record in the first j steps). They are accumulated with
+    compensated summation, so the split law sums to 1 within 1e-12 even for n around 1e4
+    and extreme theta.
+    """
+    log_prefix = comp = 0.0
+    yield log_prefix
+    for i in range(1, k + 1):
+        term = math.log1p(-theta / (theta + (n - i))) - comp
+        total = log_prefix + term
+        comp = (total - log_prefix) - term
+        log_prefix = total
+        yield log_prefix
+
+
+def _log_survival(n: int, theta: float, k: int) -> float:
+    """The last of :func:`_log_survival_prefixes`, in O(1) memory."""
+    return deque(_log_survival_prefixes(n, theta, k), maxlen=1)[0]
 
 
 def root_split_pmf(params: RbParams, k: int) -> float:
@@ -234,32 +255,20 @@ def root_split_pmf(params: RbParams, k: int) -> float:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if theta == 0.0:
         return 1.0 if k == n else 0.0
-    log_prefix = math.fsum(_log_survival_terms(n, theta, k - 1))
-    return math.exp(log_prefix) * theta / (theta + (n - k))
+    return math.exp(_log_survival(n, theta, k - 1)) * theta / (theta + (n - k))
 
 
 def root_split_distribution(params: RbParams) -> list[float]:
-    """The full first-value law as a length-n list (index k-1 is P(k)).
-
-    Log-domain prefix products are accumulated with compensated summation so
-    the list sums to 1 within 1e-12 even for n around 1e4 and extreme theta.
-    """
+    """The full first-value law as a length-n list (index k-1 is P(k))."""
     n, theta = params.n, params.theta
     if n < 1:
         raise ValueError("n must be at least 1")
     if theta == 0.0:
         return [0.0] * (n - 1) + [1.0]
-    out = []
-    log_prefix = 0.0
-    comp = 0.0
-    for k in range(1, n + 1):
-        out.append(math.exp(log_prefix) * theta / (theta + (n - k)))
-        if k < n:
-            term = math.log1p(-theta / (theta + (n - k))) - comp
-            total = log_prefix + term
-            comp = (total - log_prefix) - term
-            log_prefix = total
-    return out
+    return [
+        math.exp(log_prefix) * theta / (theta + (n - k))
+        for k, log_prefix in enumerate(_log_survival_prefixes(n, theta, n - 1), start=1)
+    ]
 
 
 def left_root_tail(params: RbParams, k: int) -> float:
@@ -273,7 +282,7 @@ def left_root_tail(params: RbParams, k: int) -> float:
         return 0.0
     if theta == 0.0:
         return 1.0
-    return math.exp(math.fsum(_log_survival_terms(n, theta, k)))
+    return math.exp(_log_survival(n, theta, k))
 
 
 def _expm1(t: float) -> float:
@@ -298,7 +307,10 @@ def records_mgf(params: RbParams, t: float) -> float:
         denom = theta + (n - i)
         p = theta / denom if denom > 0.0 else 1.0
         terms.append(math.log1p(em1 * p))
-    return math.exp(math.fsum(terms))
+    log_mgf = math.fsum(terms)
+    if log_mgf > _LOG_FLOAT_MAX:
+        raise ValueError(f"t = {t} is too large: E[exp(t * records)] overflows a float")
+    return math.exp(log_mgf)
 
 
 def chernoff_record_tail(params: RbParams, epsilon: float, side: str) -> float:
@@ -385,20 +397,26 @@ def conditional_height_tail_bound(profile: LeftProfile, eta: int, t: float) -> f
     """Bound on P(height >= eta) given the left-subtree size profile.
 
     Sums (2 e^{-t})^(eta - j) * (k_j + 1)^(e^t - 1) over spine positions
-    j = 0..r, where k_j = 0 beyond the profile's end.
+    j = 0..r, where k_j = 0 beyond the profile's end. The terms are added in log space,
+    shifted by the largest, since a factor can overflow where the sum does not.
     """
     if eta < 0:
         raise ValueError("eta must be non-negative")
     if t <= 0.0:
         raise ValueError("t must be positive")
-    base = 2.0 * math.exp(-t)
+    log_base = math.log(2.0) - t
     power = _expm1(t)
     r = profile.record_count
-    terms = []
-    for j in range(r + 1):
-        k_j = profile.sizes[j] if j < r else 0
-        terms.append(base ** (eta - j) * (k_j + 1.0) ** power)
-    return math.fsum(terms)
+    logs = [
+        (eta - j) * log_base + power * math.log1p(profile.sizes[j] if j < r else 0)
+        for j in range(r + 1)
+    ]
+    top = max(logs)
+    log_bound = top + math.log(math.fsum(math.exp(x - top) for x in logs))
+    # the negated test also rejects the NaN left by a term beyond the float range
+    if not log_bound <= _LOG_FLOAT_MAX:
+        raise ValueError(f"the bound at eta = {eta}, t = {t} exceeds the float range")
+    return math.exp(log_bound)
 
 
 def enumerate_exact(params: RbParams) -> EnumeratedLaws:

@@ -14,7 +14,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from collections import Counter
+from dataclasses import asdict, dataclass, is_dataclass
 
 from .analytics import (
     TailBoundParams,
@@ -30,14 +31,13 @@ from .analytics import (
 )
 from .experiments import (
     ExperimentConfig,
-    TrialSummary,
     log_to_stderr,
     parse_theta_value,
     run_dominance_check,
     run_height_ratio,
     run_record_concentration,
 )
-from .model import RbParams, build_bst, height, record_count_tree
+from .model import LeftProfile, RbParams, build_bst, height, record_count_tree
 from .samplers import RandomSource, sample_height_only, sample_sequential, sample_tree_recursive
 
 SEED_ENV_VAR = "RBL_SEED"
@@ -45,110 +45,18 @@ DEFAULT_THETA = "1.0"
 MAX_PERM_TABLE_N = 8
 # the largest n for commands that hold O(n) objects per draw or write O(n) rows
 MAX_MATERIALIZED_N = 10**6
+# commands whose one value is printed bare when neither --out nor --format is given
+SCALAR_COMMANDS = ("exact mu", "exact cstar", "exact records-mgf")
 
 
 class UsageError(ValueError):
     """Flag combinations that argparse's declarative checks cannot express."""
 
 
-@dataclass(frozen=True)
-class PermRow:
-    n: int
-    theta: float
-    trials: int
-    perm: str
-    count: int
-    frequency: float
-    seed: int
-
-
-@dataclass(frozen=True)
-class TreeRow:
-    n: int
-    theta: float
-    trials: int
-    method: str
-    height: int
-    records: int
-    root_label: int
-    count: int
-    frequency: float
-    seed: int
-
-
-@dataclass(frozen=True)
-class ValueRow:
-    n: int
-    theta: float
-    quantity: str
-    value: float
-    seed: int
-
-
-@dataclass(frozen=True)
-class SplitPmfRow:
-    n: int
-    theta: float
-    k: int
-    probability: float
-    seed: int
-
-
-@dataclass(frozen=True)
-class MgfRow:
-    n: int
-    theta: float
-    t: float
-    value: float
-    seed: int
-
-
-@dataclass(frozen=True)
-class EnumerateRow:
-    n: int
-    theta: float
-    law: str
-    outcome: str
-    probability: float
-    seed: int
-
-
-@dataclass(frozen=True)
-class ChernoffRow:
-    n: int
-    theta: float
-    epsilon: float
-    side: str
-    value: float
-    seed: int
-
-
-@dataclass(frozen=True)
-class ProfileTailRow:
-    n: int
-    theta: float
-    epsilon: float
-    M: float
-    k: int
-    C: float
-    lam: float
-    value: float
-    seed: int
-
-
-@dataclass(frozen=True)
-class HeightTailRow:
-    n: int
-    theta: float
-    eta: int
-    t: float
-    records: int
-    value: float
-    seed: int
-
-
 @dataclass
 class OutputTable:
+    """One command's artifact. Rows are dicts of column -> value, or library row dataclasses."""
+
     command: str
     params: dict
     seed: int
@@ -163,22 +71,26 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _row_dicts(table: OutputTable) -> list[dict]:
+    return [asdict(row) if is_dataclass(row) else row for row in table.rows]
+
+
 def render_csv(table: OutputTable) -> str:
-    names = [f.name for f in fields(table.rows[0])]
+    rows = _row_dicts(table)
+    names = list(rows[0])
     lines = [",".join(["command"] + names)]
-    for row in table.rows:
-        cells = [table.command] + [_format_cell(getattr(row, name)) for name in names]
+    for row in rows:
+        cells = [table.command] + [_format_cell(row[name]) for name in names]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
 def render_json(table: OutputTable) -> str:
-    names = [f.name for f in fields(table.rows[0])]
     payload = {
         "command": table.command,
         "params": table.params,
         "seed": table.seed,
-        "rows": [{name: getattr(row, name) for name in names} for row in table.rows],
+        "rows": _row_dicts(table),
     }
     return json.dumps(payload) + "\n"
 
@@ -310,207 +222,148 @@ def _check_size(n: int, what: str, hint: str) -> None:
         raise ValueError(f"{what} requires n <= {MAX_MATERIALIZED_N}, got {n}; {hint}")
 
 
-def _sample_perm_table(n, theta, trials, seed) -> list[PermRow]:
-    if n > MAX_PERM_TABLE_N:
-        raise ValueError(
-            f"sample perm tabulates distinct permutations and requires n <= {MAX_PERM_TABLE_N}; "
-            "use 'sample height' for large n"
-        )
-    params = RbParams(n, theta)
+def _tally(draw, columns, trials: int, seed: int) -> list[dict]:
+    """One row per distinct outcome of ``trials`` draws, in sorted outcome order.
+
+    ``draw(rng)`` returns an outcome and ``columns(outcome)`` the row's leading columns. All
+    draws share the stream RandomSource(seed, 0): building a source per trial would cost
+    more than the draw itself at n <= 8 (about 19 us against 13 us at n = 8, 2-core Xeon).
+    """
     rng = RandomSource(seed, 0)
-    counts: dict[tuple, int] = {}
-    for _ in range(trials):
-        values = sample_sequential(params, rng).values
-        counts[values] = counts.get(values, 0) + 1
+    counts = Counter(draw(rng) for _ in range(trials))
     return [
-        PermRow(
-            n=n,
-            theta=theta,
-            trials=trials,
-            perm="-".join(str(v) for v in values),
-            count=count,
-            frequency=count / trials,
-            seed=seed,
-        )
-        for values, count in sorted(counts.items())
+        {**columns(outcome), "count": count, "frequency": count / trials, "seed": seed}
+        for outcome, count in sorted(counts.items())
     ]
 
 
-def _sample_tree_table(n, theta, trials, seed, method) -> list[TreeRow]:
-    _check_size(n, "sample tree", "use 'sample height' for large n")
-    params = RbParams(n, theta)
-    rng = RandomSource(seed, 0)
-    counts: dict[tuple, int] = {}
-    for _ in range(trials):
-        if method == "sequential":
-            tree = build_bst(sample_sequential(params, rng))
-        else:
-            tree = sample_tree_recursive(params, rng)
-        root_label = tree.labels[tree.root] if not tree.is_empty else 0
-        key = (height(tree), record_count_tree(tree), root_label)
-        counts[key] = counts.get(key, 0) + 1
-    return [
-        TreeRow(
-            n=n,
-            theta=theta,
-            trials=trials,
-            method=method,
-            height=h,
-            records=r,
-            root_label=root,
-            count=count,
-            frequency=count / trials,
-            seed=seed,
-        )
-        for (h, r, root), count in sorted(counts.items())
-    ]
-
-
-def _sample_height_table(n, theta, trials, seed, method) -> list[TrialSummary]:
-    if method == "sequential":
-        _check_size(n, "sample height --method sequential", "use 'sample height' for large n")
-    config = ExperimentConfig(n_values=(n,), theta_spec=theta, trials=trials, seed=seed)
-    return run_height_ratio(config, method=method)
-
-
-def _cmd_sample(args, seed) -> tuple[OutputTable, float | None]:
+def _cmd_sample(args, seed) -> OutputTable:
     if args.n < 0:
         raise UsageError("n must be non-negative")
     if args.trials < 1:
         raise UsageError("trials must be at least 1")
-    what = args.what
+    what, n, theta, trials = args.what, args.n, args.theta, args.trials
     method = args.method
     if method is None:
         method = "sequential" if what == "perm" else "recursive"
+    head = {"n": n, "theta": theta, "trials": trials}
     if what == "perm":
         if method != "sequential":
             raise UsageError("sample perm supports only the sequential method")
-        rows = _sample_perm_table(args.n, args.theta, args.trials, seed)
+        if n > MAX_PERM_TABLE_N:
+            raise ValueError(
+                "sample perm tabulates distinct permutations and requires "
+                f"n <= {MAX_PERM_TABLE_N}; use 'sample height' for large n"
+            )
+        params = RbParams(n, theta)
+        rows = _tally(
+            lambda rng: sample_sequential(params, rng).values,
+            lambda values: {**head, "perm": "-".join(str(v) for v in values)},
+            trials,
+            seed,
+        )
     elif what == "tree":
-        rows = _sample_tree_table(args.n, args.theta, args.trials, seed, method)
+        _check_size(n, "sample tree", "use 'sample height' for large n")
+        params = RbParams(n, theta)
+
+        def draw_tree(rng) -> tuple[int, int, int]:
+            if method == "sequential":
+                tree = build_bst(sample_sequential(params, rng))
+            else:
+                tree = sample_tree_recursive(params, rng)
+            root_label = tree.labels[tree.root] if not tree.is_empty else 0
+            return height(tree), record_count_tree(tree), root_label
+
+        names = ("height", "records", "root_label")
+        rows = _tally(
+            draw_tree, lambda key: {**head, "method": method, **dict(zip(names, key))}, trials, seed
+        )
     else:
-        rows = _sample_height_table(args.n, args.theta, args.trials, seed, method)
-    params = {
-        "what": what,
-        "n": args.n,
-        "theta": args.theta,
-        "trials": args.trials,
-        "method": method,
-    }
-    return OutputTable(f"sample {what}", params, seed, rows), None
+        if method == "sequential":
+            _check_size(n, "sample height --method sequential", "use 'sample height' for large n")
+        config = ExperimentConfig(n_values=(n,), theta_spec=theta, trials=trials, seed=seed)
+        rows = run_height_ratio(config, method=method)
+    params = {"what": what, "n": n, "theta": theta, "trials": trials, "method": method}
+    return OutputTable(f"sample {what}", params, seed, rows)
 
 
-def _cmd_exact(args, seed) -> tuple[OutputTable, float | None]:
+def _cmd_exact(args, seed) -> OutputTable:
     what = args.what
     if what == "cstar":
-        value = c_star()
-        rows = [ValueRow(n=0, theta=0.0, quantity="c_star", value=value, seed=seed)]
-        return OutputTable("exact cstar", {"what": what}, seed, rows), value
+        rows = [{"n": 0, "theta": 0.0, "quantity": "c_star", "value": c_star(), "seed": seed}]
+        return OutputTable("exact cstar", {"what": what}, seed, rows)
     if args.n is None:
         raise UsageError(f"exact {what} requires --n")
     n, theta = args.n, args.theta
     params = {"what": what, "n": n, "theta": theta}
+    head = {"n": n, "theta": theta}
     if what == "mu":
-        value = mu(n, theta)
-        rows = [ValueRow(n=n, theta=theta, quantity="mu", value=value, seed=seed)]
-        return OutputTable("exact mu", params, seed, rows), value
-    if what == "records-mgf":
+        rows = [{**head, "quantity": "mu", "value": mu(n, theta), "seed": seed}]
+    elif what == "records-mgf":
         value = records_mgf(RbParams(n, theta), args.t)
         params["t"] = args.t
-        rows = [MgfRow(n=n, theta=theta, t=args.t, value=value, seed=seed)]
-        return OutputTable("exact records-mgf", params, seed, rows), value
-    if what == "split-pmf":
+        rows = [{**head, "t": args.t, "value": value, "seed": seed}]
+    elif what == "split-pmf":
         rb = RbParams(n, theta)
         if args.k is not None:
-            rows = [
-                SplitPmfRow(n=n, theta=theta, k=args.k, probability=root_split_pmf(rb, args.k), seed=seed)
-            ]
+            pmf = {args.k: root_split_pmf(rb, args.k)}
             params["k"] = args.k
         else:
             _check_size(n, "exact split-pmf", "pass --k for one probability")
-            pmf = root_split_distribution(rb)
-            rows = [
-                SplitPmfRow(n=n, theta=theta, k=k, probability=p, seed=seed)
-                for k, p in enumerate(pmf, start=1)
-            ]
-        return OutputTable("exact split-pmf", params, seed, rows), None
-    laws = enumerate_exact(RbParams(n, theta))
-    rows = []
-    for law_name, dist in (
-        ("record", laws.record),
-        ("first_value", laws.first_value),
-        ("left_subtree_size", laws.left_subtree_size),
-        ("height", laws.height),
-        ("profile", laws.profile),
-    ):
-        for key, prob in zip(dist.support, dist.probs):
-            outcome = "|".join(str(v) for v in key) if isinstance(key, tuple) else str(key)
-            rows.append(
-                EnumerateRow(n=n, theta=theta, law=law_name, outcome=outcome, probability=prob, seed=seed)
-            )
-    return OutputTable("exact enumerate", params, seed, rows), None
+            pmf = dict(enumerate(root_split_distribution(rb), start=1))
+        rows = [{**head, "k": k, "probability": p, "seed": seed} for k, p in pmf.items()]
+    else:
+        laws = enumerate_exact(RbParams(n, theta))
+        rows = []
+        for law_name, dist in (
+            ("record", laws.record),
+            ("first_value", laws.first_value),
+            ("left_subtree_size", laws.left_subtree_size),
+            ("height", laws.height),
+            ("profile", laws.profile),
+        ):
+            for key, prob in zip(dist.support, dist.probs):
+                outcome = "|".join(str(v) for v in key) if isinstance(key, tuple) else str(key)
+                rows.append(
+                    {**head, "law": law_name, "outcome": outcome, "probability": prob, "seed": seed}
+                )
+    return OutputTable(f"exact {what}", params, seed, rows)
 
 
-def _cmd_bound(args, seed) -> tuple[OutputTable, float | None]:
+def _cmd_bound(args, seed) -> OutputTable:
     what = args.what
     n, theta = args.n, args.theta
     rb = RbParams(n, theta)
+    head = {"n": n, "theta": theta}
     if what == "chernoff":
         if args.epsilon is None:
             raise UsageError("bound chernoff requires --epsilon")
         upper = chernoff_record_tail(rb, args.epsilon, "upper")
         lower = chernoff_record_tail(rb, args.epsilon, "lower")
-        rows = [
-            ChernoffRow(n=n, theta=theta, epsilon=args.epsilon, side="upper", value=upper, seed=seed),
-            ChernoffRow(n=n, theta=theta, epsilon=args.epsilon, side="lower", value=lower, seed=seed),
-            ChernoffRow(
-                n=n,
-                theta=theta,
-                epsilon=args.epsilon,
-                side="two_sided",
-                value=min(1.0, upper + lower),
-                seed=seed,
-            ),
-        ]
         params = {"what": what, "n": n, "theta": theta, "epsilon": args.epsilon}
-        return OutputTable("bound chernoff", params, seed, rows), None
-    if what == "profile-tail":
+        sides = (("upper", upper), ("lower", lower), ("two_sided", min(1.0, upper + lower)))
+        rows = [
+            {**head, "epsilon": args.epsilon, "side": side, "value": value, "seed": seed}
+            for side, value in sides
+        ]
+    elif what == "profile-tail":
         if args.epsilon is None or args.M is None or args.k is None:
             raise UsageError("bound profile-tail requires --epsilon, --M, and --k")
         bp = TailBoundParams.from_model(theta, args.epsilon, args.M, args.k)
         value = left_profile_tail_bound(rb, bp)
-        rows = [
-            ProfileTailRow(
-                n=n,
-                theta=theta,
-                epsilon=args.epsilon,
-                M=args.M,
-                k=args.k,
-                C=bp.C,
-                lam=bp.lam,
-                value=value,
-                seed=seed,
-            )
-        ]
-        params = {"what": what, "n": n, "theta": theta, "epsilon": args.epsilon, "M": args.M, "k": args.k}
-        return OutputTable("bound profile-tail", params, seed, rows), None
-    if args.eta is None:
-        raise UsageError("bound height-tail requires --eta")
-    sample = sample_height_only(rb, RandomSource(seed, 0))
-    value = conditional_height_tail_bound(sample.profile, args.eta, args.t)
-    rows = [
-        HeightTailRow(
-            n=n,
-            theta=theta,
-            eta=args.eta,
-            t=args.t,
-            records=sample.records,
-            value=value,
-            seed=seed,
-        )
-    ]
-    params = {"what": what, "n": n, "theta": theta, "eta": args.eta, "t": args.t}
-    return OutputTable("bound height-tail", params, seed, rows), None
+        inputs = {"epsilon": args.epsilon, "M": args.M, "k": args.k}
+        params = {"what": what, **head, **inputs}
+        rows = [{**head, **inputs, "C": bp.C, "lam": bp.lam, "value": value, "seed": seed}]
+    else:
+        if args.eta is None:
+            raise UsageError("bound height-tail requires --eta")
+        sample = sample_height_only(rb, RandomSource(seed, 0))
+        profile = LeftProfile(sample.sizes.tolist(), sample.records)
+        value = conditional_height_tail_bound(profile, args.eta, args.t)
+        inputs = {"eta": args.eta, "t": args.t}
+        params = {"what": what, **head, **inputs}
+        rows = [{**head, **inputs, "records": sample.records, "value": value, "seed": seed}]
+    return OutputTable(f"bound {what}", params, seed, rows)
 
 
 _EXPERIMENT_CONFIG_KEYS = {
@@ -569,7 +422,7 @@ def _load_experiment_settings(args) -> dict:
     return settings
 
 
-def _cmd_experiment(args, seed) -> tuple[OutputTable, float | None]:
+def _cmd_experiment(args, seed) -> OutputTable:
     settings = _load_experiment_settings(args)
     seed = _resolve_seed(settings.get("seed"))
     config = ExperimentConfig(
@@ -589,18 +442,7 @@ def _cmd_experiment(args, seed) -> tuple[OutputTable, float | None]:
         rows = run_record_concentration(config, float(epsilon), progress=log_to_stderr)
     else:
         j_values = settings.get("j_values") or tuple(range(21))
-        rows = []
-        for n in config.n_values:
-            theta = config.theta_for(n)
-            rows.extend(
-                run_dominance_check(
-                    RbParams(n, theta),
-                    j_values,
-                    config.trials,
-                    seed,
-                    progress=log_to_stderr,
-                )
-            )
+        rows = run_dominance_check(config, j_values, progress=log_to_stderr)
     params = {
         "what": what,
         "n_values": list(config.n_values),
@@ -611,7 +453,7 @@ def _cmd_experiment(args, seed) -> tuple[OutputTable, float | None]:
         params["epsilon"] = float(settings["epsilon"])
     if settings.get("j_values") is not None:
         params["j_values"] = [int(j) for j in settings["j_values"]]
-    return OutputTable(f"experiment {what}", params, seed, rows), None
+    return OutputTable(f"experiment {what}", params, seed, rows)
 
 
 def main(argv=None) -> int:
@@ -620,15 +462,15 @@ def main(argv=None) -> int:
     try:
         seed = _resolve_seed(getattr(args, "seed", None))
         if args.command == "sample":
-            table, scalar = _cmd_sample(args, seed)
+            table = _cmd_sample(args, seed)
         elif args.command == "exact":
-            table, scalar = _cmd_exact(args, seed)
+            table = _cmd_exact(args, seed)
         elif args.command == "bound":
-            table, scalar = _cmd_bound(args, seed)
+            table = _cmd_bound(args, seed)
         else:
-            table, scalar = _cmd_experiment(args, seed)
-        if scalar is not None and args.out is None and args.format is None:
-            sys.stdout.write(repr(scalar) + "\n")
+            table = _cmd_experiment(args, seed)
+        if table.command in SCALAR_COMMANDS and args.out is None and args.format is None:
+            sys.stdout.write(repr(table.rows[0]["value"]) + "\n")
             return 0
         emit(table, args.format or "csv", args.out)
         return 0

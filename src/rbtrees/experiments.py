@@ -5,7 +5,8 @@ trials go through one driver, :func:`_run_trials`: trial t at the i-th n draws
 from its own stream ``RandomSource(seed, (i << 32) | t)``, serially or in pool
 chunks, and the draws come back in trial order, so reruns (serial or parallel)
 reproduce identical tables. Height rows from either sampler and record-count
-rows differ only in the draw function they pass.
+rows differ only in the draw function they pass. The dominance check draws one
+profile matrix per n instead, the i-th n's from ``RandomSource(seed, i << 32)``.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .samplers import (
 
 CHI_SQUARE_MIN_EXPECTED = 5.0
 DKW_ALPHA = 1e-3
+DOMINANCE_GRID_SIZE = 50
 
 
 def parse_theta_value(text: str) -> float:
@@ -334,61 +336,57 @@ def run_record_concentration(
     return rows
 
 
-def _dominance_grid(n: int, j: int, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+def _dominance_grid(n: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     """Threshold grid t = j + n * c with c log-spaced in (0, 1]."""
-    cs = np.logspace(-6.0, 0.0, grid_size)
+    cs = np.logspace(-6.0, 0.0, DOMINANCE_GRID_SIZE)
     return cs, j + n * cs
 
 
 def run_dominance_check(
-    params: RbParams,
-    j_values: Sequence[int],
-    trials: int,
-    seed: int,
-    grid_size: int = 50,
-    progress=None,
+    config: ExperimentConfig, j_values: Sequence[int], progress=None
 ) -> list[DominanceRow]:
     """Check that sampled profile entries stay below their dominating law.
 
-    For each j, the empirical survival of the j-th left-subtree size is
-    compared on a threshold grid with the survival of j + n * prod(B_i);
-    dominance is asserted up to twice the DKW band for the trial count.
+    At the i-th n, one profile matrix of ``config.trials`` trees is drawn from stream
+    ``RandomSource(seed, i << 32)``. For each j, the empirical survival of the j-th
+    left-subtree size is compared on a threshold grid with the survival of
+    j + n * prod(B_i); dominance is asserted up to twice the DKW band for the trial count.
+    Rows come n by n, each in increasing j.
     """
-    if params.theta <= 0.0:
-        raise ValueError("theta must be positive")
     j_values = sorted(set(int(j) for j in j_values))
     if not j_values or j_values[0] < 0:
         raise ValueError("j_values must be non-empty and non-negative")
-    rng = RandomSource(seed, 0)
-    profile = sample_left_profile_matrix(params, trials, j_values[-1], rng)
-    band = dkw_epsilon(trials)
+    band = dkw_epsilon(config.trials)
     rows = []
-    for j in j_values:
-        cs, thresholds = _dominance_grid(params.n, j, grid_size)
-        entries = profile[:, j]
-        empirical = (entries[None, :] > thresholds[:, None]).mean(axis=1)
-        dominating = np.array(
-            [
-                0.0 if c >= 1.0 else beta_product_survival(params.theta, j, float(c))
-                for c in cs
-            ]
-        )
-        max_excess = float(np.max(empirical - dominating))
-        rows.append(
-            DominanceRow(
-                j=j,
-                n=params.n,
-                theta=params.theta,
-                trials=trials,
-                grid_size=grid_size,
-                max_excess=max_excess,
-                dkw_band=band,
-                passed=bool(max_excess <= 2.0 * band),
-                seed=seed,
+    for n_index, n in enumerate(config.n_values):
+        theta = config.theta_for(n)
+        if theta <= 0.0:
+            raise ValueError("theta must be positive")
+        rng = RandomSource(config.seed, _stream_index(n_index, 0))
+        profile = sample_left_profile_matrix(RbParams(n, theta), config.trials, j_values[-1], rng)
+        for j in j_values:
+            cs, thresholds = _dominance_grid(n, j)
+            entries = profile[:, j]
+            empirical = (entries[None, :] > thresholds[:, None]).mean(axis=1)
+            dominating = np.array(
+                [0.0 if c >= 1.0 else beta_product_survival(theta, j, float(c)) for c in cs]
             )
-        )
-        if progress is not None:
-            progress(f"dominance j={j} max_excess={max_excess:.5f} band={band:.5f}")
+            max_excess = float(np.max(empirical - dominating))
+            rows.append(
+                DominanceRow(
+                    j=j,
+                    n=n,
+                    theta=theta,
+                    trials=config.trials,
+                    grid_size=DOMINANCE_GRID_SIZE,
+                    max_excess=max_excess,
+                    dkw_band=band,
+                    passed=bool(max_excess <= 2.0 * band),
+                    seed=config.seed,
+                )
+            )
+            if progress is not None:
+                progress(f"dominance j={j} max_excess={max_excess:.5f} band={band:.5f}")
     return rows
 
 

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import NO_CHILD, BstTree, LeftProfile, Permutation, RbParams
+from .model import NO_CHILD, BstTree, Permutation, RbParams
 
 # A rightmost-path split of m nodes scans the per-step record chances when theta > 0 and
 # m <= max(_SCAN_LIMIT, _SPINE_SCAN_PER_THETA * theta) (see _scans), and otherwise draws a
@@ -206,9 +206,11 @@ def sample_tree_recursive(params: RbParams, rng: RandomSource) -> BstTree:
 
 
 class HeightSample(NamedTuple):
+    """A tree's height, its record count and the int64 left-subtree sizes along its rightmost path."""
+
     height: int
     records: int
-    profile: LeftProfile
+    sizes: np.ndarray
 
 
 def _spine_profile(n: int, theta: float, rng: RandomSource) -> np.ndarray:
@@ -279,7 +281,7 @@ def _sweep_height(sizes: np.ndarray, rng: RandomSource) -> int:
 
 
 def sample_height_only(params: RbParams, rng: RandomSource) -> HeightSample:
-    """Sample (height, records, profile) without materializing labels.
+    """Sample (height, records, sizes) without materializing labels.
 
     Same joint law as :func:`sample_tree_recursive` followed by the model
     statistics. One pruned sweep over the uniform subtrees off the spine, which
@@ -288,10 +290,9 @@ def sample_height_only(params: RbParams, rng: RandomSource) -> HeightSample:
     """
     n, theta = params.n, params.theta
     if n == 0:
-        return HeightSample(-1, 0, LeftProfile((), 0))
+        return HeightSample(-1, 0, np.zeros(0, dtype=np.int64))
     sizes = _spine_profile(n, theta, rng)
-    r = len(sizes)
-    return HeightSample(_sweep_height(sizes, rng), r, LeftProfile(tuple(sizes.tolist()), r))
+    return HeightSample(_sweep_height(sizes, rng), len(sizes), sizes)
 
 
 def sample_record_count(params: RbParams, rng: RandomSource) -> int:

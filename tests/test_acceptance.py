@@ -181,9 +181,8 @@ def test_criterion_5_record_concentration():
 
 def test_criterion_6_stochastic_dominance():
     start = time.perf_counter()
-    rows = run_dominance_check(
-        RbParams(10**4, 2.0), range(21), trials=10**5, seed=0, grid_size=50
-    )
+    config = ExperimentConfig(n_values=(10**4,), theta_spec=2.0, trials=10**5, seed=0)
+    rows = run_dominance_check(config, range(21))
     all_pass = all(row.passed for row in rows)
     worst = max(row.max_excess for row in rows)
     elapsed = time.perf_counter() - start
@@ -281,9 +280,10 @@ def test_criterion_8_structural_invariants_bulk():
             for _ in range(count):
                 sample = sample_height_only(params, rng)
                 ok = (
-                    sample.profile.record_count + sum(sample.profile.sizes) == n
+                    len(sample.sizes) == sample.records
+                    and sample.records + sample.sizes.sum() == n
                     and sample.height >= sample.records - 1
-                    and all(k >= 0 for k in sample.profile.sizes)
+                    and (sample.sizes >= 0).all()
                 )
                 if not ok:
                     violations += 1

@@ -170,6 +170,15 @@ class TestRootSplit:
         for k in (1, 2, 57, 199, 200):
             assert root_split_pmf(params, k) == pytest.approx(pmf[k - 1], rel=1e-12)
 
+    @pytest.mark.parametrize("theta", (1e-3, 0.5, 2.0, 1e6))
+    @pytest.mark.parametrize("n", (1, 2, 50, 100, 10**4))
+    def test_scalar_is_vector_bit_for_bit(self, n, theta):
+        # every k costs O(n^2) in all at n = 10**4 (12 s per theta), so that n takes a stride
+        params = RbParams(n, theta)
+        pmf = root_split_distribution(params)
+        ks = range(1, n + 1) if n <= 100 else [*range(1, n, 101), n]
+        assert [root_split_pmf(params, k) for k in ks] == [pmf[k - 1] for k in ks]
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             root_split_pmf(RbParams(3, 1.0), 0)

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbtrees.cli import OutputTable, ValueRow, emit, main
+from rbtrees.cli import OutputTable, emit, main
 from rbtrees.analytics import c_star, mu, root_split_distribution
+from rbtrees.experiments import TrialSummary
 from rbtrees.model import RbParams
 
 
@@ -173,6 +175,14 @@ class TestBoundCommands:
         row = parse_csv(out)[0]
         assert float(row["value"]) >= 0.0
         assert int(row["records"]) >= 1
+
+    def test_height_tail_underflows_to_zero(self, capsys):
+        # each term is about e^-778000, though the factor (k_j + 1)^(e^t - 1) alone overflows
+        code, out, err = run_cli(
+            ["bound", "height-tail", "--n", "1000", "--eta", "100000", "--t", "10"], capsys
+        )
+        assert (code, err) == (0, "")
+        assert parse_csv(out)[0]["value"] == "0.0"
 
 
 class TestExperimentCommand:
@@ -401,6 +411,8 @@ class TestErrors:
             ["sample", "tree", "--n", str(10**6 + 1)],
             ["sample", "height", "--n", str(10**6 + 1), "--method", "sequential"],
             ["exact", "split-pmf", "--n", str(10**6 + 1)],
+            ["exact", "records-mgf", "--n", "3", "--t", "700"],
+            ["bound", "height-tail", "--n", "1000", "--eta", "5", "--t", "10"],
         ),
     )
     def test_out_of_range_value_exits_1(self, capsys, argv):
@@ -409,7 +421,7 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         if "--t" in argv:
-            assert "t = 1000" in err
+            assert f"t = {argv[argv.index('--t') + 1]}" in err
         if str(10**6 + 1) in argv:
             assert "'sample height'" in err or "--k" in err
 
@@ -448,10 +460,23 @@ class TestEmit:
     def test_unknown_format(self):
         table = OutputTable(
             command="x", params={}, seed=0,
-            rows=[ValueRow(n=1, theta=1.0, quantity="q", value=1.0, seed=0)],
+            rows=[{"n": 1, "theta": 1.0, "quantity": "q", "value": 1.0, "seed": 0}],
         )
         with pytest.raises(ValueError):
             emit(table, "xml", None)
+
+    @pytest.mark.parametrize("fmt", ("csv", "json"))
+    def test_dataclass_and_dict_rows_write_the_same_bytes(self, capsys, fmt):
+        row = TrialSummary(
+            n=10, theta=0.5, trials=3, mean_height=2.0, sd_height=1.0, mean_records=1.5,
+            sd_records=0.5, ratio_height_norm=0.25, ratio_records_mu=1.1, seed=7,
+        )
+        written = []
+        for rows in ([row], [dataclasses.asdict(row)]):
+            emit(OutputTable(command="x", params={"n": 10}, seed=7, rows=rows), fmt, None)
+            written.append(capsys.readouterr().out)
+        assert written[0] == written[1]
+        assert written[0].count("\n") == (2 if fmt == "csv" else 1)
 
 
 def _mostly(good, *bad):

@@ -245,24 +245,40 @@ class TestRecordConcentration:
 
 class TestDominance:
     def test_no_violations_moderate_scale(self):
-        rows = run_dominance_check(RbParams(300, 2.0), range(6), trials=20000, seed=6)
+        config = ExperimentConfig(n_values=(300,), theta_spec=2.0, trials=20000, seed=6)
+        rows = run_dominance_check(config, range(6))
         assert all(row.passed for row in rows)
         assert [row.j for row in rows] == list(range(6))
 
     def test_j_zero_trivial(self):
-        row = run_dominance_check(RbParams(100, 1.0), [0], trials=5000, seed=1)[0]
+        config = ExperimentConfig(n_values=(100,), theta_spec=1.0, trials=5000, seed=1)
+        row = run_dominance_check(config, [0])[0]
         # k_0 <= n-1 < n while the dominating variable is the constant n
         assert row.max_excess <= 0.0
         assert row.passed
 
     def test_deterministic(self):
-        a = run_dominance_check(RbParams(200, 1.5), [0, 2, 4], trials=3000, seed=12)
-        b = run_dominance_check(RbParams(200, 1.5), [0, 2, 4], trials=3000, seed=12)
-        assert a == b
+        config = ExperimentConfig(n_values=(200,), theta_spec=1.5, trials=3000, seed=12)
+        assert run_dominance_check(config, [0, 2, 4]) == run_dominance_check(config, [0, 2, 4])
+
+    def test_rows_n_by_n_in_j_order(self):
+        config = ExperimentConfig(n_values=(100, 1000), theta_spec=2.0, trials=2000, seed=3)
+        rows = run_dominance_check(config, [4, 0, 2])
+        assert [(row.n, row.j) for row in rows] == [
+            (100, 0), (100, 2), (100, 4), (1000, 0), (1000, 2), (1000, 4)
+        ]
+        assert all(row.grid_size == experiments.DOMINANCE_GRID_SIZE for row in rows)
+
+    def test_first_n_matches_a_one_n_run(self):
+        config = ExperimentConfig(n_values=(100, 1000), theta_spec=2.0, trials=2000, seed=3)
+        single = ExperimentConfig(n_values=(100,), theta_spec=2.0, trials=2000, seed=3)
+        assert run_dominance_check(config, [0, 2, 4])[:3] == run_dominance_check(single, [0, 2, 4])
 
     def test_requires_positive_theta(self):
-        with pytest.raises(ValueError):
-            run_dominance_check(RbParams(10, 0.0), [0], trials=10, seed=0)
+        for n_values in ((10,), (100, 1000)):
+            config = ExperimentConfig(n_values=n_values, theta_spec=0.0, trials=10, seed=0)
+            with pytest.raises(ValueError, match="theta must be positive"):
+                run_dominance_check(config, [0])
 
 
 class TestUniformShapeLaw:

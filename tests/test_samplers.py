@@ -297,18 +297,20 @@ class TestTwoSamplerAgreement:
 class TestHeightOnly:
     def test_conventions(self):
         empty = sample_height_only(RbParams(0, 1.0), RandomSource(0))
-        assert empty == (-1, 0, empty.profile)
-        assert empty.profile.sizes == ()
+        assert (empty.height, empty.records) == (-1, 0)
+        assert empty.sizes.tolist() == []
         single = sample_height_only(RbParams(1, 3.0), RandomSource(0))
         assert single.height == 0
         assert single.records == 1
-        assert single.profile.sizes == (0,)
+        assert single.sizes.tolist() == [0]
 
     def test_profile_identity_and_lower_bound(self):
         for theta in (0.0, 0.5, 2.0):
             for n in (1, 6, 64, 1000):
                 sample = sample_height_only(RbParams(n, theta), RandomSource(8, n))
-                assert sample.profile.total == n
+                assert len(sample.sizes) == sample.records
+                assert sample.records + sample.sizes.sum() == n
+                assert (sample.sizes >= 0).all()
                 assert sample.height >= sample.records - 1
 
     @pytest.mark.parametrize("theta", (0.5, 2.0))
@@ -361,7 +363,8 @@ class TestHeightOnly:
     def test_reproducible(self):
         a = sample_height_only(RbParams(5000, 1.5), RandomSource(123, 9))
         b = sample_height_only(RbParams(5000, 1.5), RandomSource(123, 9))
-        assert a == b
+        assert (a.height, a.records) == (b.height, b.records)
+        assert np.array_equal(a.sizes, b.sizes)
 
 
 class TestExactHeightTable:
