@@ -18,11 +18,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import numpy as np
 
-from rbtrees.analytics import (
-    TailBoundParams,
-    left_profile_tail_bound,
-    profile_exceedance_thresholds,
-)
+from rbtrees.analytics import left_profile_tail_bound, profile_exceedance_thresholds
 from rbtrees.experiments import (
     ExperimentConfig,
     log_to_stderr,
@@ -65,8 +61,7 @@ def main() -> int:
     )
 
     M = 2.0 * math.log(math.log(args.n))
-    bp = TailBoundParams.from_model(args.theta, args.profile_epsilon, M, args.k)
-    bound = left_profile_tail_bound(params, bp)
+    bound = left_profile_tail_bound(params, args.profile_epsilon, M, args.k)
     matrix = sample_left_profile_matrix(params, args.trials, args.k, RandomSource(args.seed, 1))
     thresholds = np.array(
         profile_exceedance_thresholds(params, args.profile_epsilon, M, args.k)

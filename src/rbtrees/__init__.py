@@ -4,7 +4,6 @@ from .analytics import (
     EnumeratedLaws,
     ExactDistribution,
     InstanceTooLargeError,
-    TailBoundParams,
     beta_product_survival,
     c_star,
     chernoff_record_tail,
@@ -13,6 +12,7 @@ from .analytics import (
     left_profile_tail_bound,
     left_root_tail,
     mu,
+    profile_tail_constants,
     records_mgf,
     root_split_distribution,
     root_split_pmf,

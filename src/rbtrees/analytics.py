@@ -108,49 +108,6 @@ class EnumeratedLaws:
     height_record_first: ExactDistribution
 
 
-@dataclass(frozen=True)
-class TailBoundParams:
-    """Inputs of the left-profile tail bound with its derived constants.
-
-    ``C = 1 / (1 - (1 - epsilon*theta) * exp(epsilon*theta))`` and
-    ``lam = epsilon * theta**2 / (1 - epsilon*theta)``; construct through
-    :meth:`from_model` to get them computed and validated.
-    """
-
-    epsilon: float
-    M: float
-    k: int
-    C: float
-    lam: float
-
-    def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-        if self.M < 0.0:
-            raise ValueError("M must be non-negative")
-        if self.k < 0:
-            raise ValueError("k must be non-negative")
-        if self.C <= 0.0 or self.lam <= 0.0:
-            raise ValueError("C and lam must be positive")
-
-    @classmethod
-    def from_model(cls, theta: float, epsilon: float, M: float, k: int) -> "TailBoundParams":
-        if theta <= 0.0:
-            raise ValueError("theta must be positive")
-        if epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-        u = epsilon * theta
-        if u >= 1.0:
-            raise ValueError(f"epsilon * theta must be < 1, got {u}")
-        # 1 - (1 - u) e^u as its series: the closed form cancels to u^2 / 2 for small u
-        gap = math.fsum((k - 1) * u**k / math.factorial(k) for k in range(2, 42))
-        C = 1.0 / gap if gap > 0.0 else math.inf
-        if not math.isfinite(C):
-            raise ValueError(f"epsilon * theta = {u} is too small: C = 1 / {gap} is not finite")
-        lam = epsilon * theta * theta / (1.0 - u)
-        return cls(epsilon=epsilon, M=M, k=k, C=C, lam=lam)
-
-
 @lru_cache(maxsize=None)
 def _perm_stats(n: int):
     """Aggregate (record, first, height, profile sizes) counts over S_n."""
@@ -295,17 +252,17 @@ def _expm1(t: float) -> float:
 def records_mgf(params: RbParams, t: float) -> float:
     """E[exp(t * records)]: the product over steps of 1 + (e^t - 1) * p_i.
 
-    The step-i record probability is theta / (theta + n - i); in the
-    theta = 0 limit only the forced final step has probability 1.
+    The step-i record probability is theta / (theta + n - i). The forced final step has
+    probability 1 at every theta, so its factor is exactly e^t; taking it as t in log space
+    keeps the product accurate where e^t - 1 rounds to -1.
     """
     n, theta = params.n, params.theta
     if n == 0:
         return 1.0
     em1 = _expm1(t)
-    terms = []
-    for i in range(1, n + 1):
-        denom = theta + (n - i)
-        p = theta / denom if denom > 0.0 else 1.0
+    terms = [t]
+    for i in range(1, n):
+        p = theta / (theta + (n - i))
         terms.append(math.log1p(em1 * p))
     log_mgf = math.fsum(terms)
     if log_mgf > _LOG_FLOAT_MAX:
@@ -313,30 +270,25 @@ def records_mgf(params: RbParams, t: float) -> float:
     return math.exp(log_mgf)
 
 
-def chernoff_record_tail(params: RbParams, epsilon: float, side: str) -> float:
-    """Optimized exponential-moment bound on the record-count deviation.
+def chernoff_record_tail(params: RbParams, epsilon: float) -> tuple[float, float, float]:
+    """Optimized exponential-moment bounds on the record-count deviation.
 
-    ``side="upper"`` bounds P(records >= (1 + eps) * mu) by
-    exp(-mu * ((1+eps) log(1+eps) - eps)); ``side="lower"`` bounds
-    P(records <= (1 - eps) * mu) by exp(-mu * (eps + (1-eps) log(1-eps))),
-    degenerating to exp(-mu) once eps >= 1. Both lie in (0, 1] and decrease
-    in mu.
+    Returns ``(upper, lower, two_sided)``: upper bounds P(records >= (1 + eps) * mu) by
+    exp(-mu * ((1+eps) log(1+eps) - eps)); lower bounds P(records <= (1 - eps) * mu) by
+    exp(-mu * (eps + (1-eps) log(1-eps))), degenerating to exp(-mu) once eps >= 1;
+    two_sided is min(1, upper + lower). All lie in (0, 1] and decrease in mu.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     m = mu(params.n, params.theta)
     if m <= 0.0:
         raise ValueError("mu(n, theta) must be positive")
-    if side == "upper":
-        exponent = (1.0 + epsilon) * math.log1p(epsilon) - epsilon
-    elif side == "lower":
-        if epsilon >= 1.0:
-            exponent = 1.0
-        else:
-            exponent = epsilon + (1.0 - epsilon) * math.log1p(-epsilon)
+    upper = math.exp(-m * ((1.0 + epsilon) * math.log1p(epsilon) - epsilon))
+    if epsilon >= 1.0:
+        lower = math.exp(-m)
     else:
-        raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
-    return math.exp(-m * exponent)
+        lower = math.exp(-m * (epsilon + (1.0 - epsilon) * math.log1p(-epsilon)))
+    return upper, lower, min(1.0, upper + lower)
 
 
 def beta_product_survival(theta: float, j: int, c: float) -> float:
@@ -357,27 +309,50 @@ def beta_product_survival(theta: float, j: int, c: float) -> float:
     return float(gammainc(j, theta * (-math.log(c))))
 
 
-def left_profile_tail_bound(params: RbParams, bp: TailBoundParams) -> float:
-    """Bound on P(some j <= k has profile entry above n * exp(-(1/theta - eps) j + M)).
+def profile_tail_constants(theta: float, epsilon: float) -> tuple[float, float]:
+    """The constants ``(C, lam)`` of :func:`left_profile_tail_bound`.
 
-    Returns C * exp(-lam * M) * (1 - Xi)**(-lam) with
-    Xi = k * exp((1/theta - eps) k) / (n * exp(M)); may exceed 1.
+    ``C = 1 / (1 - (1 - epsilon*theta) * exp(epsilon*theta))`` and
+    ``lam = epsilon * theta**2 / (1 - epsilon*theta)``; both need 0 < epsilon * theta < 1.
     """
-    n, theta = params.n, params.theta
-    if n < 1:
-        raise ValueError("n must be at least 1")
     if theta <= 0.0:
         raise ValueError("theta must be positive")
-    if bp.epsilon * theta >= 1.0:
-        raise ValueError("epsilon * theta must be < 1")
-    if bp.k == 0:
+    if epsilon <= 0.0:
+        raise ValueError("epsilon must be positive")
+    u = epsilon * theta
+    if u >= 1.0:
+        raise ValueError(f"epsilon * theta must be < 1, got {u}")
+    # 1 - (1 - u) e^u as its series: the closed form cancels to u^2 / 2 for small u
+    gap = math.fsum((k - 1) * u**k / math.factorial(k) for k in range(2, 42))
+    C = 1.0 / gap if gap > 0.0 else math.inf
+    if not math.isfinite(C):
+        raise ValueError(f"epsilon * theta = {u} is too small: C = 1 / {gap} is not finite")
+    return C, epsilon * theta * theta / (1.0 - u)
+
+
+def left_profile_tail_bound(params: RbParams, epsilon: float, M: float, k: int) -> float:
+    """Bound on P(some j <= k has profile entry above n * exp(-(1/theta - eps) j + M)).
+
+    Returns C * exp(-lam * M) * (1 - Xi)**(-lam) with C and lam from
+    :func:`profile_tail_constants` and Xi = k * exp((1/theta - eps) k) / (n * exp(M));
+    may exceed 1.
+    """
+    n, theta = params.n, params.theta
+    C, lam = profile_tail_constants(theta, epsilon)
+    if M < 0.0:
+        raise ValueError("M must be non-negative")
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if k == 0:
         log_xi = -math.inf
     else:
-        log_xi = math.log(bp.k) + (1.0 / theta - bp.epsilon) * bp.k - math.log(n) - bp.M
+        log_xi = math.log(k) + (1.0 / theta - epsilon) * k - math.log(n) - M
     if log_xi >= 0.0:
         raise ValueError("precondition violated: k * exp((1/theta - eps) k) >= n * exp(M)")
     xi = math.exp(log_xi)
-    return bp.C * math.exp(-bp.lam * bp.M) * (1.0 - xi) ** (-bp.lam)
+    return C * math.exp(-lam * M) * (1.0 - xi) ** (-lam)
 
 
 def profile_exceedance_thresholds(params: RbParams, epsilon: float, M: float, k: int) -> list[float]:

@@ -18,13 +18,13 @@ from collections import Counter
 from dataclasses import asdict, dataclass, is_dataclass
 
 from .analytics import (
-    TailBoundParams,
     c_star,
     chernoff_record_tail,
     conditional_height_tail_bound,
     enumerate_exact,
     left_profile_tail_bound,
     mu,
+    profile_tail_constants,
     records_mgf,
     root_split_distribution,
     root_split_pmf,
@@ -338,27 +338,25 @@ def _cmd_bound(args, seed) -> OutputTable:
     if what == "chernoff":
         if args.epsilon is None:
             raise UsageError("bound chernoff requires --epsilon")
-        upper = chernoff_record_tail(rb, args.epsilon, "upper")
-        lower = chernoff_record_tail(rb, args.epsilon, "lower")
+        values = chernoff_record_tail(rb, args.epsilon)
         params = {"what": what, "n": n, "theta": theta, "epsilon": args.epsilon}
-        sides = (("upper", upper), ("lower", lower), ("two_sided", min(1.0, upper + lower)))
         rows = [
             {**head, "epsilon": args.epsilon, "side": side, "value": value, "seed": seed}
-            for side, value in sides
+            for side, value in zip(("upper", "lower", "two_sided"), values)
         ]
     elif what == "profile-tail":
         if args.epsilon is None or args.M is None or args.k is None:
             raise UsageError("bound profile-tail requires --epsilon, --M, and --k")
-        bp = TailBoundParams.from_model(theta, args.epsilon, args.M, args.k)
-        value = left_profile_tail_bound(rb, bp)
+        C, lam = profile_tail_constants(theta, args.epsilon)
+        value = left_profile_tail_bound(rb, args.epsilon, args.M, args.k)
         inputs = {"epsilon": args.epsilon, "M": args.M, "k": args.k}
         params = {"what": what, **head, **inputs}
-        rows = [{**head, **inputs, "C": bp.C, "lam": bp.lam, "value": value, "seed": seed}]
+        rows = [{**head, **inputs, "C": C, "lam": lam, "value": value, "seed": seed}]
     else:
         if args.eta is None:
             raise UsageError("bound height-tail requires --eta")
         sample = sample_height_only(rb, RandomSource(seed, 0))
-        profile = LeftProfile(sample.sizes.tolist(), sample.records)
+        profile = LeftProfile(sample.sizes.tolist())
         value = conditional_height_tail_bound(profile, args.eta, args.t)
         inputs = {"eta": args.eta, "t": args.t}
         params = {"what": what, **head, **inputs}
@@ -441,7 +439,7 @@ def _cmd_experiment(args, seed) -> OutputTable:
             raise UsageError("record-concentration requires --epsilon (or config epsilon)")
         rows = run_record_concentration(config, float(epsilon), progress=log_to_stderr)
     else:
-        j_values = settings.get("j_values") or tuple(range(21))
+        j_values = settings.get("j_values", tuple(range(21)))
         rows = run_dominance_check(config, j_values, progress=log_to_stderr)
     params = {
         "what": what,

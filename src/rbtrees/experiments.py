@@ -306,9 +306,8 @@ def run_record_concentration(
         counts = np.asarray(draws)
         beyond = np.abs(counts / m - 1.0) > epsilon
         freq = float(np.mean(beyond))
-        upper = chernoff_record_tail(params, epsilon, "upper")
-        lower = chernoff_record_tail(params, epsilon, "lower")
-        total = min(1.0, upper + lower)
+        upper, lower, total = chernoff_record_tail(params, epsilon)
+        mean_r, sd_r = _mean_sd(counts)
         se = math.sqrt(freq * (1.0 - freq) / config.trials)
         rows.append(
             RecordConcentrationRow(
@@ -317,8 +316,8 @@ def run_record_concentration(
                 trials=config.trials,
                 epsilon=epsilon,
                 mu=m,
-                mean_records=float(np.mean(counts)),
-                sd_records=float(np.std(counts, ddof=1)) if config.trials > 1 else 0.0,
+                mean_records=mean_r,
+                sd_records=sd_r,
                 freq_beyond=freq,
                 bound_upper=upper,
                 bound_lower=lower,

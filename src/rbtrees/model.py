@@ -64,21 +64,22 @@ class LeftProfile:
     """Sizes of the left subtrees along the rightmost path.
 
     ``sizes[j]`` is the size of the left subtree hanging at the j-th node of
-    the rightmost path and ``record_count`` is that path's length, so a
-    profile extracted from a tree of size n satisfies
+    the rightmost path, so ``record_count``, that path's length, is
+    ``len(sizes)``, and a profile extracted from a tree of size n satisfies
     ``record_count + sum(sizes) == n``.
     """
 
     sizes: tuple[int, ...]
-    record_count: int
 
     def __post_init__(self):
         sizes = tuple(self.sizes)
         object.__setattr__(self, "sizes", sizes)
-        if self.record_count != len(sizes):
-            raise ValueError("record_count must equal len(sizes)")
         if sizes and min(sizes) < 0:
             raise ValueError("subtree sizes must be non-negative")
+
+    @property
+    def record_count(self) -> int:
+        return len(self.sizes)
 
     @property
     def total(self) -> int:
@@ -212,9 +213,8 @@ def left_profile(tree: BstTree) -> LeftProfile:
     """Left-subtree sizes along the rightmost path of a non-empty tree."""
     if tree.is_empty:
         raise EmptyTreeError("left_profile of the empty tree")
-    spine = _spine(tree)
-    sizes = tuple(_subtree_size(tree, tree.left[node]) for node in spine)
-    return LeftProfile(sizes=sizes, record_count=len(spine))
+    sizes = tuple(_subtree_size(tree, tree.left[node]) for node in _spine(tree))
+    return LeftProfile(sizes)
 
 
 def height_via_profile(tree: BstTree) -> int:

@@ -206,11 +206,14 @@ def sample_tree_recursive(params: RbParams, rng: RandomSource) -> BstTree:
 
 
 class HeightSample(NamedTuple):
-    """A tree's height, its record count and the int64 left-subtree sizes along its rightmost path."""
+    """A tree's height and the int64 left-subtree sizes along its rightmost path, one per record."""
 
     height: int
-    records: int
     sizes: np.ndarray
+
+    @property
+    def records(self) -> int:
+        return len(self.sizes)
 
 
 def _spine_profile(n: int, theta: float, rng: RandomSource) -> np.ndarray:
@@ -281,7 +284,7 @@ def _sweep_height(sizes: np.ndarray, rng: RandomSource) -> int:
 
 
 def sample_height_only(params: RbParams, rng: RandomSource) -> HeightSample:
-    """Sample (height, records, sizes) without materializing labels.
+    """Sample the height and the spine sizes without materializing labels.
 
     Same joint law as :func:`sample_tree_recursive` followed by the model
     statistics. One pruned sweep over the uniform subtrees off the spine, which
@@ -290,9 +293,9 @@ def sample_height_only(params: RbParams, rng: RandomSource) -> HeightSample:
     """
     n, theta = params.n, params.theta
     if n == 0:
-        return HeightSample(-1, 0, np.zeros(0, dtype=np.int64))
+        return HeightSample(-1, np.zeros(0, dtype=np.int64))
     sizes = _spine_profile(n, theta, rng)
-    return HeightSample(_sweep_height(sizes, rng), len(sizes), sizes)
+    return HeightSample(_sweep_height(sizes, rng), sizes)
 
 
 def sample_record_count(params: RbParams, rng: RandomSource) -> int:

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from rbtrees.analytics import (
-    TailBoundParams,
     c_star,
     conditional_height_tail_bound,
     enumerate_exact,
@@ -207,7 +206,7 @@ def test_criterion_7_bounds_dominate_truth():
                 by_profile.setdefault(sizes, {})[h] = p
             for sizes, height_law in by_profile.items():
                 total = math.fsum(height_law.values())
-                profile = LeftProfile(sizes, len(sizes))
+                profile = LeftProfile(sizes)
                 for eta in range(0, n + 1):
                     exact_tail = (
                         math.fsum(p for h, p in height_law.items() if h >= eta) / total
@@ -219,7 +218,7 @@ def test_criterion_7_bounds_dominate_truth():
     n, theta, eps, k = 10**4, 2.0, 0.1, 5
     M = 2.0 * math.log(math.log(n))
     params = RbParams(n, theta)
-    bound = left_profile_tail_bound(params, TailBoundParams.from_model(theta, eps, M, k))
+    bound = left_profile_tail_bound(params, eps, M, k)
     trials = 10**5
     matrix = sample_left_profile_matrix(params, trials, k, RandomSource(0, 0))
     thresholds = np.array(profile_exceedance_thresholds(params, eps, M, k))

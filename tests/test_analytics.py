@@ -12,7 +12,6 @@ from rbtrees.analytics import (
     ENUMERATION_MAX_N,
     ExactDistribution,
     InstanceTooLargeError,
-    TailBoundParams,
     beta_product_survival,
     c_star,
     chernoff_record_tail,
@@ -22,6 +21,7 @@ from rbtrees.analytics import (
     left_root_tail,
     mu,
     profile_exceedance_thresholds,
+    profile_tail_constants,
     records_mgf,
     root_split_distribution,
     root_split_pmf,
@@ -211,7 +211,7 @@ class TestRecordsMgf:
 
     def test_single_element(self):
         for theta in THETA_GRID:
-            for t in (-1.0, 0.3, 2.0):
+            for t in (-800.0, -37.0, -30.0, -1.0, 0.3, 2.0):
                 assert records_mgf(RbParams(1, theta), t) == pytest.approx(math.exp(t), rel=1e-14)
 
     def test_n2_uniform(self):
@@ -220,7 +220,7 @@ class TestRecordsMgf:
             assert records_mgf(RbParams(2, 1.0), t) == pytest.approx(expected, rel=1e-13)
 
     def test_theta_zero_limit(self):
-        for t in (-0.5, 0.7):
+        for t in (-800.0, -37.0, -30.0, -0.5, 0.7):
             assert records_mgf(RbParams(6, 0.0), t) == pytest.approx(math.exp(t), rel=1e-14)
 
     @pytest.mark.parametrize("n,theta", ((3, 0.5), (20, 2.0), (500, 5.0)))
@@ -237,7 +237,7 @@ class TestChernoff:
         params = RbParams(30, 2.0)
         m = mu(30, 2.0)
         eps = 0.4
-        bound = chernoff_record_tail(params, eps, "upper")
+        bound = chernoff_record_tail(params, eps)[0]
         assert bound == pytest.approx(math.exp(-m * ((1 + eps) * math.log(1 + eps) - eps)), rel=1e-13)
         for t in np.linspace(1e-4, 3.0, 400):
             grid_value = math.exp(m * ((math.exp(t) - 1.0) - t * (1 + eps)))
@@ -247,24 +247,25 @@ class TestChernoff:
         params = RbParams(30, 2.0)
         m = mu(30, 2.0)
         eps = 0.4
-        bound = chernoff_record_tail(params, eps, "lower")
+        bound = chernoff_record_tail(params, eps)[1]
         for t in np.linspace(1e-4, 5.0, 400):
             grid_value = math.exp(m * ((math.exp(-t) - 1.0) + t * (1 - eps)))
             assert bound <= grid_value * (1 + 1e-12)
 
     def test_small_epsilon_tends_to_one(self):
         params = RbParams(100, 1.0)
-        assert chernoff_record_tail(params, 1e-9, "upper") == pytest.approx(1.0, abs=1e-6)
-        assert chernoff_record_tail(params, 1e-9, "lower") == pytest.approx(1.0, abs=1e-6)
+        upper, lower, _ = chernoff_record_tail(params, 1e-9)
+        assert upper == pytest.approx(1.0, abs=1e-6)
+        assert lower == pytest.approx(1.0, abs=1e-6)
 
     def test_large_epsilon_lower_degenerates(self):
         params = RbParams(50, 2.0)
         m = mu(50, 2.0)
-        assert chernoff_record_tail(params, 1.0, "lower") == pytest.approx(math.exp(-m), rel=1e-13)
-        assert chernoff_record_tail(params, 2.5, "lower") == pytest.approx(math.exp(-m), rel=1e-13)
+        assert chernoff_record_tail(params, 1.0)[1] == pytest.approx(math.exp(-m), rel=1e-13)
+        assert chernoff_record_tail(params, 2.5)[1] == pytest.approx(math.exp(-m), rel=1e-13)
 
     def test_decreasing_in_mu(self):
-        values = [chernoff_record_tail(RbParams(n, 2.0), 0.5, "upper") for n in (5, 20, 100, 1000)]
+        values = [chernoff_record_tail(RbParams(n, 2.0), 0.5)[0] for n in (5, 20, 100, 1000)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize("theta", THETA_GRID)
@@ -274,18 +275,16 @@ class TestChernoff:
         law = enumerate_exact(params).record
         m = mu(n, theta)
         for eps in (0.1, 0.25, 0.5, 1.0, 2.0):
-            upper = chernoff_record_tail(params, eps, "upper")
-            lower = chernoff_record_tail(params, eps, "lower")
+            upper, lower, two_sided = chernoff_record_tail(params, eps)
+            assert two_sided == min(1.0, upper + lower)
             assert upper + 1e-12 >= law.tail_geq((1 + eps) * m)
             assert lower + 1e-12 >= law.tail_leq((1 - eps) * m)
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            chernoff_record_tail(RbParams(5, 1.0), 0.0, "upper")
+            chernoff_record_tail(RbParams(5, 1.0), 0.0)
         with pytest.raises(ValueError):
-            chernoff_record_tail(RbParams(5, 0.0), 0.5, "upper")
-        with pytest.raises(ValueError):
-            chernoff_record_tail(RbParams(5, 1.0), 0.5, "middle")
+            chernoff_record_tail(RbParams(5, 0.0), 0.5)
 
 
 class TestBetaProductSurvival:
@@ -318,42 +317,48 @@ class TestBetaProductSurvival:
 class TestProfileTailBound:
     def test_vanishes_as_m_grows(self):
         params = RbParams(10**4, 2.0)
-        values = [
-            left_profile_tail_bound(params, TailBoundParams.from_model(2.0, 0.1, M, 5))
-            for M in (1.0, 5.0, 20.0, 80.0)
-        ]
+        values = [left_profile_tail_bound(params, 0.1, M, 5) for M in (1.0, 5.0, 20.0, 80.0)]
         assert all(b < a for a, b in zip(values, values[1:]))
         assert values[-1] < 1e-15
 
     def test_loglog_window_is_finite_positive(self):
         n = 10**4
         M = 2 * math.log(math.log(n))
-        bp = TailBoundParams.from_model(2.0, 0.1, M, 5)
-        value = left_profile_tail_bound(RbParams(n, 2.0), bp)
+        value = left_profile_tail_bound(RbParams(n, 2.0), 0.1, M, 5)
         assert value > 0.0
         assert math.isfinite(value)
 
     def test_constants(self):
-        bp = TailBoundParams.from_model(2.0, 0.1, 3.0, 5)
+        C, lam = profile_tail_constants(2.0, 0.1)
         u = 0.2
-        assert bp.C == pytest.approx(1.0 / (1.0 - (1.0 - u) * math.exp(u)), rel=1e-14)
-        assert bp.lam == pytest.approx(0.1 * 4.0 / 0.8, rel=1e-14)
+        assert C == pytest.approx(1.0 / (1.0 - (1.0 - u) * math.exp(u)), rel=1e-14)
+        assert lam == pytest.approx(0.1 * 4.0 / 0.8, rel=1e-14)
+
+    @pytest.mark.parametrize("theta", (0.5, 2.0, 5.0))
+    def test_bound_uses_the_constants_at_its_own_theta(self, theta):
+        # C and lam in closed form at the bound's theta, which is given once, in params
+        n, eps, M, k = 10**4, 0.1, 3.0, 5
+        u = eps * theta
+        C = 1.0 / (1.0 - (1.0 - u) * math.exp(u))
+        lam = eps * theta**2 / (1.0 - u)
+        xi = k * math.exp((1.0 / theta - eps) * k) / (n * math.exp(M))
+        expected = C * math.exp(-lam * M) * (1.0 - xi) ** (-lam)
+        assert left_profile_tail_bound(RbParams(n, theta), eps, M, k) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("u", (1e-12, 1e-8, 1e-6, 1e-4, 0.2, 0.9))
     def test_constant_c_matches_exact_series(self, u):
         # C = 1 / (1 - (1 - u) e^u) with the gap summed exactly as sum_{k>=2} (k-1) u^k / k!
         exact = Fraction(u)
         gap = sum(Fraction(k - 1) * exact**k / math.factorial(k) for k in range(2, 80))
-        assert TailBoundParams.from_model(1.0, u, 1.0, 0).C == pytest.approx(float(1 / gap), rel=1e-14)
+        assert profile_tail_constants(1.0, u)[0] == pytest.approx(float(1 / gap), rel=1e-14)
 
     def test_precondition_errors(self):
         with pytest.raises(ValueError):
-            TailBoundParams.from_model(2.0, 0.5, 1.0, 5)  # eps*theta = 1
+            profile_tail_constants(2.0, 0.5)  # eps*theta = 1
         with pytest.raises(ValueError, match="not finite"):
-            TailBoundParams.from_model(1.0, 1e-320, 1.0, 0)
-        bp = TailBoundParams.from_model(2.0, 0.1, 0.0, 40)
+            profile_tail_constants(1.0, 1e-320)
         with pytest.raises(ValueError):
-            left_profile_tail_bound(RbParams(10, 2.0), bp)  # Xi >= 1
+            left_profile_tail_bound(RbParams(10, 2.0), 0.1, 0.0, 40)  # Xi >= 1
 
     def test_thresholds_shape(self):
         ts = profile_exceedance_thresholds(RbParams(100, 2.0), 0.1, 1.0, 4)
@@ -363,18 +368,18 @@ class TestProfileTailBound:
 
 class TestConditionalHeightTailBound:
     def test_empty_profile_base_case(self):
-        profile = LeftProfile((), 0)
+        profile = LeftProfile(())
         t = math.log(2 * math.e)
         assert conditional_height_tail_bound(profile, 0, t) == pytest.approx(1.0, rel=1e-14)
 
     def test_monotone_decreasing_in_eta(self):
-        profile = LeftProfile((3, 1, 0), 3)
+        profile = LeftProfile((3, 1, 0))
         t = math.log(2 * math.e)  # 2 e^{-t} = 1/e < 1
         values = [conditional_height_tail_bound(profile, eta, t) for eta in range(10)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_matches_direct_sum(self):
-        profile = LeftProfile((2, 0), 2)
+        profile = LeftProfile((2, 0))
         eta, t = 4, 1.2
         base = 2 * math.exp(-t)
         expo = math.exp(t) - 1
@@ -383,9 +388,9 @@ class TestConditionalHeightTailBound:
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            conditional_height_tail_bound(LeftProfile((1,), 1), -1, 1.0)
+            conditional_height_tail_bound(LeftProfile((1,)), -1, 1.0)
         with pytest.raises(ValueError):
-            conditional_height_tail_bound(LeftProfile((1,), 1), 1, 0.0)
+            conditional_height_tail_bound(LeftProfile((1,)), 1, 0.0)
 
 
 class TestEnumerate:

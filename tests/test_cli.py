@@ -63,6 +63,10 @@ class TestExactCommands:
         assert code == 0
         assert float(out) == 1.0
 
+    def test_records_mgf_far_below_zero_underflows(self, capsys):
+        code, out, err = run_cli(["exact", "records-mgf", "--n", "3", "--t", "-800"], capsys)
+        assert (code, out, err) == (0, "0.0\n", "")
+
     def test_enumerate_probabilities_sum(self, capsys):
         code, out, _ = run_cli(["exact", "enumerate", "--n", "4", "--theta", "2"], capsys)
         assert code == 0
@@ -424,6 +428,16 @@ class TestErrors:
             assert f"t = {argv[argv.index('--t') + 1]}" in err
         if str(10**6 + 1) in argv:
             assert "'sample height'" in err or "--k" in err
+
+    def test_empty_config_j_values_exits_1(self, tmp_path, capsys):
+        # an empty list is an input, not an absent key: it must not fall back to j = 0..20
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n_values": [100], "theta_spec": 2, "trials": 100, "j_values": []}))
+        code, out, err = run_cli(["experiment", "dominance", "--config", str(config)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "j_values" in err
 
     def test_config_must_be_an_object(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -114,9 +114,7 @@ class TestLeftProfile:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            LeftProfile(sizes=(1, 2), record_count=3)
-        with pytest.raises(ValueError):
-            LeftProfile(sizes=(-1,), record_count=1)
+            LeftProfile(sizes=(-1,))
 
 
 class TestHeightViaProfile:

@@ -32,3 +32,6 @@ def test_script_runs(tmp_path, script, args):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout
+    if script == "bounds_audit.py":
+        verdicts = [line for line in result.stdout.splitlines() if "-> " in line]
+        assert len(verdicts) == 3 and all(line.endswith("-> OK") for line in verdicts), result.stdout
