@@ -16,9 +16,10 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
-from scipy.special import gammainc
+from scipy.special import gammainc, lambertw
 
 from .model import (
     LeftProfile,
@@ -108,6 +109,18 @@ class EnumeratedLaws:
     height_record_first: ExactDistribution
 
 
+# each law of EnumeratedLaws as a function of a _perm_stats key (records, first, height, sizes)
+_LAWS = {
+    "record": itemgetter(0),
+    "first_value": itemgetter(1),
+    "left_subtree_size": lambda key: key[1] - 1,
+    "height": itemgetter(2),
+    "profile": itemgetter(3),
+    "profile_height": itemgetter(3, 2),
+    "height_record_first": itemgetter(2, 0, 1),
+}
+
+
 @lru_cache(maxsize=None)
 def _perm_stats(n: int):
     """Aggregate (record, first, height, profile sizes) counts over S_n."""
@@ -162,23 +175,10 @@ def c_star() -> float:
     """The unique c >= 2 with c * log(2e / c) = 1 (about 4.311).
 
     This is the growth constant of the height of a binary search tree built
-    from a uniform permutation. Solved by bisection to near machine
-    precision and cached.
+    from a uniform permutation. With c = -1/w the equation is w e^w = -1/(2e), so
+    c = -1 / W_0(-1/(2e)) on the principal branch of Lambert's W.
     """
-
-    def g(c: float) -> float:
-        return c * math.log(2.0 * math.e / c) - 1.0
-
-    lo, hi = 2.0, 2.0 * math.e
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(-1.0 / lambertw(-0.5 / math.e).real)
 
 
 def _log_survival_prefixes(n: int, theta: float, k: int):
@@ -250,20 +250,22 @@ def _expm1(t: float) -> float:
 
 
 def records_mgf(params: RbParams, t: float) -> float:
-    """E[exp(t * records)]: the product over steps of 1 + (e^t - 1) * p_i.
+    """E[exp(t * records)]: the product over steps of 1 + (e^t - 1) * p.
 
-    The step-i record probability is theta / (theta + n - i). The forced final step has
-    probability 1 at every theta, so its factor is exactly e^t; taking it as t in log space
-    keeps the product accurate where e^t - 1 rounds to -1.
+    A step with k steps after it is a record with probability p = theta / (theta + k). The
+    forced final step has p = 1 at every theta, so its factor is exactly e^t; taking it as t in
+    log space keeps the product accurate where e^t - 1 rounds to -1.
     """
     n, theta = params.n, params.theta
     if n == 0:
         return 1.0
     em1 = _expm1(t)
     terms = [t]
-    for i in range(1, n):
-        p = theta / (theta + (n - i))
-        terms.append(math.log1p(em1 * p))
+    for k in range(1, n):
+        p = theta / (theta + k)
+        # near x = -1, 1 + x keeps few digits of 1 - p (none once p rounds to 1): add the parts
+        x = em1 * p
+        terms.append(math.log1p(x) if x > -0.5 else math.log(k / (theta + k) + p * math.exp(t)))
     log_mgf = math.fsum(terms)
     if log_mgf > _LOG_FLOAT_MAX:
         raise ValueError(f"t = {t} is too large: E[exp(t * records)] overflows a float")
@@ -408,32 +410,12 @@ def enumerate_exact(params: RbParams) -> EnumeratedLaws:
         raise InstanceTooLargeError(f"enumerate_exact iterates n! permutations; n <= {ENUMERATION_MAX_N}")
     if theta <= 0.0:
         raise ValueError("theta must be positive")
-    record_w: dict[int, float] = {}
-    first_w: dict[int, float] = {}
-    left_w: dict[int, float] = {}
-    height_w: dict[int, float] = {}
-    profile_w: dict[tuple, float] = {}
-    profile_height_w: dict[tuple, float] = {}
-    hrf_w: dict[tuple, float] = {}
-    for (rec, first, h, sizes), count in _perm_stats(n):
-        w = count * theta**rec
-        record_w[rec] = record_w.get(rec, 0.0) + w
-        first_w[first] = first_w.get(first, 0.0) + w
-        left_w[first - 1] = left_w.get(first - 1, 0.0) + w
-        height_w[h] = height_w.get(h, 0.0) + w
-        profile_w[sizes] = profile_w.get(sizes, 0.0) + w
-        key_ph = (sizes, h)
-        profile_height_w[key_ph] = profile_height_w.get(key_ph, 0.0) + w
-        key_hrf = (h, rec, first)
-        hrf_w[key_hrf] = hrf_w.get(key_hrf, 0.0) + w
-    return EnumeratedLaws(
-        n=n,
-        theta=theta,
-        record=ExactDistribution.from_weights(record_w),
-        first_value=ExactDistribution.from_weights(first_w),
-        left_subtree_size=ExactDistribution.from_weights(left_w),
-        height=ExactDistribution.from_weights(height_w),
-        profile=ExactDistribution.from_weights(profile_w),
-        profile_height=ExactDistribution.from_weights(profile_height_w),
-        height_record_first=ExactDistribution.from_weights(hrf_w),
-    )
+    keys = [key for key, _ in _perm_stats(n)]
+    weights = [count * theta ** key[0] for key, count in _perm_stats(n)]
+    laws = {}
+    for name, outcome in _LAWS.items():
+        law_w: dict = {}
+        for value, w in zip(map(outcome, keys), weights):
+            law_w[value] = law_w.get(value, 0.0) + w
+        laws[name] = ExactDistribution.from_weights(law_w)
+    return EnumeratedLaws(n=n, theta=theta, **laws)

@@ -364,21 +364,12 @@ def _cmd_bound(args, seed) -> OutputTable:
     return OutputTable(f"bound {what}", params, seed, rows)
 
 
-_EXPERIMENT_CONFIG_KEYS = {
-    "n_values",
-    "theta_spec",
-    "trials",
-    "seed",
-    "epsilon",
-    "j_values",
-}
+# each experiment setting names a config key and the dest of the flag that overrides it
+_EXPERIMENT_SETTINGS = ("n_values", "theta_spec", "trials", "seed", "epsilon", "j_values")
 
-
-# JSON types of the config fields that ExperimentConfig does not check itself
+# JSON types of the settings that ExperimentConfig does not check itself
 # (type(v) is int excludes booleans).
 _CONFIG_FIELD_TYPES = {
-    "theta_spec": ("a number or a string", lambda v: type(v) in (int, float, str)),
-    "seed": ("an integer", lambda v: type(v) is int),
     "epsilon": ("a finite number", lambda v: type(v) in (int, float) and -math.inf < v < math.inf),
     "j_values": ("a list of integers", lambda v: type(v) is list and all(type(j) is int for j in v)),
 }
@@ -396,25 +387,16 @@ def _load_experiment_settings(args) -> dict:
             raise ValueError(f"bad JSON in {args.config}: {exc}") from exc
         if not isinstance(data, dict):
             raise ValueError(f"{args.config} must hold a JSON object")
-        unknown = set(data) - _EXPERIMENT_CONFIG_KEYS
+        unknown = set(data) - set(_EXPERIMENT_SETTINGS)
         if unknown:
             raise UsageError(f"unknown config fields: {sorted(unknown)}")
         for key, (kind, ok) in _CONFIG_FIELD_TYPES.items():
             if key in data and not ok(data[key]):
                 raise ValueError(f"config field {key} must be {kind}, got {data[key]!r}")
         settings.update(data)
-    if args.n_values is not None:
-        settings["n_values"] = args.n_values
-    if args.theta_spec is not None:
-        settings["theta_spec"] = args.theta_spec
-    if args.trials is not None:
-        settings["trials"] = args.trials
-    if args.epsilon is not None:
-        settings["epsilon"] = args.epsilon
-    if args.j_values is not None:
-        settings["j_values"] = args.j_values
-    if args.seed is not None:
-        settings["seed"] = args.seed
+    for key in _EXPERIMENT_SETTINGS:
+        if getattr(args, key) is not None:
+            settings[key] = getattr(args, key)
     if "n_values" not in settings or "theta_spec" not in settings or "trials" not in settings:
         raise UsageError("experiment requires n_values, theta_spec, and trials (flags or config)")
     return settings

@@ -15,10 +15,10 @@ import math
 import sys
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -87,12 +87,13 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Shared experiment inputs; theta_spec is resolved per n."""
+    """Shared experiment inputs, checked before any draw; ``thetas`` is theta_spec at each n."""
 
     n_values: tuple[int, ...]
     theta_spec: object
     trials: int
     seed: int = 0
+    thetas: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
         n_values = tuple(self.n_values) if isinstance(self.n_values, Iterable) else ()
@@ -110,9 +111,17 @@ class ExperimentConfig:
         if not 1 <= self.trials < 1 << 32:
             raise ValueError(f"trials must be in [1, 2**32), got {self.trials}")
         object.__setattr__(self, "trials", int(self.trials))
-
-    def theta_for(self, n: int) -> float:
-        return resolve_theta(self.theta_spec, n)
+        if not _is_int(self.seed) or not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        if not isinstance(self.theta_spec, (Real, str)) or isinstance(self.theta_spec, bool):
+            raise ValueError(f"theta_spec must be a number or a string, got {self.theta_spec!r}")
+        thetas = tuple(resolve_theta(self.theta_spec, n) for n in n_values)
+        for n, theta in zip(n_values, thetas):
+            try:
+                RbParams(n, theta)
+            except ValueError as exc:
+                raise ValueError(f"theta spec {self.theta_spec!r} at n = {n}: {exc}") from None
+        object.__setattr__(self, "thetas", thetas)
 
 
 @dataclass(frozen=True)
@@ -263,8 +272,7 @@ def run_height_ratio(
     """
     draw = {"recursive": _recursive_trial, "sequential": _sequential_trial}[method]
     rows = []
-    for n_index, n in enumerate(config.n_values):
-        theta = config.theta_for(n)
+    for n_index, (n, theta) in enumerate(zip(config.n_values, config.thetas)):
         draws = _run_trials(draw, n, theta, config.seed, n_index, config.trials, threads)
         heights, records = np.array(draws).T
         below = np.flatnonzero(heights < records - 1)
@@ -296,8 +304,7 @@ def run_record_concentration(
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     rows = []
-    for n_index, n in enumerate(config.n_values):
-        theta = config.theta_for(n)
+    for n_index, (n, theta) in enumerate(zip(config.n_values, config.thetas)):
         params = RbParams(n, theta)
         m = mu(n, theta)
         if m <= 0.0:
@@ -357,8 +364,7 @@ def run_dominance_check(
         raise ValueError("j_values must be non-empty and non-negative")
     band = dkw_epsilon(config.trials)
     rows = []
-    for n_index, n in enumerate(config.n_values):
-        theta = config.theta_for(n)
+    for n_index, (n, theta) in enumerate(zip(config.n_values, config.thetas)):
         if theta <= 0.0:
             raise ValueError("theta must be positive")
         rng = RandomSource(config.seed, _stream_index(n_index, 0))

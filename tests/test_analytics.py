@@ -138,6 +138,11 @@ class TestCStar:
     def test_prefix(self):
         assert repr(c_star()).startswith("4.311")
 
+    def test_correctly_rounded(self):
+        # the 50-digit root is 4.31107040700100503504707609644689; the float below it is
+        # 6.2e-16 away, this one 2.7e-16
+        assert c_star() == 4.311070407001005
+
 
 class TestRootSplit:
     def test_s2(self):
@@ -222,6 +227,19 @@ class TestRecordsMgf:
     def test_theta_zero_limit(self):
         for t in (-800.0, -37.0, -30.0, -0.5, 0.7):
             assert records_mgf(RbParams(6, 0.0), t) == pytest.approx(math.exp(t), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "theta,t,expected",
+        (
+            (1e17, -30.0, 8.1966397643717835e-40),
+            (1e17, -38.0, 6.677422975551544e-50),
+            (1e300, -38.0, 3.0933500113085608e-50),
+        ),
+    )
+    def test_huge_theta_far_below_zero(self, theta, t, expected):
+        # theta / (theta + k) rounds to 1 here, so each step must keep its 1 - p apart;
+        # the expected values are 60-digit mpmath products
+        assert records_mgf(RbParams(3, theta), t) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("n,theta", ((3, 0.5), (20, 2.0), (500, 5.0)))
     def test_log_derivative_is_mu(self, n, theta):

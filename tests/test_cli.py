@@ -8,7 +8,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rbtrees.cli import OutputTable, emit, main
@@ -64,8 +64,10 @@ class TestExactCommands:
         assert float(out) == 1.0
 
     def test_records_mgf_far_below_zero_underflows(self, capsys):
-        code, out, err = run_cli(["exact", "records-mgf", "--n", "3", "--t", "-800"], capsys)
-        assert (code, out, err) == (0, "0.0\n", "")
+        # at theta = 1e17 every step's record chance rounds to 1, not only the last one's
+        for theta in ("1", "1e17"):
+            argv = ["exact", "records-mgf", "--n", "3", "--theta", theta, "--t", "-800"]
+            assert run_cli(argv, capsys) == (0, "0.0\n", "")
 
     def test_enumerate_probabilities_sum(self, capsys):
         code, out, _ = run_cli(["exact", "enumerate", "--n", "4", "--theta", "2"], capsys)
@@ -417,6 +419,9 @@ class TestErrors:
             ["exact", "split-pmf", "--n", str(10**6 + 1)],
             ["exact", "records-mgf", "--n", "3", "--t", "700"],
             ["bound", "height-tail", "--n", "1000", "--eta", "5", "--t", "10"],
+            # fails at the last n only; nothing may be drawn or printed before the error
+            ["experiment", "height-ratio", "--n-values", "10,1000,100000", "--theta-spec", "power:-70",
+             "--trials", "20000", "--threads", "1"],
         ),
     )
     def test_out_of_range_value_exits_1(self, capsys, argv):
@@ -561,12 +566,18 @@ def _argvs(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_argvs())
+@example(["experiment", "height-ratio", "--n-values", "1,5", "--theta-spec", "power:-1000",
+          "--trials", "1", "--threads", "1"])
 def test_any_argv_exits_0_1_or_2(argv):
     # n <= 64 and trials <= 3 keep every example small; a traceback would propagate out of
-    # main and fail the test
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    # main and fail the test. Exit 1 is one error line and nothing else.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2), argv
+    if code == 1:
+        assert out.getvalue() == "", argv
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv

@@ -74,10 +74,30 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="trials"):
             ExperimentConfig(n_values=(10,), theta_spec=1.0, trials=trials)
 
-    def test_theta_for(self):
+    def test_thetas(self):
         config = ExperimentConfig(n_values=(10, 100), theta_spec="linear:1", trials=1)
-        assert config.theta_for(10) == 10.0
-        assert config.theta_for(100) == 100.0
+        assert config.thetas == (10.0, 100.0)
+        with pytest.raises(TypeError):  # derived from theta_spec, never passed in
+            ExperimentConfig(n_values=(10,), theta_spec=1.0, trials=1, thetas=(2.0,))
+
+    @pytest.mark.parametrize("theta_spec", (True, [1], None))
+    def test_rejects_theta_spec_of_another_type(self, theta_spec):
+        with pytest.raises(ValueError, match="theta_spec"):
+            ExperimentConfig(n_values=(10,), theta_spec=theta_spec, trials=1)
+
+    @pytest.mark.parametrize("seed", (-1, 2**64, True, 1.5))
+    def test_rejects_seed_outside_u64(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            ExperimentConfig(n_values=(10,), theta_spec=1.0, trials=1, seed=seed)
+
+    def test_rejects_a_negative_theta_naming_spec_and_n(self):
+        with pytest.raises(ValueError, match=r"'linear:-1' at n = 10: theta must be finite"):
+            ExperimentConfig(n_values=(10,), theta_spec="linear:-1", trials=1)
+
+    def test_resolves_every_n_at_construction(self):
+        # power:-70 is a positive theta at n = 10 and 1000 but underflows to 0 at n = 100000
+        with pytest.raises(ValueError, match=r"'power:-70' underflows to 0 at n = 100000"):
+            ExperimentConfig(n_values=(10, 1000, 100000), theta_spec="power:-70", trials=20000)
 
 
 class TestChiSquare:
