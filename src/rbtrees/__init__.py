@@ -3,7 +3,6 @@
 from .analytics import (
     EnumeratedLaws,
     ExactDistribution,
-    InstanceTooLargeError,
     beta_product_survival,
     c_star,
     chernoff_record_tail,
@@ -33,7 +32,6 @@ from .experiments import (
 )
 from .model import (
     BstTree,
-    EmptyTreeError,
     LeftProfile,
     Permutation,
     RbParams,
@@ -42,15 +40,12 @@ from .model import (
     height_via_profile,
     is_valid_bst,
     left_profile,
-    preorder_labels,
     record_count_perm,
     record_count_tree,
-    shape_signature,
 )
 from .samplers import (
     HeightSample,
     RandomSource,
-    sample_dominating_profile,
     sample_height_only,
     sample_record_count,
     sample_sequential,

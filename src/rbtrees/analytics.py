@@ -40,10 +40,6 @@ PROB_SUM_TOL = 1e-12
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-class InstanceTooLargeError(ValueError):
-    """Raised when an exact computation is requested beyond its size cap."""
-
-
 @dataclass(frozen=True)
 class ExactDistribution:
     """A finite distribution with distinct, sorted outcome keys."""
@@ -407,7 +403,7 @@ def enumerate_exact(params: RbParams) -> EnumeratedLaws:
     if n < 1:
         raise ValueError("enumerate_exact requires n >= 1")
     if n > ENUMERATION_MAX_N:
-        raise InstanceTooLargeError(f"enumerate_exact iterates n! permutations; n <= {ENUMERATION_MAX_N}")
+        raise ValueError(f"enumerate_exact iterates n! permutations; n <= {ENUMERATION_MAX_N}")
     if theta <= 0.0:
         raise ValueError("theta must be positive")
     keys = [key for key, _ in _perm_stats(n)]

@@ -137,6 +137,13 @@ def _theta(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -211,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--trials", type=int, default=None)
     p_exp.add_argument("--epsilon", type=_finite, default=None)
     p_exp.add_argument("--j-values", type=_int_list, default=None)
-    p_exp.add_argument("--threads", type=int, default=None)
+    p_exp.add_argument("--threads", type=_positive_int, default=None)
     add_io(p_exp)
 
     return parser

@@ -18,10 +18,6 @@ from dataclasses import dataclass, field
 NO_CHILD = -1
 
 
-class EmptyTreeError(ValueError):
-    """Raised by operations that require at least one node."""
-
-
 @dataclass(frozen=True)
 class RbParams:
     """A model instance: permutation size ``n`` and record bias ``theta``."""
@@ -81,11 +77,6 @@ class LeftProfile:
     def record_count(self) -> int:
         return len(self.sizes)
 
-    @property
-    def total(self) -> int:
-        """Number of nodes of any tree with this profile."""
-        return self.record_count + sum(self.sizes)
-
 
 @dataclass
 class BstTree:
@@ -100,10 +91,6 @@ class BstTree:
     left: list[int] = field(default_factory=list)
     right: list[int] = field(default_factory=list)
     root: int = NO_CHILD
-
-    @classmethod
-    def empty(cls) -> "BstTree":
-        return cls()
 
     @property
     def size(self) -> int:
@@ -212,7 +199,7 @@ def record_count_tree(tree: BstTree) -> int:
 def left_profile(tree: BstTree) -> LeftProfile:
     """Left-subtree sizes along the rightmost path of a non-empty tree."""
     if tree.is_empty:
-        raise EmptyTreeError("left_profile of the empty tree")
+        raise ValueError("left_profile of the empty tree")
     sizes = tuple(_subtree_size(tree, tree.left[node]) for node in _spine(tree))
     return LeftProfile(sizes)
 
@@ -224,7 +211,7 @@ def height_via_profile(tree: BstTree) -> int:
     j)))`` and must always agree with :func:`height`.
     """
     if tree.is_empty:
-        raise EmptyTreeError("height_via_profile of the empty tree")
+        raise ValueError("height_via_profile of the empty tree")
     spine = _spine(tree)
     best = len(spine) - 1
     for j, node in enumerate(spine):
@@ -234,43 +221,6 @@ def height_via_profile(tree: BstTree) -> int:
             if candidate > best:
                 best = candidate
     return best
-
-
-def preorder_labels(tree: BstTree) -> list[int]:
-    """Labels in preorder; uniquely identifies a binary search tree."""
-    if tree.is_empty:
-        return []
-    out = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        out.append(tree.labels[node])
-        r, l = tree.right[node], tree.left[node]
-        if r != NO_CHILD:
-            stack.append(r)
-        if l != NO_CHILD:
-            stack.append(l)
-    return out
-
-
-def shape_signature(tree: BstTree):
-    """Label-free shape of the tree as nested tuples (() for the empty tree)."""
-    if tree.is_empty:
-        return ()
-    sig: dict[int, tuple] = {NO_CHILD: ()}
-    stack = [(tree.root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        l, r = tree.left[node], tree.right[node]
-        if expanded:
-            sig[node] = (sig[l], sig[r])
-        else:
-            stack.append((node, True))
-            if l != NO_CHILD:
-                stack.append((l, False))
-            if r != NO_CHILD:
-                stack.append((r, False))
-    return sig[tree.root]
 
 
 def is_valid_bst(tree: BstTree) -> bool:

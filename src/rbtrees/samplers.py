@@ -65,10 +65,6 @@ class RandomSource:
     def __repr__(self):
         return f"RandomSource(seed={self.seed}, stream_index={self.stream_index})"
 
-    def stream(self, stream_index: int) -> "RandomSource":
-        """A fresh source for the same seed under another stream index."""
-        return RandomSource(self.seed, stream_index)
-
     def random(self) -> float:
         """One uniform variate in [0, 1)."""
         if self._pos == len(self._buf):
@@ -325,18 +321,3 @@ def sample_left_profile_matrix(
         remaining[active] -= ks + 1
     return out
 
-
-def sample_dominating_profile(params: RbParams, j: int, rng: RandomSource) -> float:
-    """One draw of j + n * prod(B_0..B_{j-1}) with B of CDF x**theta.
-
-    This variable stochastically dominates the j-th left-subtree size; the
-    B draws use the inverse CDF U**(1/theta), taken in log space.
-    """
-    if params.theta <= 0.0:
-        raise ValueError("theta must be positive")
-    if j < 0:
-        raise ValueError("j must be non-negative")
-    if j == 0:
-        return float(params.n)
-    log_product = math.fsum(math.log(max(rng.random(), 1e-300)) for _ in range(j)) / params.theta
-    return j + params.n * math.exp(log_product)

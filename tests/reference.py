@@ -61,6 +61,17 @@ def ref_left_sizes(values):
     return tuple(sizes)
 
 
+def ref_from_arena(tree):
+    """The nested (label, left, right) tree of an arena tree (child index -1 for none)."""
+
+    def node(idx):
+        if idx == -1:
+            return None
+        return (tree.labels[idx], node(tree.left[idx]), node(tree.right[idx]))
+
+    return node(tree.root)
+
+
 def ref_shape(node):
     if node is None:
         return ()

@@ -398,6 +398,11 @@ class TestErrors:
             ["bound", "profile-tail", "--n", "10", "--epsilon", "0.1", "--M", "nan", "--k", "2"],
             ["bound", "height-tail", "--n", "10", "--eta", "5", "--t", "inf"],
             ["exact", "records-mgf", "--n", "3", "--t", "nan"],
+            # a worker count below 1 is rejected by its flag's type, like a non-finite float
+            ["experiment", "height-ratio", "--n-values", "10", "--theta-spec", "1", "--trials", "3",
+             "--threads", "0"],
+            ["experiment", "height-ratio", "--n-values", "10", "--theta-spec", "1", "--trials", "3",
+             "--threads", "-3"],
         ),
     )
     def test_non_finite_float_exits_2(self, capsys, argv):
@@ -422,6 +427,7 @@ class TestErrors:
             # fails at the last n only; nothing may be drawn or printed before the error
             ["experiment", "height-ratio", "--n-values", "10,1000,100000", "--theta-spec", "power:-70",
              "--trials", "20000", "--threads", "1"],
+            ["exact", "enumerate", "--n", "9"],
         ),
     )
     def test_out_of_range_value_exits_1(self, capsys, argv):

@@ -19,7 +19,7 @@ from rbtrees.experiments import (
     run_record_concentration,
     summarize,
 )
-from rbtrees.model import Permutation, RbParams, build_bst, height, record_count_tree, shape_signature
+from rbtrees.model import RbParams, build_bst, height, record_count_tree
 from rbtrees.samplers import (
     RandomSource,
     sample_height_only,
@@ -27,7 +27,7 @@ from rbtrees.samplers import (
     sample_tree_recursive,
 )
 
-from reference import ref_bst, ref_shape
+from reference import ref_bst, ref_from_arena, ref_shape
 
 
 class TestThetaSpec:
@@ -315,6 +315,6 @@ class TestUniformShapeLaw:
         rng = RandomSource(444, 0)
         trials = 20000
         counts = Counter(
-            shape_signature(sample_tree_recursive(params, rng)) for _ in range(trials)
+            ref_shape(ref_from_arena(sample_tree_recursive(params, rng))) for _ in range(trials)
         )
         assert chi_square_gof(counts, expected).p_value > 1e-3

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from rbtrees.model import (
     BstTree,
-    EmptyTreeError,
     LeftProfile,
     Permutation,
     RbParams,
@@ -17,13 +16,11 @@ from rbtrees.model import (
     height_via_profile,
     is_valid_bst,
     left_profile,
-    preorder_labels,
     record_count_perm,
     record_count_tree,
-    shape_signature,
 )
 
-from reference import ref_bst, ref_height, ref_left_sizes, ref_records
+from reference import ref_bst, ref_from_arena, ref_height, ref_left_sizes, ref_records
 
 FIGURE_PERM = (2, 4, 1, 6, 3, 5)
 
@@ -94,7 +91,7 @@ class TestLeftProfile:
         prof = left_profile(build_bst(perm_of(*FIGURE_PERM)))
         assert prof.sizes == (1, 1, 1)
         assert prof.record_count == 3
-        assert prof.total == 6
+        assert prof.record_count + sum(prof.sizes) == 6
 
     def test_right_spine(self):
         prof = left_profile(build_bst(perm_of(1, 2, 3, 4)))
@@ -107,10 +104,10 @@ class TestLeftProfile:
         assert prof.record_count == 1
 
     def test_empty_tree_raises(self):
-        with pytest.raises(EmptyTreeError):
-            left_profile(BstTree.empty())
-        with pytest.raises(EmptyTreeError):
-            height_via_profile(BstTree.empty())
+        with pytest.raises(ValueError, match="left_profile of the empty tree"):
+            left_profile(BstTree())
+        with pytest.raises(ValueError, match="height_via_profile of the empty tree"):
+            height_via_profile(BstTree())
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -167,14 +164,21 @@ def test_exhaustive_against_reference(n):
             assert height(tree) >= record_count_tree(tree) - 1
 
 
+def _preorder(node):
+    if node is None:
+        return []
+    label, left, right = node
+    return [label, *_preorder(left), *_preorder(right)]
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_rebuild_from_consistent_orders(n):
     """Any insertion order consistent with the tree reproduces the tree."""
     for values in itertools.permutations(range(1, n + 1)):
         tree = build_bst(Permutation(values))
-        pre = preorder_labels(tree)
-        again = build_bst(Permutation(tuple(pre)))
-        assert preorder_labels(again) == pre
+        ref = ref_from_arena(tree)
+        assert ref == ref_bst(values)
+        assert ref_from_arena(build_bst(Permutation(tuple(_preorder(ref))))) == ref
         # BFS order is also consistent (parents before children)
         order = []
         queue = [tree.root]
@@ -184,7 +188,7 @@ def test_rebuild_from_consistent_orders(n):
             for child in (tree.left[node], tree.right[node]):
                 if child != -1:
                     queue.append(child)
-        assert preorder_labels(build_bst(Permutation(tuple(order)))) == pre
+        assert ref_from_arena(build_bst(Permutation(tuple(order)))) == ref
 
 
 @st.composite
@@ -205,16 +209,3 @@ def test_structural_identities_hold(perm):
         assert prof.record_count + sum(prof.sizes) == perm.n
         assert height_via_profile(tree) == height(tree)
         assert height(tree) >= prof.record_count - 1
-
-
-@settings(deadline=None, max_examples=60)
-@given(random_permutations(max_n=24))
-def test_shape_signature_matches_reference(perm):
-    tree = build_bst(perm)
-    assert shape_signature(tree) == _ref_shape_of(perm.values)
-
-
-def _ref_shape_of(values):
-    from reference import ref_shape
-
-    return ref_shape(ref_bst(values))

@@ -11,7 +11,6 @@ from scipy.stats import chi2_contingency
 import rbtrees.samplers as samplers
 from rbtrees.analytics import (
     ExactDistribution,
-    beta_product_survival,
     enumerate_exact,
     left_root_tail,
     mu,
@@ -31,7 +30,6 @@ from rbtrees.model import (
 )
 from rbtrees.samplers import (
     RandomSource,
-    sample_dominating_profile,
     sample_height_only,
     sample_left_profile_matrix,
     sample_record_count,
@@ -70,11 +68,6 @@ class TestRandomSource:
         # a key mixed from seed ^ stream_index, or from [seed, stream_index] as integers of
         # any width, sends at least one of these pairs to the same stream
         assert RandomSource(*a).randoms(8).tolist() != RandomSource(*b).randoms(8).tolist()
-
-    def test_stream_helper(self):
-        a = RandomSource(7, 0).stream(9)
-        b = RandomSource(7, 9)
-        assert a.random() == b.random()
 
     def test_mixed_draw_patterns_consistent(self):
         a = RandomSource(1, 1)
@@ -491,27 +484,3 @@ class TestProfileMatrix:
             dom = 1.0 - ratio**theta if 0.0 < ratio < 1.0 else (1.0 if ratio <= 0.0 else 0.0)
             assert emp <= dom + band
 
-
-class TestDominatingSampler:
-    def test_empty_product_is_n(self):
-        assert sample_dominating_profile(RbParams(50, 2.0), 0, RandomSource(0)) == 50.0
-
-    def test_degenerate_large_theta(self):
-        value = sample_dominating_profile(RbParams(100, 1e9), 4, RandomSource(0))
-        assert value == pytest.approx(104.0, abs=1e-3)
-
-    def test_rejects_nonpositive_theta(self):
-        with pytest.raises(ValueError):
-            sample_dominating_profile(RbParams(10, 0.0), 1, RandomSource(0))
-
-    def test_survival_matches_analytic(self):
-        params = RbParams(10, 2.0)
-        j, c, trials = 3, 0.1, 10**6
-        rng = RandomSource(13, 0)
-        threshold = j + params.n * c
-        hits = sum(
-            sample_dominating_profile(params, j, rng) > threshold for _ in range(trials)
-        )
-        exact = beta_product_survival(params.theta, j, c)
-        se = math.sqrt(exact * (1 - exact) / trials)
-        assert abs(hits / trials - exact) <= 3 * se
