@@ -1,23 +1,27 @@
 """Experiment drivers confronting samples with exact laws and bounds.
 
 Every run_* function is a pure function of its config and seed. Monte Carlo
-trials go through one driver, :func:`_run_trials`: trial t at the i-th n draws
-from its own stream ``RandomSource(seed, (i << 32) | t)``, serially or in pool
-chunks, and the draws come back in trial order, so reruns (serial or parallel)
-reproduce identical tables. Height rows from either sampler and record-count
-rows differ only in the draw function they pass. The dominance check draws one
-profile matrix per n instead, the i-th n's from ``RandomSource(seed, i << 32)``.
+trials go through one driver, :func:`_run_trials`: the trials at the i-th n
+come in blocks whose size depends on n alone, block b drawn in one call from
+the stream ``RandomSource(seed, (i << 32) | b)``. The blocks of every n run
+serially or over one process pool per run, and the draws come back in trial
+order, so reruns (serial or parallel, with any worker count) reproduce
+identical tables. Height rows from either sampler and record-count rows
+differ only in the draw function they pass; a block of recursive heights is
+one :func:`sample_height_only` sweep. The dominance check draws one profile
+matrix per n instead, the i-th n's from ``RandomSource(seed, i << 32)``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from numbers import Integral, Real
 from typing import Mapping, Sequence
 
@@ -37,6 +41,11 @@ from .samplers import (
 CHI_SQUARE_MIN_EXPECTED = 5.0
 DKW_ALPHA = 1e-3
 DOMINANCE_GRID_SIZE = 50
+# Monte Carlo trials are drawn in blocks of _BLOCK_TRIALS, or of as many as keep a block's
+# trees within _BLOCK_NODES nodes: past that a height sweep over the block saves little
+# numpy call overhead, and its frontier would outgrow that of one tree of 10**6 nodes.
+_BLOCK_TRIALS = 64
+_BLOCK_NODES = 1 << 20
 
 
 def parse_theta_value(text: str) -> float:
@@ -107,7 +116,7 @@ class ExperimentConfig:
             raise ValueError("n_values must be strictly increasing")
         if not _is_int(self.trials):
             raise ValueError(f"trials must be an integer, got {self.trials!r}")
-        # _stream_index packs the trial into the low 32 bits of a stream index
+        # _stream_index packs a block index, which is below trials, into the low 32 bits
         if not 1 <= self.trials < 1 << 32:
             raise ValueError(f"trials must be in [1, 2**32), got {self.trials}")
         object.__setattr__(self, "trials", int(self.trials))
@@ -191,41 +200,56 @@ def height_normalizer(n: int, theta: float) -> float:
     return max(c_star() * math.log(n), mu(n, theta))
 
 
-def _stream_index(n_index: int, trial: int) -> int:
-    return (n_index << 32) | trial
+def _stream_index(n_index: int, block: int) -> int:
+    return (n_index << 32) | block
 
 
-def _recursive_trial(params: RbParams, rng: RandomSource) -> tuple[int, int]:
-    sample = sample_height_only(params, rng)
-    return sample.height, sample.records
+def _block_trials(n: int) -> int:
+    """Trials per block at size n: _BLOCK_TRIALS, or fewer to stay within _BLOCK_NODES nodes."""
+    return max(1, min(_BLOCK_TRIALS, _BLOCK_NODES // n))
 
 
-def _sequential_trial(params: RbParams, rng: RandomSource) -> tuple[int, int]:
-    tree = build_bst(sample_sequential(params, rng))
-    return height(tree), record_count_tree(tree)
+def _recursive_heights(params: RbParams, rng: RandomSource, count: int) -> list:
+    return [(s.height, s.records) for s in sample_height_only(params, rng, count)]
 
 
-def _trial_block(args) -> list:
-    """``draw(params, rng)`` for trials [lo, hi) of one (n, theta) cell, each on its own stream."""
-    draw, n, theta, seed, n_index, lo, hi = args
-    params = RbParams(n, theta)
-    return [draw(params, RandomSource(seed, _stream_index(n_index, t))) for t in range(lo, hi)]
+def _sequential_heights(params: RbParams, rng: RandomSource, count: int) -> list:
+    trees = (build_bst(sample_sequential(params, rng)) for _ in range(count))
+    return [(height(tree), record_count_tree(tree)) for tree in trees]
 
 
-def _run_trials(draw, n, theta, seed, n_index, trials, threads=1) -> list:
-    """All trials of one cell, in trial order, serially or over a pool of ``threads`` workers.
+def _record_counts(params: RbParams, rng: RandomSource, count: int) -> list:
+    return [sample_record_count(params, rng) for _ in range(count)]
 
-    Every trial has its own stream, so the result does not depend on the worker count.
+
+def _draw_block(args) -> list:
+    """``draw(params, rng, count)`` for block b of the i-th n, on stream ``(i << 32) | b``."""
+    draw, n, theta, seed, n_index, block, count = args
+    return draw(RbParams(n, theta), RandomSource(seed, _stream_index(n_index, block)), count)
+
+
+def _run_trials(draw, config: ExperimentConfig, threads: int = 1):
+    """Yield ``(n, theta, draws)`` for each n of ``config`` in turn, the draws in trial order.
+
+    The trials of the i-th n come in blocks of :func:`_block_trials` (n), block b drawn by
+    ``draw(params, rng, count)`` from ``RandomSource(seed, (i << 32) | b)``. The blocks of
+    every n run serially or over one pool of at most ``threads`` workers, so the draws do
+    not depend on the worker count.
     """
-    if threads <= 1:
-        return _trial_block((draw, n, theta, seed, n_index, 0, trials))
-    chunk = max(1, -(-trials // (threads * 4)))
-    blocks = [
-        (draw, n, theta, seed, n_index, lo, min(lo + chunk, trials))
-        for lo in range(0, trials, chunk)
-    ]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(chain.from_iterable(pool.map(_trial_block, blocks)))
+    if not _is_int(threads) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+    cells = []
+    for n_index, (n, theta) in enumerate(zip(config.n_values, config.thetas)):
+        size = _block_trials(n)
+        cells.append([
+            (draw, n, theta, config.seed, n_index, b, min(size, config.trials - b * size))
+            for b in range(-(-config.trials // size))
+        ])
+    workers = min(threads, sum(map(len, cells)))
+    with ProcessPoolExecutor(workers) if threads > 1 else contextlib.nullcontext() as pool:
+        results = (map if pool is None else pool.map)(_draw_block, chain.from_iterable(cells))
+        for n, theta, cell in zip(config.n_values, config.thetas, cells):
+            yield n, theta, list(chain.from_iterable(islice(results, len(cell))))
 
 
 def _mean_sd(values: np.ndarray) -> tuple[float, float]:
@@ -268,12 +292,12 @@ def run_height_ratio(
     permutation into a BST). The ratio column divides by
     max(c_star * log n, mu(n, theta)); first and second moments of the ratio
     follow from (mean, sd) since the normalizer is a constant for fixed n.
-    Every sample is hard-checked against height >= records - 1.
+    Every sample is hard-checked against height >= records - 1. With ``threads``
+    (an integer >= 1) above 1, the trials of every n share one process pool.
     """
-    draw = {"recursive": _recursive_trial, "sequential": _sequential_trial}[method]
+    draw ={"recursive": _recursive_heights, "sequential": _sequential_heights}[method]
     rows = []
-    for n_index, (n, theta) in enumerate(zip(config.n_values, config.thetas)):
-        draws = _run_trials(draw, n, theta, config.seed, n_index, config.trials, threads)
+    for n, theta, draws in _run_trials(draw, config, threads):
         heights, records = np.array(draws).T
         below = np.flatnonzero(heights < records - 1)
         if below.size:
@@ -303,13 +327,13 @@ def run_record_concentration(
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
+    for n, theta in zip(config.n_values, config.thetas):
+        if mu(n, theta) <= 0.0:
+            raise ValueError(f"mu(n, theta) must be positive, got {mu(n, theta)} at n={n}")
     rows = []
-    for n_index, (n, theta) in enumerate(zip(config.n_values, config.thetas)):
+    for n, theta, draws in _run_trials(_record_counts, config):
         params = RbParams(n, theta)
         m = mu(n, theta)
-        if m <= 0.0:
-            raise ValueError(f"mu(n, theta) must be positive, got {m} at n={n}")
-        draws = _run_trials(sample_record_count, n, theta, config.seed, n_index, config.trials)
         counts = np.asarray(draws)
         beyond = np.abs(counts / m - 1.0) > epsilon
         freq = float(np.mean(beyond))

@@ -249,49 +249,74 @@ def _uniform_height_cdf(k_max: int) -> np.ndarray:
     return table
 
 
-def _sweep_height(sizes: np.ndarray, rng: RandomSource) -> int:
-    """Height of a tree whose j-th spine node carries a uniform BST of sizes[j].
+def _sweep_heights(spines: list[np.ndarray], rng: RandomSource) -> np.ndarray:
+    """Heights of trees whose j-th spine node carries a uniform BST of spines[t][j] nodes.
 
-    Every subtree starts at once at depth j + 1. Each round splits all live nodes with one
-    draw and drops nodes whose reach, depth + size - 1, cannot beat the best depth so far;
-    nodes of at most _EXACT_MAX nodes read the draw from the exact height table instead.
+    The subtrees of every tree start at once, tree t's j-th below depth ``top`` = j, each
+    node tagged with its tree. Each round splits all live nodes with one draw and drops
+    nodes whose reach, top + size, cannot beat their tree's best depth so far; nodes of at
+    most _EXACT_MAX nodes read the draw from the exact height table instead. Each spine is
+    pruned against its own records - 1 before the spines are joined, so long spines whose
+    subtrees are all too small cost no more joined than one by one. A tree makes the same
+    draws swept alone as first in a block.
     """
     table = _uniform_height_cdf(_EXACT_MAX)
-    best, size, depth = len(sizes) - 1, sizes, np.arange(1, len(sizes) + 1)
-    while True:
-        live = (size > 0) & (depth + size > best + 1)
-        size, depth = size[live], depth[live]
-        if not len(size):
-            return best
+    lengths = [len(s) for s in spines]
+    best = np.array(lengths, dtype=np.int64) - 1
+    # a spine of r nodes keeps its j-th subtree iff size >= r - j
+    desc = np.arange(max(lengths), 0, -1)
+    tops = [(s >= desc[len(desc) - len(s) :]).nonzero()[0] for s in spines]
+    size = np.concatenate([s[top] for s, top in zip(spines, tops)])
+    tree = np.repeat(np.arange(len(spines)), [len(top) for top in tops])
+    top = np.concatenate(tops)
+    # the height read from u beats best exactly when u >= P(H_m <= best - top), and a node
+    # lives while its size passes that floor; every node left by the pruning above does
+    floor = np.maximum(best[tree] - top, 0)
+    while len(size):
         us = rng.randoms(len(size))
         small = size <= _EXACT_MAX
-        # the height read from u beats best exactly when u >= P(H_m <= best - depth);
-        # only those rows are searched, and row 0 (all ones) keeps splitting nodes out
+        # row 0 (all ones) keeps nodes over _EXACT_MAX out; a subtree rooted at depth
+        # top + 1 reads its height from u as (count of row entries <= u) - 1
         rows = size * small
-        over = us >= table[rows, np.maximum(best + 1 - depth, 0) * small]
-        for m, d, u in zip(rows[over].tolist(), depth[over].tolist(), us[over].tolist()):
-            best = max(best, d - 1 + int(np.searchsorted(table[m], u, side="right")))
-        size, depth, us = size[~small], depth[~small], us[~small]
-        if not len(size):
-            return best
+        over = (us >= table[rows, floor * small]).nonzero()[0]
+        if len(over):
+            reads = (table[rows[over]] <= us[over, None]).sum(axis=1)
+            np.maximum.at(best, tree[over], top[over] + reads)
+        big = (~small).nonzero()[0]
+        if not len(big):
+            break
+        size, top, tree, us = size[big], top[big], tree[big], us[big]
         left = np.minimum((us * size).astype(np.int64), size - 1)
         size = np.concatenate((left, size - 1 - left))
-        depth = np.concatenate((depth, depth)) + 1
+        top = np.concatenate((top, top)) + 1
+        tree = np.concatenate((tree, tree))
+        floor = np.maximum(best[tree] - top, 0)
+        live = size > floor
+        size, top, tree, floor = size[live], top[live], tree[live], floor[live]
+    return best
 
 
-def sample_height_only(params: RbParams, rng: RandomSource) -> HeightSample:
+def sample_height_only(
+    params: RbParams, rng: RandomSource, trials: int | None = None
+) -> HeightSample | list[HeightSample]:
     """Sample the height and the spine sizes without materializing labels.
 
     Same joint law as :func:`sample_tree_recursive` followed by the model
     statistics. One pruned sweep over the uniform subtrees off the spine, which
     ends small subtrees with one draw from an exact height table, gives the
     height in O(spine + frontier) memory, so n in the millions is fine.
+
+    With ``trials`` None this returns one :class:`HeightSample`. With an int it returns a
+    list of that many independent samples: their spines are drawn one after another, then
+    one sweep runs over all their subtrees. ``trials=1`` makes the same draws as None.
     """
-    n, theta = params.n, params.theta
-    if n == 0:
-        return HeightSample(-1, np.zeros(0, dtype=np.int64))
-    sizes = _spine_profile(n, theta, rng)
-    return HeightSample(_sweep_height(sizes, rng), sizes)
+    count = 1 if trials is None else trials
+    if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 1:
+        raise ValueError(f"trials must be None or an integer >= 1, got {trials!r}")
+    spines = [_spine_profile(params.n, params.theta, rng) for _ in range(count)]
+    heights = _sweep_heights(spines, rng).tolist()
+    samples = [HeightSample(h, s) for h, s in zip(heights, spines)]
+    return samples[0] if trials is None else samples
 
 
 def sample_record_count(params: RbParams, rng: RandomSource) -> int:

@@ -4,6 +4,7 @@ import itertools
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from rbtrees import experiments
@@ -23,6 +24,7 @@ from rbtrees.model import RbParams, build_bst, height, record_count_tree
 from rbtrees.samplers import (
     RandomSource,
     sample_height_only,
+    sample_record_count,
     sample_sequential,
     sample_tree_recursive,
 )
@@ -164,20 +166,40 @@ class TestHeightRatio:
 
     @pytest.mark.parametrize("method", ("recursive", "sequential"))
     def test_height_below_records_fails(self, monkeypatch, method):
-        monkeypatch.setattr(experiments, f"_{method}_trial", lambda params, rng: (0, 5))
+        monkeypatch.setattr(
+            experiments, f"_{method}_heights", lambda params, rng, count: [(0, 5)] * count
+        )
         config = ExperimentConfig(n_values=(10,), theta_spec=1.0, trials=3, seed=0)
         with pytest.raises(AssertionError, match=r"n=10, theta=1\.0, trial=0"):
             run_height_ratio(config, method=method)
 
     def test_sequential_matches_sequential_trees(self):
-        # the sequential method summarizes BSTs built from sample_sequential, one stream per trial
-        config = ExperimentConfig(n_values=(30,), theta_spec=2.0, trials=20, seed=6)
-        trees = [
-            build_bst(sample_sequential(RbParams(30, 2.0), RandomSource(6, trial)))
-            for trial in range(20)
-        ]
+        # the sequential method summarizes BSTs built from sample_sequential, in blocks of
+        # 64 trials, block b drawn one tree after another from stream b
+        config = ExperimentConfig(n_values=(30,), theta_spec=2.0, trials=70, seed=6)
+        streams = [RandomSource(6, 0)] * 64 + [RandomSource(6, 1)] * 6
+        trees = [build_bst(sample_sequential(RbParams(30, 2.0), rng)) for rng in streams]
         row = summarize(30, 2.0, [height(t) for t in trees], [record_count_tree(t) for t in trees], 6)
         assert run_height_ratio(config, method="sequential") == [row]
+
+    @pytest.mark.parametrize("threads", (0, -3, 1.5, True, "2", None))
+    def test_rejects_threads_below_one(self, threads):
+        config = ExperimentConfig(n_values=(10,), theta_spec=1.0, trials=3, seed=0)
+        with pytest.raises(ValueError, match="threads"):
+            run_height_ratio(config, threads=threads)
+
+    def test_one_pool_per_run(self, monkeypatch):
+        pools = []
+
+        class CountedPool(experiments.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountedPool)
+        config = ExperimentConfig(n_values=(20, 40, 80), theta_spec=1.0, trials=70, seed=3)
+        assert run_height_ratio(config, threads=2) == run_height_ratio(config)
+        assert len(pools) == 1
 
     def test_mean_height_monotone_in_n(self):
         config = ExperimentConfig(n_values=(50, 100, 200, 400), theta_spec=1.0, trials=400, seed=1)
@@ -222,12 +244,20 @@ class TestSummarize:
         assert row.ratio_records_mu == 2.0 / mu(10, 1.0)
 
     def test_matches_run_height_ratio(self):
-        config = ExperimentConfig(n_values=(40,), theta_spec=3.0, trials=30, seed=5)
-        samples = [
-            sample_height_only(RbParams(40, 3.0), RandomSource(5, trial)) for trial in range(30)
-        ]
-        row = summarize(40, 3.0, [s.height for s in samples], [s.records for s in samples], 5)
-        assert run_height_ratio(config) == [row]
+        # block b of the i-th n is one sample_height_only call on stream (i << 32) | b; a
+        # block holds 64 trials, or 2**20 // n where that is fewer (32 at n = 2**15)
+        config = ExperimentConfig(n_values=(40, 2**15), theta_spec=3.0, trials=70, seed=5)
+        blocks = {40: (64, 6), 2**15: (32, 32, 6)}
+        rows = []
+        for i, n in enumerate(config.n_values):
+            samples = [
+                sample
+                for b, count in enumerate(blocks[n])
+                for sample in sample_height_only(RbParams(n, 3.0), RandomSource(5, (i << 32) | b), count)
+            ]
+            heights, records = [s.height for s in samples], [s.records for s in samples]
+            rows.append(summarize(n, 3.0, heights, records, 5))
+        assert run_height_ratio(config) == rows
 
 
 class TestRecordConcentration:
@@ -256,6 +286,13 @@ class TestRecordConcentration:
         )
         se = math.sqrt(exact * (1.0 - exact) / trials)
         assert abs(row.freq_beyond - exact) <= 4 * se
+
+    def test_counts_come_in_blocks_like_heights(self):
+        config = ExperimentConfig(n_values=(100,), theta_spec=2.0, trials=70, seed=4)
+        streams = [RandomSource(4, 0)] * 64 + [RandomSource(4, 1)] * 6
+        counts = [sample_record_count(RbParams(100, 2.0), rng) for rng in streams]
+        row = run_record_concentration(config, epsilon=0.5)[0]
+        assert (row.mean_records, row.sd_records) == experiments._mean_sd(np.array(counts))
 
     def test_rejects_bad_epsilon(self):
         config = ExperimentConfig(n_values=(10,), theta_spec=1.0, trials=10, seed=0)

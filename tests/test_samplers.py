@@ -40,6 +40,8 @@ from rbtrees.samplers import (
 from reference import ref_scan_spine
 
 ALPHA = 1e-3
+# trials per sample_height_only call on the block path of the law tests
+BLOCK = 64
 
 
 class TestRandomSource:
@@ -188,6 +190,17 @@ class TestSequential:
         assert chi_square_gof(counts, expected).p_value > ALPHA
 
 
+def _height_samples(params, rng, trials, block=None):
+    """``trials`` height samples from one stream, one call each or ``block`` per call."""
+    if block is None:
+        return [sample_height_only(params, rng) for _ in range(trials)]
+    return [
+        sample
+        for lo in range(0, trials, block)
+        for sample in sample_height_only(params, rng, min(block, trials - lo))
+    ]
+
+
 def _split_law(m, theta):
     return ExactDistribution(range(m), root_split_distribution(RbParams(m, theta)))
 
@@ -306,23 +319,36 @@ class TestHeightOnly:
                 assert (sample.sizes >= 0).all()
                 assert sample.height >= sample.records - 1
 
-    @pytest.mark.parametrize("theta", (0.5, 2.0))
-    def test_matches_recursive_sampler_law(self, theta):
+    @pytest.mark.parametrize(
+        "theta,block",
+        (
+            pytest.param(0.5, None, id="0.5"),
+            pytest.param(2.0, None, id="2.0"),
+            pytest.param(0.5, BLOCK, id="0.5-block"),
+            pytest.param(2.0, BLOCK, id="2.0-block"),
+        ),
+    )
+    def test_matches_recursive_sampler_law(self, theta, block):
         n, trials = 7, 30000
         joint = enumerate_exact(RbParams(n, theta)).height_record_first
         marg: dict[tuple, float] = {}
         for (h, rec, _first), p in zip(joint.support, joint.probs):
             marg[(h, rec)] = marg.get((h, rec), 0.0) + p
         expected = ExactDistribution.from_weights(marg)
-        rng = RandomSource(31, 0)
-        counts = Counter()
-        for _ in range(trials):
-            sample = sample_height_only(RbParams(n, theta), rng)
-            counts[(sample.height, sample.records)] += 1
+        samples = _height_samples(RbParams(n, theta), RandomSource(31, 0), trials, block)
+        counts = Counter((sample.height, sample.records) for sample in samples)
         assert chi_square_gof(counts, expected).p_value > ALPHA
 
-    @pytest.mark.parametrize("path", ("table", "split"))
-    def test_sweep_law(self, path, monkeypatch):
+    @pytest.mark.parametrize(
+        "path,block",
+        (
+            pytest.param("table", None, id="table"),
+            pytest.param("split", None, id="split"),
+            pytest.param("table", BLOCK, id="table-block"),
+            pytest.param("split", BLOCK, id="split-block"),
+        ),
+    )
+    def test_sweep_law(self, path, block, monkeypatch):
         # "table" keeps the default cutoff, so every subtree at these sizes
         # takes its height from the exact table; "split" sets the cutoff to
         # one node, so every larger subtree is split node by node
@@ -335,11 +361,39 @@ class TestHeightOnly:
             for (h, rec, _first), p in zip(joint.support, joint.probs):
                 marg[(h, rec)] = marg.get((h, rec), 0.0) + p
             expected = ExactDistribution.from_weights(marg)
-            counts = Counter()
-            for _ in range(20000):
-                sample = sample_height_only(RbParams(n, theta), rng)
-                counts[(sample.height, sample.records)] += 1
+            samples = _height_samples(RbParams(n, theta), rng, 20000, block)
+            counts = Counter((sample.height, sample.records) for sample in samples)
             assert chi_square_gof(counts, expected).p_value > ALPHA, (n, theta)
+
+    @pytest.mark.parametrize("theta", (1.0, 2.0))
+    def test_block_heights_follow_the_uniform_law(self, theta):
+        # theta = 2 has the height law of theta = 1 at every n: the right-subtree size j has
+        # weight j + 1, and averaged with its mirror m - 1 - j that weight is constant. At
+        # n = 200 every subtree over 64 nodes is split before the table ends it.
+        n = 200
+        cdf = samplers._uniform_height_cdf(n)[n]
+        expected = ExactDistribution(support=tuple(range(n)), probs=tuple(np.diff(cdf)))
+        samples = _height_samples(RbParams(n, theta), RandomSource(41, 0), 20000, BLOCK)
+        counts = Counter(sample.height for sample in samples)
+        assert chi_square_gof(counts, expected).p_value > ALPHA
+
+    @pytest.mark.parametrize(
+        "n,spec", ((0, "1"), (1, "3"), (7, "0.5"), (1000, "1"), (1000, "linear:1"), (10**5, "1"))
+    )
+    def test_block_of_one_matches_one_sample(self, n, spec):
+        # the same draws in the same order: the sample, and where the stream stands after it
+        params = RbParams(n, resolve_theta(spec, n))
+        rng, rng2 = RandomSource(19, 3), RandomSource(19, 3)
+        (block,) = sample_height_only(params, rng, 1)
+        single = sample_height_only(params, rng2)
+        assert block.height == single.height
+        assert block.sizes.dtype == single.sizes.dtype and np.array_equal(block.sizes, single.sizes)
+        assert rng.random() == rng2.random()
+
+    @pytest.mark.parametrize("trials", (0, -1, 2.0, True, "3"))
+    def test_rejects_bad_trials(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            sample_height_only(RbParams(10, 1.0), RandomSource(0), trials)
 
     def test_split_path_matches_recursive_sampler(self):
         # two-sample chi-square on heights where subtrees above the cutoff

@@ -35,3 +35,18 @@ def test_script_runs(tmp_path, script, args):
     if script == "bounds_audit.py":
         verdicts = [line for line in result.stdout.splitlines() if "-> " in line]
         assert len(verdicts) == 3 and all(line.endswith("-> OK") for line in verdicts), result.stdout
+
+
+@pytest.mark.parametrize("threads", ("0", "-3", "two"))
+def test_height_scaling_rejects_threads_below_one(tmp_path, threads):
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "height_scaling.py"), "--threads", threads,
+         "--out-dir", str(tmp_path)],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 2
+    assert "--threads" in result.stderr and "Traceback" not in result.stderr
+    assert not list(tmp_path.iterdir())
