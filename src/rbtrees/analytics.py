@@ -276,8 +276,8 @@ def chernoff_record_tail(params: RbParams, epsilon: float) -> tuple[float, float
     exp(-mu * (eps + (1-eps) log(1-eps))), degenerating to exp(-mu) once eps >= 1;
     two_sided is min(1, upper + lower). All lie in (0, 1] and decrease in mu.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     m = mu(params.n, params.theta)
     if m <= 0.0:
         raise ValueError("mu(n, theta) must be positive")
@@ -315,8 +315,8 @@ def profile_tail_constants(theta: float, epsilon: float) -> tuple[float, float]:
     """
     if theta <= 0.0:
         raise ValueError("theta must be positive")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     u = epsilon * theta
     if u >= 1.0:
         raise ValueError(f"epsilon * theta must be < 1, got {u}")
@@ -337,8 +337,8 @@ def left_profile_tail_bound(params: RbParams, epsilon: float, M: float, k: int) 
     """
     n, theta = params.n, params.theta
     C, lam = profile_tail_constants(theta, epsilon)
-    if M < 0.0:
-        raise ValueError("M must be non-negative")
+    if not M >= 0.0:
+        raise ValueError(f"M must be non-negative, got {M}")
     if k < 0:
         raise ValueError("k must be non-negative")
     if n < 1:

@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 
 from .analytics import (
     c_star,
@@ -372,14 +372,7 @@ def _cmd_bound(args, seed) -> OutputTable:
 
 
 # each experiment setting names a config key and the dest of the flag that overrides it
-_EXPERIMENT_SETTINGS = ("n_values", "theta_spec", "trials", "seed", "epsilon", "j_values")
-
-# JSON types of the settings that ExperimentConfig does not check itself
-# (type(v) is int excludes booleans).
-_CONFIG_FIELD_TYPES = {
-    "epsilon": ("a finite number", lambda v: type(v) in (int, float) and -math.inf < v < math.inf),
-    "j_values": ("a list of integers", lambda v: type(v) is list and all(type(j) is int for j in v)),
-}
+_EXPERIMENT_SETTINGS = tuple(f.name for f in fields(ExperimentConfig) if f.init)
 
 
 def _load_experiment_settings(args) -> dict:
@@ -397,49 +390,40 @@ def _load_experiment_settings(args) -> dict:
         unknown = set(data) - set(_EXPERIMENT_SETTINGS)
         if unknown:
             raise UsageError(f"unknown config fields: {sorted(unknown)}")
-        for key, (kind, ok) in _CONFIG_FIELD_TYPES.items():
-            if key in data and not ok(data[key]):
-                raise ValueError(f"config field {key} must be {kind}, got {data[key]!r}")
         settings.update(data)
     for key in _EXPERIMENT_SETTINGS:
         if getattr(args, key) is not None:
             settings[key] = getattr(args, key)
-    if "n_values" not in settings or "theta_spec" not in settings or "trials" not in settings:
-        raise UsageError("experiment requires n_values, theta_spec, and trials (flags or config)")
+    required = [f.name for f in fields(ExperimentConfig) if f.init and f.default is MISSING]
+    if not set(required) <= set(settings):
+        raise UsageError(f"experiment requires {', '.join(required)} (flags or config)")
     return settings
 
 
 def _cmd_experiment(args, seed) -> OutputTable:
     settings = _load_experiment_settings(args)
-    seed = _resolve_seed(settings.get("seed"))
-    config = ExperimentConfig(
-        n_values=settings["n_values"],
-        theta_spec=settings["theta_spec"],
-        trials=settings["trials"],
-        seed=seed,
-    )
+    seed = _resolve_seed(settings.pop("seed", None))
+    config = ExperimentConfig(**settings, seed=seed)
     threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
     what = args.what
     if what == "height-ratio":
         rows = run_height_ratio(config, threads=threads, progress=log_to_stderr)
     elif what == "record-concentration":
-        epsilon = settings.get("epsilon")
-        if epsilon is None:
+        if config.epsilon is None:
             raise UsageError("record-concentration requires --epsilon (or config epsilon)")
-        rows = run_record_concentration(config, float(epsilon), progress=log_to_stderr)
+        rows = run_record_concentration(config, progress=log_to_stderr)
     else:
-        j_values = settings.get("j_values", tuple(range(21)))
-        rows = run_dominance_check(config, j_values, progress=log_to_stderr)
+        rows = run_dominance_check(config, progress=log_to_stderr)
     params = {
         "what": what,
         "n_values": list(config.n_values),
         "theta_spec": str(config.theta_spec),
         "trials": config.trials,
     }
-    if settings.get("epsilon") is not None:
-        params["epsilon"] = float(settings["epsilon"])
-    if settings.get("j_values") is not None:
-        params["j_values"] = [int(j) for j in settings["j_values"]]
+    if config.epsilon is not None:
+        params["epsilon"] = config.epsilon
+    if config.j_values is not None:
+        params["j_values"] = list(config.j_values)
     return OutputTable(f"experiment {what}", params, seed, rows)
 
 

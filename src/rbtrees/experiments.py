@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
 import sys
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
 from numbers import Integral, Real
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from scipy.special import gammaincc
@@ -94,24 +95,31 @@ def _is_int(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
+def _int_tuple(name: str, values, least: int) -> tuple[int, ...]:
+    """``values`` as a non-empty int tuple, in order, each at least ``least``."""
+    ints = tuple(values) if isinstance(values, Iterable) else ()
+    if not ints or not all(map(_is_int, ints)):
+        raise ValueError(f"{name} must be a non-empty sequence of integers, got {values!r}")
+    if min(ints) < least:
+        raise ValueError(f"{name} must be at least {least}, got {min(ints)}")
+    return tuple(int(v) for v in ints)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Shared experiment inputs, checked before any draw; ``thetas`` is theta_spec at each n."""
+    """Every experiment input, checked before any draw; ``thetas`` is theta_spec at each n."""
 
     n_values: tuple[int, ...]
     theta_spec: object
     trials: int
     seed: int = 0
+    epsilon: float | None = None
+    j_values: tuple[int, ...] | None = None  # in the given order, which artifacts echo
     thetas: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        n_values = tuple(self.n_values) if isinstance(self.n_values, Iterable) else ()
-        if not n_values or not all(map(_is_int, n_values)):
-            raise ValueError(f"n_values must be a non-empty sequence of integers, got {self.n_values!r}")
-        n_values = tuple(int(n) for n in n_values)
+        n_values = _int_tuple("n_values", self.n_values, 1)
         object.__setattr__(self, "n_values", n_values)
-        if min(n_values) < 1:
-            raise ValueError(f"n_values must be at least 1, got {min(n_values)}")
         if any(b <= a for a, b in zip(n_values, n_values[1:])):
             raise ValueError("n_values must be strictly increasing")
         if not _is_int(self.trials):
@@ -122,6 +130,14 @@ class ExperimentConfig:
         object.__setattr__(self, "trials", int(self.trials))
         if not _is_int(self.seed) or not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        if self.epsilon is not None:
+            real = isinstance(self.epsilon, Real) and not isinstance(self.epsilon, bool)
+            epsilon = float(self.epsilon) if real else math.nan
+            if not 0.0 < epsilon < math.inf:
+                raise ValueError(f"epsilon must be a finite positive number, got {self.epsilon!r}")
+            object.__setattr__(self, "epsilon", epsilon)
+        if self.j_values is not None:
+            object.__setattr__(self, "j_values", _int_tuple("j_values", self.j_values, 0))
         if not isinstance(self.theta_spec, (Real, str)) or isinstance(self.theta_spec, bool):
             raise ValueError(f"theta_spec must be a number or a string, got {self.theta_spec!r}")
         thetas = tuple(resolve_theta(self.theta_spec, n) for n in n_values)
@@ -233,8 +249,8 @@ def _run_trials(draw, config: ExperimentConfig, threads: int = 1):
 
     The trials of the i-th n come in blocks of :func:`_block_trials` (n), block b drawn by
     ``draw(params, rng, count)`` from ``RandomSource(seed, (i << 32) | b)``. The blocks of
-    every n run serially or over one pool of at most ``threads`` workers, so the draws do
-    not depend on the worker count.
+    every n run over one pool of at most ``threads`` workers, blocks and cores, or serially
+    where that leaves fewer than two; the draws do not depend on the worker count.
     """
     if not _is_int(threads) or threads < 1:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
@@ -245,8 +261,8 @@ def _run_trials(draw, config: ExperimentConfig, threads: int = 1):
             (draw, n, theta, config.seed, n_index, b, min(size, config.trials - b * size))
             for b in range(-(-config.trials // size))
         ])
-    workers = min(threads, sum(map(len, cells)))
-    with ProcessPoolExecutor(workers) if threads > 1 else contextlib.nullcontext() as pool:
+    workers = min(threads, sum(map(len, cells)), os.cpu_count() or 1)
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         results = (map if pool is None else pool.map)(_draw_block, chain.from_iterable(cells))
         for n, theta, cell in zip(config.n_values, config.thetas, cells):
             yield n, theta, list(chain.from_iterable(islice(results, len(cell))))
@@ -295,7 +311,9 @@ def run_height_ratio(
     Every sample is hard-checked against height >= records - 1. With ``threads``
     (an integer >= 1) above 1, the trials of every n share one process pool.
     """
-    draw ={"recursive": _recursive_heights, "sequential": _sequential_heights}[method]
+    if method not in ("recursive", "sequential"):
+        raise ValueError(f"method must be 'recursive' or 'sequential', got {method!r}")
+    draw = {"recursive": _recursive_heights, "sequential": _sequential_heights}[method]
     rows = []
     for n, theta, draws in _run_trials(draw, config, threads):
         heights, records = np.array(draws).T
@@ -316,17 +334,18 @@ def run_height_ratio(
 
 
 def run_record_concentration(
-    config: ExperimentConfig, epsilon: float, progress=None
+    config: ExperimentConfig, progress=None
 ) -> list[RecordConcentrationRow]:
     """Compare the deviation frequency of record counts with its bound.
 
-    For each n the empirical frequency of |records / mu - 1| > epsilon over
+    For each n the empirical frequency of |records / mu - 1| > ``config.epsilon`` over
     the trials is put against the sum of the upper and lower exponential
     bounds; a row passes when the frequency is at most bound plus three
     binomial standard errors.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    epsilon = config.epsilon
+    if epsilon is None:
+        raise ValueError("record concentration requires config.epsilon")
     for n, theta in zip(config.n_values, config.thetas):
         if mu(n, theta) <= 0.0:
             raise ValueError(f"mu(n, theta) must be positive, got {mu(n, theta)} at n={n}")
@@ -372,25 +391,21 @@ def _dominance_grid(n: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     return cs, j + n * cs
 
 
-def run_dominance_check(
-    config: ExperimentConfig, j_values: Sequence[int], progress=None
-) -> list[DominanceRow]:
+def run_dominance_check(config: ExperimentConfig, progress=None) -> list[DominanceRow]:
     """Check that sampled profile entries stay below their dominating law.
 
     At the i-th n, one profile matrix of ``config.trials`` trees is drawn from stream
-    ``RandomSource(seed, i << 32)``. For each j, the empirical survival of the j-th
-    left-subtree size is compared on a threshold grid with the survival of
-    j + n * prod(B_i); dominance is asserted up to twice the DKW band for the trial count.
-    Rows come n by n, each in increasing j.
+    ``RandomSource(seed, i << 32)``. For each j of ``config.j_values`` (0..20 when None), the
+    empirical survival of the j-th left-subtree size is compared on a threshold grid with the
+    survival of j + n * prod(B_i); dominance is asserted up to twice the DKW band for the
+    trial count. Rows come n by n, each in increasing j.
     """
-    j_values = sorted(set(int(j) for j in j_values))
-    if not j_values or j_values[0] < 0:
-        raise ValueError("j_values must be non-empty and non-negative")
+    j_values = sorted(set(range(21) if config.j_values is None else config.j_values))
+    if min(config.thetas) <= 0.0:
+        raise ValueError("theta must be positive")
     band = dkw_epsilon(config.trials)
     rows = []
     for n_index, (n, theta) in enumerate(zip(config.n_values, config.thetas)):
-        if theta <= 0.0:
-            raise ValueError("theta must be positive")
         rng = RandomSource(config.seed, _stream_index(n_index, 0))
         profile = sample_left_profile_matrix(RbParams(n, theta), config.trials, j_values[-1], rng)
         for j in j_values:

@@ -28,13 +28,12 @@ import numpy as np
 from .model import NO_CHILD, BstTree, Permutation, RbParams
 
 # A rightmost-path split of m nodes scans the per-step record chances when theta > 0 and
-# m <= max(_SCAN_LIMIT, _SPINE_SCAN_PER_THETA * theta) (see _scans), and otherwise draws a
-# Beta-binomial variate; uniform subtrees of at most _EXACT_MAX nodes draw their height from
-# a table. Below the bound a tail of m nodes holds about theta log(1 + m / theta) splits
-# (7 theta at m = 1024 theta), which cost about as much drawn one by one (~3 us each) as its
-# m uniforms scanned in numpy (~10 ns each). _spine_profile reads at most _SPINE_SCAN_BLOCK
-# uniforms at a time, which only bounds its memory.
-_SCAN_LIMIT = 64
+# m <= _SPINE_SCAN_PER_THETA * theta (see _scans), and otherwise draws a Beta-binomial
+# variate; uniform subtrees of at most _EXACT_MAX nodes draw their height from a table.
+# Below the bound a tail of m nodes holds about theta log(1 + m / theta) splits (7 theta at
+# m = 1024 theta), which cost about as much drawn one by one (~3 us each) as its m uniforms
+# scanned in numpy (~10 ns each), at any theta. _spine_profile reads at most
+# _SPINE_SCAN_BLOCK uniforms at a time, which only bounds its memory.
 _EXACT_MAX = 64
 _SPINE_SCAN_PER_THETA = 1024.0
 _SPINE_SCAN_BLOCK = 4095
@@ -149,21 +148,21 @@ def _split_sizes(m, theta: float, rng: RandomSource):
 
 def _scans(m: int, theta: float) -> bool:
     """Whether a rightmost-path split of m nodes scans rather than draw :func:`_split_sizes`."""
-    return theta > 0.0 and m <= max(_SCAN_LIMIT, _SPINE_SCAN_PER_THETA * theta)
+    return theta > 0.0 and m <= _SPINE_SCAN_PER_THETA * theta
 
 
 def _sample_left_size(m: int, theta: float, rng: RandomSource) -> int:
     """Left-subtree size (first value minus 1) for a record-biased tree of m >= 1 nodes.
 
     Where :func:`_scans` holds, the per-step record chances are scanned directly, mirroring
-    the sequential mechanism; otherwise the same law is drawn in closed form.
+    the sequential mechanism, whose last step has chance 1; otherwise the law is drawn in
+    closed form.
     """
     if not _scans(m, theta):
         return _split_sizes(m, theta, rng)
     for i in range(1, m + 1):
         if rng.random() < theta / (theta + (m - i)):
             return i - 1
-    return m - 1
 
 
 def sample_tree_recursive(params: RbParams, rng: RandomSource) -> BstTree:

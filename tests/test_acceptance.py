@@ -164,8 +164,8 @@ def test_criterion_4_diverging_theta_regime():
 
 def test_criterion_5_record_concentration():
     start = time.perf_counter()
-    config = ExperimentConfig(n_values=(10**4,), theta_spec=5.0, trials=10**4, seed=0)
-    row = run_record_concentration(config, epsilon=0.5)[0]
+    config = ExperimentConfig(n_values=(10**4,), theta_spec=5.0, trials=10**4, seed=0, epsilon=0.5)
+    row = run_record_concentration(config)[0]
     mean_se = row.sd_records / math.sqrt(row.trials)
     mean_ok = abs(row.mean_records - row.mu) <= 3 * mean_se
     elapsed = time.perf_counter() - start
@@ -180,8 +180,10 @@ def test_criterion_5_record_concentration():
 
 def test_criterion_6_stochastic_dominance():
     start = time.perf_counter()
-    config = ExperimentConfig(n_values=(10**4,), theta_spec=2.0, trials=10**5, seed=0)
-    rows = run_dominance_check(config, range(21))
+    config = ExperimentConfig(
+        n_values=(10**4,), theta_spec=2.0, trials=10**5, seed=0, j_values=range(21)
+    )
+    rows = run_dominance_check(config)
     all_pass = all(row.passed for row in rows)
     worst = max(row.max_excess for row in rows)
     elapsed = time.perf_counter() - start

@@ -298,8 +298,9 @@ class TestChernoff:
             assert lower + 1e-12 >= law.tail_leq((1 - eps) * m)
 
     def test_errors(self):
-        with pytest.raises(ValueError):
-            chernoff_record_tail(RbParams(5, 1.0), 0.0)
+        for epsilon in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="epsilon"):
+                chernoff_record_tail(RbParams(100, 2.0), epsilon)
         with pytest.raises(ValueError):
             chernoff_record_tail(RbParams(5, 0.0), 0.5)
 
@@ -377,6 +378,11 @@ class TestProfileTailBound:
             profile_tail_constants(1.0, 1e-320)
         with pytest.raises(ValueError):
             left_profile_tail_bound(RbParams(10, 2.0), 0.1, 0.0, 40)  # Xi >= 1
+        for epsilon in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="epsilon"):
+                profile_tail_constants(1.0, epsilon)
+        with pytest.raises(ValueError, match="M must"):
+            left_profile_tail_bound(RbParams(100, 2.0), 0.1, math.nan, 2)
 
     def test_thresholds_shape(self):
         ts = profile_exceedance_thresholds(RbParams(100, 2.0), 0.1, 1.0, 4)

@@ -428,6 +428,11 @@ class TestErrors:
             ["experiment", "height-ratio", "--n-values", "10,1000,100000", "--theta-spec", "power:-70",
              "--trials", "20000", "--threads", "1"],
             ["exact", "enumerate", "--n", "9"],
+            # ExperimentConfig checks epsilon and j_values for every experiment command
+            ["experiment", "height-ratio", "--n-values", "10", "--theta-spec", "1", "--trials", "1",
+             "--epsilon", "0", "--threads", "1"],
+            ["experiment", "height-ratio", "--n-values", "10", "--theta-spec", "1", "--trials", "1",
+             "--j-values", "2,-1", "--threads", "1"],
         ),
     )
     def test_out_of_range_value_exits_1(self, capsys, argv):

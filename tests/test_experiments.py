@@ -1,5 +1,6 @@
 """Experiment drivers: determinism, sanity bands, and the chi-square helper."""
 
+import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -96,6 +97,28 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=r"'linear:-1' at n = 10: theta must be finite"):
             ExperimentConfig(n_values=(10,), theta_spec="linear:-1", trials=1)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        (
+            *(("epsilon", v) for v in (0, -1, math.nan, math.inf, "0.5", True, [0.5])),
+            *(("j_values", v) for v in ([], [1.9], [-0.5], [True], 3, [-1])),
+        ),
+    )
+    def test_rejects_bad_epsilon_and_j_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(n_values=(10,), theta_spec=1.0, trials=1, **{field: value})
+
+    def test_epsilon_and_j_values(self):
+        config = ExperimentConfig(n_values=(10,), theta_spec=1.0, trials=1)
+        assert (config.epsilon, config.j_values) == (None, None)
+        # j_values keeps the given order and repeats: the artifact's params echo them
+        config = ExperimentConfig(
+            n_values=(10,), theta_spec=1.0, trials=1, epsilon=1,
+            j_values=iter([4, np.int64(0), 2, 2]),
+        )
+        assert config.epsilon == 1.0 and type(config.epsilon) is float
+        assert config.j_values == (4, 0, 2, 2) and all(type(j) is int for j in config.j_values)
+
     def test_resolves_every_n_at_construction(self):
         # power:-70 is a positive theta at n = 10 and 1000 but underflows to 0 at n = 100000
         with pytest.raises(ValueError, match=r"'power:-70' underflows to 0 at n = 100000"):
@@ -182,6 +205,11 @@ class TestHeightRatio:
         row = summarize(30, 2.0, [height(t) for t in trees], [record_count_tree(t) for t in trees], 6)
         assert run_height_ratio(config, method="sequential") == [row]
 
+    def test_rejects_unknown_method(self):
+        config = ExperimentConfig(n_values=(10,), theta_spec=1.0, trials=3, seed=0)
+        with pytest.raises(ValueError, match="method.*'bogus'"):
+            run_height_ratio(config, method="bogus")
+
     @pytest.mark.parametrize("threads", (0, -3, 1.5, True, "2", None))
     def test_rejects_threads_below_one(self, threads):
         config = ExperimentConfig(n_values=(10,), theta_spec=1.0, trials=3, seed=0)
@@ -200,6 +228,34 @@ class TestHeightRatio:
         config = ExperimentConfig(n_values=(20, 40, 80), theta_spec=1.0, trials=70, seed=3)
         assert run_height_ratio(config, threads=2) == run_height_ratio(config)
         assert len(pools) == 1
+
+    def test_pool_size_capped_by_blocks_and_cores(self, monkeypatch):
+        # a fake pool records its worker count and maps in process, so no process starts
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+        config = ExperimentConfig(n_values=(20, 40), theta_spec=1.0, trials=70, seed=3)  # 4 blocks
+        serial = run_height_ratio(config)
+        assert run_height_ratio(config, threads=10**5) == serial
+        assert run_height_ratio(config, threads=2) == serial
+        one_block = ExperimentConfig(n_values=(20,), theta_spec=1.0, trials=10, seed=3)
+        run_height_ratio(one_block, threads=8)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+        assert run_height_ratio(config, threads=8) == serial
+        assert sizes == [3, 2]
 
     def test_mean_height_monotone_in_n(self):
         config = ExperimentConfig(n_values=(50, 100, 200, 400), theta_spec=1.0, trials=400, seed=1)
@@ -262,23 +318,25 @@ class TestSummarize:
 
 class TestRecordConcentration:
     def test_bound_holds_at_moderate_scale(self):
-        config = ExperimentConfig(n_values=(500,), theta_spec=2.0, trials=2000, seed=3)
-        row = run_record_concentration(config, epsilon=0.5)[0]
+        config = ExperimentConfig(n_values=(500,), theta_spec=2.0, trials=2000, seed=3, epsilon=0.5)
+        row = run_record_concentration(config)[0]
         assert row.passed
         assert row.freq_beyond <= row.bound_total + 3 * row.binom_se
         assert row.mu == pytest.approx(mu(500, 2.0))
 
     def test_huge_epsilon_gives_zero_frequency(self):
-        config = ExperimentConfig(n_values=(100,), theta_spec=1.0, trials=500, seed=5)
-        row = run_record_concentration(config, epsilon=50.0)[0]
+        config = ExperimentConfig(n_values=(100,), theta_spec=1.0, trials=500, seed=5, epsilon=50.0)
+        row = run_record_concentration(config)[0]
         assert row.freq_beyond == 0.0
         assert row.passed
 
     def test_small_n_cross_check_against_oracle(self):
         # empirical deviation frequency vs the exact enumerated probability
         n, theta, eps, trials = 7, 2.0, 0.4, 20000
-        config = ExperimentConfig(n_values=(n,), theta_spec=theta, trials=trials, seed=8)
-        row = run_record_concentration(config, epsilon=eps)[0]
+        config = ExperimentConfig(
+            n_values=(n,), theta_spec=theta, trials=trials, seed=8, epsilon=eps
+        )
+        row = run_record_concentration(config)[0]
         law = enumerate_exact(RbParams(n, theta)).record
         m = mu(n, theta)
         exact = math.fsum(
@@ -288,54 +346,74 @@ class TestRecordConcentration:
         assert abs(row.freq_beyond - exact) <= 4 * se
 
     def test_counts_come_in_blocks_like_heights(self):
-        config = ExperimentConfig(n_values=(100,), theta_spec=2.0, trials=70, seed=4)
+        config = ExperimentConfig(n_values=(100,), theta_spec=2.0, trials=70, seed=4, epsilon=0.5)
         streams = [RandomSource(4, 0)] * 64 + [RandomSource(4, 1)] * 6
         counts = [sample_record_count(RbParams(100, 2.0), rng) for rng in streams]
-        row = run_record_concentration(config, epsilon=0.5)[0]
+        row = run_record_concentration(config)[0]
         assert (row.mean_records, row.sd_records) == experiments._mean_sd(np.array(counts))
 
     def test_rejects_bad_epsilon(self):
         config = ExperimentConfig(n_values=(10,), theta_spec=1.0, trials=10, seed=0)
-        with pytest.raises(ValueError):
-            run_record_concentration(config, epsilon=0.0)
+        with pytest.raises(ValueError, match="epsilon"):
+            run_record_concentration(config)
+        with pytest.raises(ValueError, match="epsilon"):
+            dataclasses.replace(config, epsilon=0.0)
 
 
 class TestDominance:
     def test_no_violations_moderate_scale(self):
-        config = ExperimentConfig(n_values=(300,), theta_spec=2.0, trials=20000, seed=6)
-        rows = run_dominance_check(config, range(6))
+        config = ExperimentConfig(
+            n_values=(300,), theta_spec=2.0, trials=20000, seed=6, j_values=range(6)
+        )
+        rows = run_dominance_check(config)
         assert all(row.passed for row in rows)
         assert [row.j for row in rows] == list(range(6))
 
     def test_j_zero_trivial(self):
-        config = ExperimentConfig(n_values=(100,), theta_spec=1.0, trials=5000, seed=1)
-        row = run_dominance_check(config, [0])[0]
+        config = ExperimentConfig(
+            n_values=(100,), theta_spec=1.0, trials=5000, seed=1, j_values=[0]
+        )
+        row = run_dominance_check(config)[0]
         # k_0 <= n-1 < n while the dominating variable is the constant n
         assert row.max_excess <= 0.0
         assert row.passed
 
     def test_deterministic(self):
-        config = ExperimentConfig(n_values=(200,), theta_spec=1.5, trials=3000, seed=12)
-        assert run_dominance_check(config, [0, 2, 4]) == run_dominance_check(config, [0, 2, 4])
+        config = ExperimentConfig(
+            n_values=(200,), theta_spec=1.5, trials=3000, seed=12, j_values=[0, 2, 4]
+        )
+        assert run_dominance_check(config) == run_dominance_check(config)
 
     def test_rows_n_by_n_in_j_order(self):
-        config = ExperimentConfig(n_values=(100, 1000), theta_spec=2.0, trials=2000, seed=3)
-        rows = run_dominance_check(config, [4, 0, 2])
+        config = ExperimentConfig(
+            n_values=(100, 1000), theta_spec=2.0, trials=2000, seed=3, j_values=[4, 0, 2]
+        )
+        rows = run_dominance_check(config)
         assert [(row.n, row.j) for row in rows] == [
             (100, 0), (100, 2), (100, 4), (1000, 0), (1000, 2), (1000, 4)
         ]
         assert all(row.grid_size == experiments.DOMINANCE_GRID_SIZE for row in rows)
 
     def test_first_n_matches_a_one_n_run(self):
-        config = ExperimentConfig(n_values=(100, 1000), theta_spec=2.0, trials=2000, seed=3)
-        single = ExperimentConfig(n_values=(100,), theta_spec=2.0, trials=2000, seed=3)
-        assert run_dominance_check(config, [0, 2, 4])[:3] == run_dominance_check(single, [0, 2, 4])
+        config = ExperimentConfig(
+            n_values=(100, 1000), theta_spec=2.0, trials=2000, seed=3, j_values=[0, 2, 4]
+        )
+        single = dataclasses.replace(config, n_values=(100,))
+        assert run_dominance_check(config)[:3] == run_dominance_check(single)
 
-    def test_requires_positive_theta(self):
+    def test_default_j_values(self):
+        config = ExperimentConfig(n_values=(100,), theta_spec=2.0, trials=200, seed=3)
+        rows = run_dominance_check(config)
+        assert rows == run_dominance_check(dataclasses.replace(config, j_values=range(21)))
+        assert [row.j for row in rows] == list(range(21))
+
+    def test_requires_positive_theta(self, monkeypatch):
+        # checked at every n before the first stream is built
+        monkeypatch.setattr(experiments, "RandomSource", None)
         for n_values in ((10,), (100, 1000)):
             config = ExperimentConfig(n_values=n_values, theta_spec=0.0, trials=10, seed=0)
             with pytest.raises(ValueError, match="theta must be positive"):
-                run_dominance_check(config, [0])
+                run_dominance_check(config)
 
 
 class TestUniformShapeLaw:

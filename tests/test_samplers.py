@@ -448,14 +448,12 @@ class TestSpineTail:
         ids=("theta0", "theta0.5", "linear1", "power0.5", "power0.5-multiblock"),
     )
     def test_matches_split_by_split_scan(self, n, theta, streams):
-        # every split bisects until m <= max(64, 1024 theta), and every split after that
-        # scans; at n = 10^5, theta = sqrt(n) the whole spine is one multi-block scan
+        # every split is drawn in closed form until m <= 1024 theta, and every split after
+        # that scans; at n = 10^5, theta = sqrt(n) the whole spine is one multi-block scan
         for stream in range(streams):
             fast_rng, ref_rng = RandomSource(5, stream), RandomSource(5, stream)
             sizes, m = [], n
-            while m > max(samplers._SCAN_LIMIT, samplers._SPINE_SCAN_PER_THETA * theta) or (
-                theta == 0.0 and m > 0
-            ):
+            while m > samplers._SPINE_SCAN_PER_THETA * theta:
                 sizes.append(samplers._sample_left_size(m, theta, ref_rng))
                 m -= sizes[-1] + 1
             if n == 10**5:
@@ -479,11 +477,11 @@ class TestRecordCountSampler:
         )
         assert chi_square_gof(counts, expected).p_value > ALPHA
 
-    @pytest.mark.parametrize("theta", (0.5, 1.0))
+    @pytest.mark.parametrize("theta", (0.01, 0.5, 1.0))
     def test_law_matches_poisson_binomial(self, theta):
         # records are independent steps with chances p_i = theta / (theta + n - i), so the law
         # has generating function prod(1 - p_i + p_i z); n = 2000 runs closed-form head splits
-        # and a scanned tail
+        # and a scanned tail (at theta = 0.01, closed-form splits down to 11 nodes)
         n, trials = 2000, 20000
         pmf = np.ones(1)
         for p in theta / (theta + np.arange(n - 1, -1, -1.0)):
