@@ -41,16 +41,26 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    params = RbParams(args.n, args.theta)
+    # every input is checked, and the profile bound evaluated, before the first draw
+    try:
+        params = RbParams(args.n, args.theta)
+        config = ExperimentConfig(
+            n_values=(args.n,),
+            theta_spec=args.theta,
+            trials=args.trials,
+            seed=args.seed,
+            epsilon=args.epsilon,
+            j_values=range(args.max_j + 1),
+        )
+        if args.n < 3:
+            raise ValueError(f"n must be at least 3, so that M = 2 log log n >= 0; got {args.n}")
+        M = 2.0 * math.log(math.log(args.n))
+        bound = left_profile_tail_bound(params, args.profile_epsilon, M, args.k)
+        thresholds = np.array(profile_exceedance_thresholds(params, args.profile_epsilon, M, args.k))
+    except ValueError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
-    config = ExperimentConfig(
-        n_values=(args.n,),
-        theta_spec=args.theta,
-        trials=args.trials,
-        seed=args.seed,
-        epsilon=args.epsilon,
-        j_values=range(args.max_j + 1),
-    )
     row = run_record_concentration(config, progress=log_to_stderr)[0]
     print(
         f"record concentration: freq={row.freq_beyond:.2e} bound={row.bound_total:.2e} "
@@ -65,12 +75,7 @@ def main() -> int:
         f"-> {'OK' if ok else 'VIOLATED'}"
     )
 
-    M = 2.0 * math.log(math.log(args.n))
-    bound = left_profile_tail_bound(params, args.profile_epsilon, M, args.k)
     matrix = sample_left_profile_matrix(params, args.trials, args.k, RandomSource(args.seed, 1))
-    thresholds = np.array(
-        profile_exceedance_thresholds(params, args.profile_epsilon, M, args.k)
-    )
     freq = float((matrix > thresholds[None, :]).any(axis=1).mean())
     # a binomial standard error that stays positive at freq = 0, as in the acceptance check
     se = math.sqrt(max(freq, 1.0 / args.trials) * (1.0 - min(freq, 1.0)) / args.trials)

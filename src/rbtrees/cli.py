@@ -10,6 +10,7 @@ output; every artifact carries the command, its parameters, and the seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -171,7 +172,9 @@ def _resolve_seed(explicit: int | None) -> int:
         raise SystemExit(2)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="rbtrees",
         description="Sample record-biased permutations/trees and evaluate their exact laws and bounds.",

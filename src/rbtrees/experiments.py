@@ -8,7 +8,8 @@ serially or over one process pool per run, and the draws come back in trial
 order, so reruns (serial or parallel, with any worker count) reproduce
 identical tables. Height rows from either sampler and record-count rows
 differ only in the draw function they pass; a block of recursive heights is
-one :func:`sample_height_only` sweep. The dominance check draws one profile
+one :func:`sample_height_only` sweep, and a block of record counts one
+:func:`sample_record_count` call. The dominance check draws one profile
 matrix per n instead, the i-th n's from ``RandomSource(seed, i << 32)``.
 """
 
@@ -70,7 +71,10 @@ def resolve_theta(theta_spec, n: int) -> float:
     ``power:P`` for theta = n ** P.
     """
     if isinstance(theta_spec, (int, float)):
-        return float(theta_spec)
+        try:
+            return float(theta_spec)
+        except OverflowError:
+            raise ValueError("theta_spec is too large for a float") from None
     text = str(theta_spec).strip()
     if ":" in text:
         tag, _, arg = text.partition(":")
@@ -132,7 +136,10 @@ class ExperimentConfig:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         if self.epsilon is not None:
             real = isinstance(self.epsilon, Real) and not isinstance(self.epsilon, bool)
-            epsilon = float(self.epsilon) if real else math.nan
+            try:
+                epsilon = float(self.epsilon) if real else math.nan
+            except OverflowError:
+                raise ValueError("epsilon is too large for a float") from None
             if not 0.0 < epsilon < math.inf:
                 raise ValueError(f"epsilon must be a finite positive number, got {self.epsilon!r}")
             object.__setattr__(self, "epsilon", epsilon)
@@ -232,10 +239,6 @@ def _recursive_heights(params: RbParams, rng: RandomSource, count: int) -> list:
 def _sequential_heights(params: RbParams, rng: RandomSource, count: int) -> list:
     trees = (build_bst(sample_sequential(params, rng)) for _ in range(count))
     return [(height(tree), record_count_tree(tree)) for tree in trees]
-
-
-def _record_counts(params: RbParams, rng: RandomSource, count: int) -> list:
-    return [sample_record_count(params, rng) for _ in range(count)]
 
 
 def _draw_block(args) -> list:
@@ -350,7 +353,7 @@ def run_record_concentration(
         if mu(n, theta) <= 0.0:
             raise ValueError(f"mu(n, theta) must be positive, got {mu(n, theta)} at n={n}")
     rows = []
-    for n, theta, draws in _run_trials(_record_counts, config):
+    for n, theta, draws in _run_trials(sample_record_count, config):
         params = RbParams(n, theta)
         m = mu(n, theta)
         counts = np.asarray(draws)

@@ -7,14 +7,17 @@ recursive generator splits top-down along the paper's decomposition: all of
 theta sits on the rightmost path (the records), split by one rule (a scan of
 the per-step record chances, or one Beta-binomial variate for large splits),
 and every subtree off it is a uniform BST with uniform splits. The height and
-record-count samplers draw that path the same way.
+record-count samplers draw that path as its set of records instead: step k
+before the last of the n-step scan ends a split with chance
+theta / (theta + k), independently of every other step, so a block of paths
+reads one uniform per near step and a thinned Poisson process over the far ones.
 
 Randomness contract: a (seed, stream_index) pair of unsigned 64-bit integers
 identifies a stream, a PCG64 engine keyed by a SeedSequence of the pair's four
 32-bit words: distinct pairs give independent streams, identical pairs
 identical draws within this implementation. The stream yields uniform
-variates and, for closed-form splits, binomial variates from the same engine.
-Cross-platform bit-exactness is not promised.
+variates and, for closed-form splits and far spine cells, binomial and Poisson
+variates from the same engine. Cross-platform bit-exactness is not promised.
 """
 
 from __future__ import annotations
@@ -27,16 +30,19 @@ import numpy as np
 
 from .model import NO_CHILD, BstTree, Permutation, RbParams
 
-# A rightmost-path split of m nodes scans the per-step record chances when theta > 0 and
-# m <= _SPINE_SCAN_PER_THETA * theta (see _scans), and otherwise draws a Beta-binomial
-# variate; uniform subtrees of at most _EXACT_MAX nodes draw their height from a table.
-# Below the bound a tail of m nodes holds about theta log(1 + m / theta) splits (7 theta at
-# m = 1024 theta), which cost about as much drawn one by one (~3 us each) as its m uniforms
-# scanned in numpy (~10 ns each), at any theta. _spine_profile reads at most
-# _SPINE_SCAN_BLOCK uniforms at a time, which only bounds its memory.
+# A rightmost-path split of m nodes in sample_tree_recursive scans the per-step record
+# chances when theta > 0 and m <= _SPINE_SCAN_PER_THETA * theta (see _scans), and otherwise
+# draws a Beta-binomial variate: below the bound a tail of m nodes holds about
+# theta log(1 + m / theta) splits, 7 theta at m = 1024 theta. _record_keys reads the steps
+# k < max(theta, _DENSE_MIN) one uniform each, so a path of at most _DENSE_MIN nodes costs one
+# numpy compare and none of the thinning's fixed cost (a Poisson draw and a dozen numpy calls,
+# about 50 us per call on a 2-core Xeon). It reads at most _DENSE_CHUNK uniforms at a time:
+# 64 KiB blocks were faster there than 32 KiB and 128-256 KiB ones at n = 10**4, theta = n.
+# Uniform subtrees of at most _EXACT_MAX nodes draw their height from a table.
 _EXACT_MAX = 64
 _SPINE_SCAN_PER_THETA = 1024.0
-_SPINE_SCAN_BLOCK = 4095
+_DENSE_MIN = 1024
+_DENSE_CHUNK = 1 << 13
 
 
 class RandomSource:
@@ -90,6 +96,10 @@ class RandomSource:
     def binomial(self, trials, probs):
         """Binomial(trials, probs) variates from the stream's engine, elementwise for arrays."""
         return self._gen.binomial(trials, probs)
+
+    def poisson(self, lam, size=None):
+        """Poisson(lam) variates from the stream's engine, elementwise for arrays, as numpy's."""
+        return self._gen.poisson(lam, size)
 
 
 def sample_sequential(params: RbParams, rng: RandomSource) -> Permutation:
@@ -170,7 +180,8 @@ def sample_tree_recursive(params: RbParams, rng: RandomSource) -> BstTree:
 
     Rightmost-path nodes draw their left size with :func:`_sample_left_size`, every other
     node a uniform split. Right children are popped first, so the rightmost path is drawn
-    first and its left sizes equal :func:`_spine_profile`'s for the same stream.
+    first, split by split. Its left sizes follow the law of :func:`_record_keys`'s paths,
+    but not their draws: one numpy call per path would cost more than a whole small tree.
     """
     n, theta = params.n, params.theta
     tree = BstTree()
@@ -211,27 +222,67 @@ class HeightSample(NamedTuple):
         return len(self.sizes)
 
 
-def _spine_profile(n: int, theta: float, rng: RandomSource) -> np.ndarray:
-    """Left-subtree sizes along the rightmost path, as an int64 array.
+@functools.lru_cache(maxsize=16)
+def _record_chances(theta: float, top: int, width: int) -> np.ndarray:
+    """The record chances theta / (theta + k) of the steps k = top, top - 1, ..., top - width + 1."""
+    chances = theta / (theta + np.arange(top, top - width, -1.0))
+    chances.flags.writeable = False
+    return chances
 
-    Splits are drawn one by one in closed form until :func:`_scans` holds. All later ones
-    scan: step p of the remaining m steps ends a split with chance
-    theta / (theta + m - 1 - p), whichever split it falls in, so the tail is read in blocks of
-    at most _SPINE_SCAN_BLOCK uniforms, carrying the last hit from block to block. The sizes
-    and the stream position equal those of split-by-split scans for a tail of any length.
+
+def _record_keys(n: int, theta: float, rng: RandomSource, count: int) -> np.ndarray:
+    """Records of ``count`` independent rightmost paths of n nodes, as sorted int64 keys.
+
+    Trial t's record at scan step p (0-based, of n) has key t * n + p; step p = n - 1 - k,
+    k steps before the last, is a record with chance theta / (theta + k), independently,
+    so the last step always is when theta > 0 and the only one when theta = 0. The steps
+    k < K = min(n, max(ceil(theta), _DENSE_MIN)) read one uniform each, trial after trial.
+    The steps k >= K carry a Poisson process of rate log1p(theta / k) on step k, which puts
+    at least one point there with exactly that chance: over each doubling range [a, 2a) it
+    is drawn by thinning one of the larger rate log1p(theta / a), which keeps at least half
+    its points, so far steps cost O(records + log(n / K)) per path.
     """
-    head, m = [], n
-    while m > 0 and not _scans(m, theta):
-        head.append(_split_sizes(m, theta, rng))
-        m -= head[-1] + 1
-    sizes, last = [np.array(head, dtype=np.int64)], -1
-    for lo in range(0, m, _SPINE_SCAN_BLOCK):
-        b = min(_SPINE_SCAN_BLOCK, m - lo)
-        hits = np.flatnonzero(rng.randoms(b) < theta / (theta + np.arange(m - 1 - lo, m - 1 - lo - b, -1)))
-        sizes.append(hits - np.concatenate(([last - lo], hits[:-1])) - 1)
-        if len(hits):
-            last = lo + int(hits[-1])
-    return np.concatenate(sizes)
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    if theta == 0.0:
+        return np.arange(n - 1, count * n, n, dtype=np.int64)
+    dense = min(n, max(math.ceil(theta), _DENSE_MIN))
+    width = min(dense, _DENSE_CHUNK)
+    rows = _DENSE_CHUNK // width
+    keys = []
+    for t0 in range(0, count, rows):
+        r = min(rows, count - t0)
+        for c0 in range(0, dense, width):
+            w = min(width, dense - c0)
+            chance = _record_chances(theta, dense - 1 - c0, w)
+            hits = np.flatnonzero(rng.randoms(r * w).reshape(r, w) < chance)
+            if r > 1:  # hit t * w + j is trial t0 + t's step n - dense + c0 + j
+                hits += hits // w * (n - w)
+            keys.append(hits + (t0 * n + n - dense + c0))
+    keys = np.concatenate(keys)
+    if dense == n:
+        return keys
+    starts = dense << np.arange(((n - 1) // dense).bit_length(), dtype=np.int64)
+    lengths = np.minimum(starts, n - starts)
+    rates = np.log1p(theta / starts)
+    points = rng.poisson(rates * lengths, (count, len(starts)))
+    total = int(points.sum())
+    u = rng.randoms(2 * total)
+    where, accept = u[:total], u[total:]
+    ranges = np.repeat(np.tile(np.arange(len(starts), dtype=np.uint8), count), points.ravel())
+    where *= lengths[ranges]
+    k = where.astype(np.int64)
+    k += starts[ranges]
+    accept *= rates[ranges]
+    ratio = theta / k
+    kept = np.flatnonzero(accept < np.log1p(ratio, out=ratio))
+    far = np.repeat(np.arange(count) * n + (n - 1), points.sum(axis=1))[kept]
+    far -= k[kept]
+    far.sort()
+    # a step hit by several kept points is one record
+    far = np.concatenate((far[:1], far[1:][far[1:] != far[:-1]]))
+    # two sorted runs, which a stable sort merges in one pass
+    return np.sort(np.concatenate((keys, far)), kind="stable")
 
 
 @functools.cache
@@ -295,6 +346,24 @@ def _sweep_heights(spines: list[np.ndarray], rng: RandomSource) -> np.ndarray:
     return best
 
 
+def _spine_sizes(keys: np.ndarray, n: int, count: int) -> list[np.ndarray]:
+    """Each trial's left-subtree sizes along its rightmost path, from :func:`_record_keys`."""
+    # every path ends at step n - 1, so the key before trial t's first is t * n - 1
+    sizes = np.empty_like(keys)
+    sizes[:1] = keys[:1]
+    np.subtract(keys[1:], keys[:-1], out=sizes[1:])
+    sizes[1:] -= 1
+    ends = np.searchsorted(keys, n * np.arange(1, count)).tolist() if count > 1 else []
+    return [sizes[a:b] for a, b in zip([0, *ends], [*ends, len(keys)])]
+
+
+def _trial_count(trials) -> int:
+    count = 1 if trials is None else trials
+    if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 1:
+        raise ValueError(f"trials must be None or an integer >= 1, got {trials!r}")
+    return int(count)
+
+
 def sample_height_only(
     params: RbParams, rng: RandomSource, trials: int | None = None
 ) -> HeightSample | list[HeightSample]:
@@ -306,21 +375,30 @@ def sample_height_only(
     height in O(spine + frontier) memory, so n in the millions is fine.
 
     With ``trials`` None this returns one :class:`HeightSample`. With an int it returns a
-    list of that many independent samples: their spines are drawn one after another, then
-    one sweep runs over all their subtrees. ``trials=1`` makes the same draws as None.
+    list of that many independent samples: their spines are drawn in one
+    :func:`_record_keys` call, then one sweep runs over all their subtrees. ``trials=1``
+    makes the same draws as None.
     """
-    count = 1 if trials is None else trials
-    if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 1:
-        raise ValueError(f"trials must be None or an integer >= 1, got {trials!r}")
-    spines = [_spine_profile(params.n, params.theta, rng) for _ in range(count)]
+    count = _trial_count(trials)
+    spines = _spine_sizes(_record_keys(params.n, params.theta, rng, count), params.n, count)
     heights = _sweep_heights(spines, rng).tolist()
     samples = [HeightSample(h, s) for h, s in zip(heights, spines)]
     return samples[0] if trials is None else samples
 
 
-def sample_record_count(params: RbParams, rng: RandomSource) -> int:
-    """Record count alone: the length of the rightmost path drawn by :func:`_spine_profile`."""
-    return len(_spine_profile(params.n, params.theta, rng))
+def sample_record_count(
+    params: RbParams, rng: RandomSource, trials: int | None = None
+) -> int | list[int]:
+    """Record count alone: the number of rightmost-path records drawn by :func:`_record_keys`.
+
+    With ``trials`` None this returns one int; with an int, a list of that many
+    independent counts, drawn in one call. ``trials=1`` makes the same draws as None.
+    """
+    count = _trial_count(trials)
+    n = params.n
+    keys = _record_keys(n, params.theta, rng, count)
+    counts = np.diff(np.searchsorted(keys, n * np.arange(count + 1))).tolist()
+    return counts[0] if trials is None else counts
 
 
 def sample_left_profile_matrix(

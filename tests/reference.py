@@ -99,20 +99,3 @@ def poisson_binomial_pmf(probs):
         coeffs = nxt
     return coeffs
 
-
-def ref_scan_spine(m, theta, draw):
-    """Left-subtree sizes along the rightmost path of m nodes, split by split.
-
-    Each split scans the sequential mechanism's steps, reading one variate
-    from ``draw()`` per step: step i of a split over m nodes ends it with
-    left size i - 1 when the variate is below theta / (theta + m - i).
-    Needs theta > 0 once m > 0.
-    """
-    sizes = []
-    while m > 0:
-        i = 1
-        while not draw() < theta / (theta + (m - i)):
-            i += 1
-        sizes.append(i - 1)
-        m -= i
-    return sizes

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rbtrees.cli import OutputTable, emit, main
+from rbtrees.cli import OutputTable, build_parser, emit, main
 from rbtrees.analytics import c_star, mu, root_split_distribution
 from rbtrees.experiments import TrialSummary
 from rbtrees.model import RbParams
@@ -294,6 +294,27 @@ class TestDeterminism:
         assert len(lines) == 3 and lines[2] == ""  # header, row, trailing newline
 
 
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_repeated_calls_print_identical_bytes(self, capsys, monkeypatch):
+        # the one parser keeps no state between calls: defaults come back after a flag set them
+        monkeypatch.delenv("RBL_SEED", raising=False)
+        plain = ["sample", "height", "--n", "30", "--trials", "4"]
+        seeded = plain + ["--seed", "7", "--theta", "3", "--format", "json"]
+        first = [run_cli(argv, capsys) for argv in (plain, seeded)]
+        assert [run_cli(argv, capsys) for argv in (plain, seeded, plain)] == [*first, first[0]]
+        assert first[0][0] == 0 and first[0][1] != first[1][1]
+
+    def test_usage_errors_still_exit_2(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["bound", "chernoff", "--n", "10"])
+            assert excinfo.value.code == 2
+            assert "requires --epsilon" in capsys.readouterr().err
+
+
 class TestSeeds:
     def test_env_seed_used_when_flag_absent(self, capsys, monkeypatch):
         monkeypatch.setenv("RBL_SEED", "99")
@@ -373,6 +394,18 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert field in err
+
+    @pytest.mark.parametrize("field", ("epsilon", "theta_spec"))
+    def test_config_integer_past_the_float_range_exits_1(self, tmp_path, capsys, field):
+        settings = {"n_values": [10], "theta_spec": 1, "trials": 5, field: 10**400}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(settings))
+        code, out, err = run_cli(
+            ["experiment", "height-ratio", "--config", str(config), "--threads", "1"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {field} is too large for a float\n"
 
     @pytest.mark.parametrize("via", ("flag", "config"))
     @pytest.mark.parametrize("spec", ("1/0", "constant:3/0", "power:1000", "power:-1000"))

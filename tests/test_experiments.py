@@ -108,6 +108,12 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(n_values=(10,), theta_spec=1.0, trials=1, **{field: value})
 
+    @pytest.mark.parametrize("field", ("epsilon", "theta_spec"))
+    def test_rejects_integers_past_the_float_range(self, field):
+        settings = {"n_values": (10,), "theta_spec": 1.0, "trials": 1, field: 10**400}
+        with pytest.raises(ValueError, match=f"^{field} is too large for a float$"):
+            ExperimentConfig(**settings)
+
     def test_epsilon_and_j_values(self):
         config = ExperimentConfig(n_values=(10,), theta_spec=1.0, trials=1)
         assert (config.epsilon, config.j_values) == (None, None)
@@ -347,8 +353,9 @@ class TestRecordConcentration:
 
     def test_counts_come_in_blocks_like_heights(self):
         config = ExperimentConfig(n_values=(100,), theta_spec=2.0, trials=70, seed=4, epsilon=0.5)
-        streams = [RandomSource(4, 0)] * 64 + [RandomSource(4, 1)] * 6
-        counts = [sample_record_count(RbParams(100, 2.0), rng) for rng in streams]
+        params = RbParams(100, 2.0)
+        counts = sample_record_count(params, RandomSource(4, 0), 64)
+        counts += sample_record_count(params, RandomSource(4, 1), 6)
         row = run_record_concentration(config)[0]
         assert (row.mean_records, row.sd_records) == experiments._mean_sd(np.array(counts))
 

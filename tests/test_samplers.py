@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.stats import chi2_contingency
+from scipy.stats import chi2, chi2_contingency
 
 import rbtrees.samplers as samplers
 from rbtrees.analytics import (
@@ -37,8 +37,6 @@ from rbtrees.samplers import (
     sample_tree_recursive,
 )
 
-from reference import ref_scan_spine
-
 ALPHA = 1e-3
 # trials per sample_height_only call on the block path of the law tests
 BLOCK = 64
@@ -50,6 +48,9 @@ class TestRandomSource:
         b = RandomSource(42, 3)
         assert [a.random() for _ in range(20)] == [b.random() for _ in range(20)]
         assert np.array_equal(a.randoms(1000), b.randoms(1000))
+        lam = np.array([0.0, 0.5, 3.0, 200.0])
+        assert np.array_equal(a.poisson(lam, (3, 4)), b.poisson(lam, (3, 4)))
+        assert a.random() == b.random()
 
     def test_streams_differ(self):
         a = RandomSource(42, 0)
@@ -259,16 +260,39 @@ class TestRecursiveSampler:
         assert record_count_tree(tree) == 1
         assert tree.labels[tree.root] == 9
 
-    @pytest.mark.parametrize("n", (6, 2000, 20000))
-    @pytest.mark.parametrize("spec", (0.0, 0.5, 2.0, "linear:1"))
+    @pytest.mark.parametrize(
+        "n,spec",
+        [pytest.param(6, spec, id=f"{spec}-6") for spec in (0.0, 0.5, 2.0, "linear:1")]
+        + [pytest.param(n, 0.0, id=f"0.0-{n}") for n in (2000, 20000)],
+    )
     def test_spine_equals_spine_profile(self, n, spec):
-        # the rightmost path is drawn first, by the rule _spine_profile follows; at n = 2000
-        # and 20000 the theta <= 2 spines start with closed-form splits and end in a scan
+        # the rightmost path is drawn first; a path of at most 1024 nodes that the tree scans
+        # reads its n uniforms in the order of _record_keys's one compare, and a theta = 0 path
+        # draws nothing, so the sizes agree byte for byte there (and only in law elsewhere)
         theta = resolve_theta(spec, n)
         for stream in range(3):
             tree = sample_tree_recursive(RbParams(n, theta), RandomSource(8, stream))
-            spine = samplers._spine_profile(n, theta, RandomSource(8, stream))
+            spine = sample_height_only(RbParams(n, theta), RandomSource(8, stream)).sizes
             assert left_profile(tree).sizes == tuple(spine.tolist())
+
+    @pytest.mark.parametrize("spec", (0.5, 2.0, "linear:1"))
+    def test_spine_records_match_record_keys(self, spec):
+        # the tree splits its rightmost path split by split, _record_keys thins a Poisson
+        # process over the far steps: a two-sample chi-square of their record counts, in
+        # bins at the deciles of the larger sample
+        n, tree_trials = 2000, 600
+        params = RbParams(n, resolve_theta(spec, n))
+        tree_rng = RandomSource(8, 0)
+        slow = [
+            record_count_tree(sample_tree_recursive(params, tree_rng)) for _ in range(tree_trials)
+        ]
+        fast = _record_counts(params, RandomSource(8, 1), 10 * tree_trials)
+        edges = np.unique(np.quantile(fast, np.linspace(0.1, 0.9, 9)))
+        bins = [np.searchsorted(edges, counts, side="right") for counts in (fast, slow)]
+        table = np.array([np.bincount(b, minlength=len(edges) + 1) for b in bins])
+        table = table[:, table.sum(axis=0) > 0]
+        assert table.shape[1] >= 3
+        assert chi2_contingency(table).pvalue > ALPHA
 
     @pytest.mark.parametrize("theta", (0.5, 5.0))
     def test_joint_law_matches_enumeration(self, theta):
@@ -435,32 +459,62 @@ class TestExactHeightTable:
         assert (1.0 - table[3, 1:]).sum() == pytest.approx(5 / 3, abs=1e-15)
 
 
-class TestSpineTail:
-    @pytest.mark.parametrize(
-        "n,theta,streams",
-        (
-            (2000, 0.0, 20),
-            (2000, 0.5, 20),
-            (2000, 2000.0, 20),
-            (20000, 20000**0.5, 20),
-            (10**5, (10**5) ** 0.5, 4),
-        ),
-        ids=("theta0", "theta0.5", "linear1", "power0.5", "power0.5-multiblock"),
-    )
-    def test_matches_split_by_split_scan(self, n, theta, streams):
-        # every split is drawn in closed form until m <= 1024 theta, and every split after
-        # that scans; at n = 10^5, theta = sqrt(n) the whole spine is one multi-block scan
-        for stream in range(streams):
-            fast_rng, ref_rng = RandomSource(5, stream), RandomSource(5, stream)
-            sizes, m = [], n
-            while m > samplers._SPINE_SCAN_PER_THETA * theta:
-                sizes.append(samplers._sample_left_size(m, theta, ref_rng))
-                m -= sizes[-1] + 1
-            if n == 10**5:
-                assert m == n > samplers._SPINE_SCAN_BLOCK
-            sizes += ref_scan_spine(m, theta, ref_rng.random)
-            assert samplers._spine_profile(n, theta, fast_rng).tolist() == sizes
-            assert fast_rng.random() == ref_rng.random()
+def _record_counts(params, rng, trials):
+    """``trials`` record counts from one stream, BLOCK per call."""
+    return [
+        count
+        for lo in range(0, trials, BLOCK)
+        for count in sample_record_count(params, rng, min(BLOCK, trials - lo))
+    ]
+
+
+def _record_steps(n, theta, rng, trials):
+    """The record steps of ``trials`` rightmost paths of n nodes as (trial, step) arrays."""
+    keys = np.concatenate([
+        lo * n + samplers._record_keys(n, theta, rng, min(BLOCK, trials - lo))
+        for lo in range(0, trials, BLOCK)
+    ])
+    return keys // n, keys % n
+
+
+def _poisson_binomial(probs):
+    """The law of a sum of independent Bernoulli(probs), cut 15 sds above its mean."""
+    mean, var = probs.sum(), (probs * (1.0 - probs)).sum()
+    pmf = np.zeros(min(len(probs), int(mean + 15.0 * math.sqrt(var) + 20.0)) + 1)
+    pmf[0] = 1.0
+    for p in probs:
+        pmf[1:] = pmf[1:] * (1.0 - p) + pmf[:-1] * p
+        pmf[0] *= 1.0 - p
+    return ExactDistribution(range(len(pmf)), pmf / math.fsum(pmf))
+
+
+class TestSpineRecords:
+    # _record_keys reads one uniform for each step k < K = min(n, max(ceil(theta), 1024))
+    # before the last, and thins a Poisson process over the ranges [K 2**i, K 2**(i+1))
+    @pytest.mark.parametrize("n,theta", ((10**5, 316.0), (2000, 0.5)))
+    def test_first_split_law(self, n, theta):
+        # the first record's step is the root's left size; at (10**5, 316) it falls in the
+        # far ranges, at (2000, 0.5) on both sides of K
+        trial, step = _record_steps(n, theta, RandomSource(61, 0), 10000)
+        first = step[np.flatnonzero(np.diff(trial, prepend=-1))]
+        assert chi_square_gof(Counter(first.tolist()), _split_law(n, theta)).p_value > ALPHA
+
+    @pytest.mark.parametrize("n,theta", ((10**4, 5.0), (10**4, 1500.5)))
+    def test_hits_per_step_range(self, n, theta):
+        # records summed over bins of steps k that straddle K and every doubling edge K 2**i,
+        # against their Poisson-binomial mean and variance; the bins are disjoint, so the
+        # squared z-scores sum to a chi-square with one degree of freedom per bin
+        trials, big = 4000, max(math.ceil(theta), 1024)
+        trial, step = _record_steps(n, theta, RandomSource(62, 0), trials)
+        k = n - 1 - step
+        edges = big << np.arange(((n - 1) // big).bit_length())
+        bins = [(0, big // 2)] + [(e - e // 8, min(e + e // 8, n)) for e in edges.tolist()]
+        stat = 0.0
+        for lo, hi in bins:
+            p = theta / (theta + np.arange(lo, hi, dtype=float))
+            hits = np.count_nonzero((k >= lo) & (k < hi))
+            stat += (hits - trials * p.sum()) ** 2 / (trials * (p * (1.0 - p)).sum())
+        assert chi2.sf(stat, len(bins)) > ALPHA
 
 
 class TestRecordCountSampler:
@@ -477,30 +531,43 @@ class TestRecordCountSampler:
         )
         assert chi_square_gof(counts, expected).p_value > ALPHA
 
-    @pytest.mark.parametrize("theta", (0.01, 0.5, 1.0))
-    def test_law_matches_poisson_binomial(self, theta):
-        # records are independent steps with chances p_i = theta / (theta + n - i), so the law
-        # has generating function prod(1 - p_i + p_i z); n = 2000 runs closed-form head splits
-        # and a scanned tail (at theta = 0.01, closed-form splits down to 11 nodes)
-        n, trials = 2000, 20000
-        pmf = np.ones(1)
-        for p in theta / (theta + np.arange(n - 1, -1, -1.0)):
-            pmf = np.concatenate((pmf * (1.0 - p), [0.0])) + np.concatenate(([0.0], pmf * p))
-        expected = ExactDistribution(range(n + 1), pmf / math.fsum(pmf))
-        rng = RandomSource(56, 0)
-        counts = Counter(sample_record_count(RbParams(n, theta), rng) for _ in range(trials))
+    @pytest.mark.parametrize(
+        "n,theta",
+        (
+            pytest.param(2000, 0.01, id="0.01"),
+            pytest.param(2000, 0.5, id="0.5"),
+            pytest.param(2000, 1.0, id="1.0"),
+            pytest.param(2000, 5.0, id="2000-5"),
+            pytest.param(2000, 2000.0, id="2000-2000"),
+            pytest.param(20000, 20000**0.5, id="20000-sqrt"),
+            pytest.param(10**5, 1.0, id="100000-1"),
+        ),
+    )
+    def test_law_matches_poisson_binomial(self, n, theta):
+        # records are independent steps with chances p_k = theta / (theta + k), so the law has
+        # generating function prod(1 - p_k + p_k z); every n here but (2000, 2000) reads steps
+        # k < 1024 one uniform each and thins a Poisson process over the rest
+        expected = _poisson_binomial(theta / (theta + np.arange(n, dtype=float)))
+        counts = Counter(_record_counts(RbParams(n, theta), RandomSource(56, 0), 20000))
         assert chi_square_gof(counts, expected).p_value > ALPHA
+
+    def test_block_of_one_matches_one_count(self):
+        params = RbParams(10**4, 5.0)
+        rng, rng2 = RandomSource(19, 4), RandomSource(19, 4)
+        assert sample_record_count(params, rng, 1) == [sample_record_count(params, rng2)]
+        assert rng.random() == rng2.random()
+
+    @pytest.mark.parametrize("trials", (0, -1, 2.0, True, "3"))
+    def test_rejects_bad_trials(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            sample_record_count(RbParams(10, 1.0), RandomSource(0), trials)
 
     def test_mean_matches_mu_at_scale(self):
         # 1e5 draws at (n=1e4, theta=5): sample mean within 3 SE of mu
         params = RbParams(10**4, 5.0)
         trials = 10**5
         rng = RandomSource(77, 0)
-        counts = np.fromiter(
-            (sample_record_count(params, rng) for _ in range(trials)),
-            dtype=np.int64,
-            count=trials,
-        )
+        counts = np.array(_record_counts(params, rng, trials))
         m = mu(params.n, params.theta)
         se = counts.std(ddof=1) / math.sqrt(trials)
         assert abs(counts.mean() - m) <= 3 * se

@@ -50,3 +50,28 @@ def test_height_scaling_rejects_threads_below_one(tmp_path, threads):
     assert result.returncode == 2
     assert "--threads" in result.stderr and "Traceback" not in result.stderr
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    (
+        (["--epsilon", "0"], "epsilon must be a finite positive number"),
+        (["--theta", "0"], "theta must be positive"),
+        (["--theta", "20"], "epsilon * theta must be < 1"),
+        (["--n", "2"], "n must be at least 3"),
+        (["--max-j", "-1"], "j_values"),
+    ),
+)
+def test_bounds_audit_rejects_bad_input(tmp_path, args, message):
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "bounds_audit.py"), "--trials", "10", *args],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith(f"bounds_audit.py: error: {message}")
+    assert result.stderr.count("\n") == 1
+    assert result.stdout == ""
