@@ -55,7 +55,11 @@ def main() -> int:
         if args.n < 3:
             raise ValueError(f"n must be at least 3, so that M = 2 log log n >= 0; got {args.n}")
         M = 2.0 * math.log(math.log(args.n))
-        bound = left_profile_tail_bound(params, args.profile_epsilon, M, args.k)
+        try:
+            bound = left_profile_tail_bound(params, args.profile_epsilon, M, args.k)
+        except ValueError as exc:
+            # the bound's epsilon is --profile-epsilon here, not --epsilon
+            raise ValueError(str(exc).replace("epsilon", "--profile-epsilon")) from None
         thresholds = np.array(profile_exceedance_thresholds(params, args.profile_epsilon, M, args.k))
     except ValueError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

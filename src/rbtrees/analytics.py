@@ -177,6 +177,37 @@ def c_star() -> float:
     return float(-1.0 / lambertw(-0.5 / math.e).real)
 
 
+@lru_cache(maxsize=None)
+def uniform_height_table(k_max: int) -> np.ndarray:
+    """``T[m, h + 1] = P(H_m <= h)`` for uniform BSTs of m <= k_max nodes, h >= -1.
+
+    Devroye's recursion, level by level: ``F_h = (F_{h-1} * F_{h-1})[m - 1] / m`` for
+    m >= 1, one convolution per level. The table ends at the first column where row k_max
+    is 1.0, so every row's last column is 1.0 and later columns would all be ones. Built once
+    per process and read-only.
+    """
+    if k_max < 0:
+        raise ValueError(f"k_max must be non-negative, got {k_max}")
+    # column `last` is all ones. P(H_m >= d) is at most the mean number of nodes at depth d,
+    # which is at most rate^d / d! with rate = 2 (1 + 1/2 + ... + 1/m), so column d rounds to
+    # 1.0 once that is below 2^-54; and column k_max is exactly 1.0, as H_m <= m - 1.
+    rate = 2.0 * math.fsum(1.0 / j for j in range(1, k_max + 1))
+    last = 0
+    while last < k_max and last * math.log(rate) - math.lgamma(last + 1) >= -54 * math.log(2):
+        last += 1
+    table = np.ones((k_max + 1, last + 1))
+    table[1:, 0] = 0.0
+    sizes = np.arange(1.0, k_max + 1)
+    for h in range(1, last):
+        below = table[:k_max, h - 1]
+        table[1:, h] = np.convolve(below, below)[:k_max] / sizes
+        if table[k_max, h] == 1.0:
+            table = table[:, : h + 1]
+            break
+    table.flags.writeable = False
+    return table
+
+
 def _log_survival_prefixes(n: int, theta: float, k: int):
     """The prefix sums of log1p(-theta / (theta + n - i)) over i = 1..j, for j = 0..k.
 

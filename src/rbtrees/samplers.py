@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .analytics import uniform_height_table
 from .model import NO_CHILD, BstTree, Permutation, RbParams
 
 # A rightmost-path split of m nodes in sample_tree_recursive scans the per-step record
@@ -38,8 +39,12 @@ from .model import NO_CHILD, BstTree, Permutation, RbParams
 # numpy compare and none of the thinning's fixed cost (a Poisson draw and a dozen numpy calls,
 # about 50 us per call on a 2-core Xeon). It reads at most _DENSE_CHUNK uniforms at a time:
 # 64 KiB blocks were faster there than 32 KiB and 128-256 KiB ones at n = 10**4, theta = n.
-# Uniform subtrees of at most _EXACT_MAX nodes draw their height from a table.
-_EXACT_MAX = 64
+# Uniform subtrees of at most _EXACT_MAX nodes draw their height from one row of
+# analytics.uniform_height_table. Heights of 200 trees each at n = 10**3, 10**4, 10**5 and 6 at
+# 10**6 (theta = 1, serial) took 100, 34, 18 and 16 ms with cutoffs 64, 256, 1024 and 2048 on
+# a 2-core Xeon, and the table 1, 1.5, 9 and 32 ms to build (192 ms at 4096); a pool worker
+# builds it once, unless it forks from a parent that already has.
+_EXACT_MAX = 1024
 _SPINE_SCAN_PER_THETA = 1024.0
 _DENSE_MIN = 1024
 _DENSE_CHUNK = 1 << 13
@@ -88,10 +93,11 @@ class RandomSource:
             out = self._buf[self._pos : self._pos + count].copy()
             self._pos += count
             return out
-        head = self._buf[self._pos :].copy()
+        out = np.empty(count)
+        out[:available] = self._buf[self._pos :]
         self._pos = len(self._buf)
-        tail = self._gen.random(count - len(head))
-        return np.concatenate([head, tail])
+        self._gen.random(out=out[available:])
+        return out
 
     def binomial(self, trials, probs):
         """Binomial(trials, probs) variates from the stream's engine, elementwise for arrays."""
@@ -285,20 +291,6 @@ def _record_keys(n: int, theta: float, rng: RandomSource, count: int) -> np.ndar
     return np.sort(np.concatenate((keys, far)), kind="stable")
 
 
-@functools.cache
-def _uniform_height_cdf(k_max: int) -> np.ndarray:
-    """``T[m, h + 1] = P(H_m <= h)`` for uniform BSTs of m <= k_max nodes, h >= -1.
-
-    Devroye's recursion: ``F_m(h) = (1/m) sum_k F_k(h - 1) F_{m-1-k}(h - 1)``.
-    """
-    table = np.zeros((k_max + 1, k_max + 1))
-    table[0] = 1.0
-    for m in range(1, k_max + 1):
-        table[m, 1:] = (table[:m, :-1] * table[m - 1 :: -1, :-1]).sum(axis=0) / m
-    table.flags.writeable = False
-    return table
-
-
 def _sweep_heights(spines: list[np.ndarray], rng: RandomSource) -> np.ndarray:
     """Heights of trees whose j-th spine node carries a uniform BST of spines[t][j] nodes.
 
@@ -310,7 +302,8 @@ def _sweep_heights(spines: list[np.ndarray], rng: RandomSource) -> np.ndarray:
     subtrees are all too small cost no more joined than one by one. A tree makes the same
     draws swept alone as first in a block.
     """
-    table = _uniform_height_cdf(_EXACT_MAX)
+    table = uniform_height_table(_EXACT_MAX)
+    last = table.shape[1] - 1
     lengths = [len(s) for s in spines]
     best = np.array(lengths, dtype=np.int64) - 1
     # a spine of r nodes keeps its j-th subtree iff size >= r - j
@@ -325,10 +318,11 @@ def _sweep_heights(spines: list[np.ndarray], rng: RandomSource) -> np.ndarray:
     while len(size):
         us = rng.randoms(len(size))
         small = size <= _EXACT_MAX
-        # row 0 (all ones) keeps nodes over _EXACT_MAX out; a subtree rooted at depth
-        # top + 1 reads its height from u as (count of row entries <= u) - 1
+        # row 0 (all ones) keeps nodes over _EXACT_MAX out, and the last column (all ones)
+        # nodes whose floor lies past it; a subtree rooted at depth top + 1 reads its
+        # height from u as (count of row entries <= u) - 1
         rows = size * small
-        over = (us >= table[rows, floor * small]).nonzero()[0]
+        over = (us >= table[rows, np.minimum(floor, last) * small]).nonzero()[0]
         if len(over):
             reads = (table[rows[over]] <= us[over, None]).sum(axis=1)
             np.maximum.at(best, tree[over], top[over] + reads)

@@ -9,6 +9,8 @@ against.
 import itertools
 import math
 
+import numpy as np
+
 
 def ref_insert(node, v):
     if node is None:
@@ -99,3 +101,18 @@ def poisson_binomial_pmf(probs):
         coeffs = nxt
     return coeffs
 
+
+def ref_uniform_height_cdf(k_max, width=None):
+    """``T[m, h + 1] = P(H_m <= h)`` for uniform BSTs of m <= k_max nodes, h + 1 < width.
+
+    Devroye's recursion row by row: ``F_m(h) = (1/m) sum_k F_k(h - 1) F_{m-1-k}(h - 1)``,
+    in numpy's extended precision (a 64-bit significand on x86-64), so that its rounding
+    stays far below float64's. Column h + 1 reads only column h, so the first ``width``
+    columns (all k_max + 1 by default) are those of the full table.
+    """
+    width = k_max + 1 if width is None else width
+    table = np.zeros((k_max + 1, width), dtype=np.longdouble)
+    table[0] = 1.0
+    for m in range(1, k_max + 1):
+        table[m, 1:] = (table[:m, :-1] * table[m - 1 :: -1, :-1]).sum(axis=0) / m
+    return table

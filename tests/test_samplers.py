@@ -15,6 +15,7 @@ from rbtrees.analytics import (
     left_root_tail,
     mu,
     root_split_distribution,
+    uniform_height_table,
     weight,
 )
 from rbtrees.experiments import chi_square_gof, dkw_epsilon, resolve_theta
@@ -36,6 +37,8 @@ from rbtrees.samplers import (
     sample_sequential,
     sample_tree_recursive,
 )
+
+from reference import ref_uniform_height_cdf
 
 ALPHA = 1e-3
 # trials per sample_height_only call on the block path of the law tests
@@ -79,7 +82,7 @@ class TestRandomSource:
         got_b = [b.random(), *b.randoms(5000).tolist(), b.random()]
         assert got_a == got_b
 
-    @pytest.mark.parametrize("count", (1, 4095, 4096, 10000))
+    @pytest.mark.parametrize("count", (1, 4095, 4096, 10000, 3 * 4096 + 100))
     def test_block_draw_equals_scalar_draws(self, count):
         a, b = RandomSource(3, 8), RandomSource(3, 8)
         assert a.random() == b.random()
@@ -389,14 +392,23 @@ class TestHeightOnly:
             counts = Counter((sample.height, sample.records) for sample in samples)
             assert chi_square_gof(counts, expected).p_value > ALPHA, (n, theta)
 
-    @pytest.mark.parametrize("theta", (1.0, 2.0))
-    def test_block_heights_follow_the_uniform_law(self, theta):
+    @pytest.mark.parametrize(
+        "n,theta",
+        (
+            pytest.param(200, 1.0, id="1.0"),
+            pytest.param(200, 2.0, id="2.0"),
+            pytest.param(5000, 1.0, id="5000-1.0"),
+            pytest.param(5000, 2.0, id="5000-2.0"),
+        ),
+    )
+    def test_block_heights_follow_the_uniform_law(self, n, theta):
         # theta = 2 has the height law of theta = 1 at every n: the right-subtree size j has
         # weight j + 1, and averaged with its mirror m - 1 - j that weight is constant. At
-        # n = 200 every subtree over 64 nodes is split before the table ends it.
-        n = 200
-        cdf = samplers._uniform_height_cdf(n)[n]
-        expected = ExactDistribution(support=tuple(range(n)), probs=tuple(np.diff(cdf)))
+        # n = 200 the table ends every subtree; at n = 5000 every subtree over
+        # _EXACT_MAX nodes is split before the table ends it, and at theta = 2 the spine's
+        # splits over 2048 nodes are drawn in closed form.
+        cdf = uniform_height_table(n)[n]
+        expected = ExactDistribution(support=tuple(range(len(cdf) - 1)), probs=tuple(np.diff(cdf)))
         samples = _height_samples(RbParams(n, theta), RandomSource(41, 0), 20000, BLOCK)
         counts = Counter(sample.height for sample in samples)
         assert chi_square_gof(counts, expected).p_value > ALPHA
@@ -419,17 +431,21 @@ class TestHeightOnly:
         with pytest.raises(ValueError, match="trials"):
             sample_height_only(RbParams(10, 1.0), RandomSource(0), trials)
 
-    def test_split_path_matches_recursive_sampler(self):
-        # two-sample chi-square on heights where subtrees above the cutoff
-        # are split; the seeds differ above bit 32 so no trial shares a stream
+    def test_split_path_matches_recursive_sampler(self, monkeypatch):
+        # two-sample chi-square on heights; at n = 200 the default cutoff ends every
+        # subtree with one table draw, and a cutoff of 64 splits the subtrees above it.
+        # The seeds differ above bit 32 so no trial shares a stream.
         n, theta, trials = 200, 1.0, 3000
         fast_rng, tree_rng = RandomSource(1 << 40, 0), RandomSource(2 << 40, 0)
-        fast = [sample_height_only(RbParams(n, theta), fast_rng).height for _ in range(trials)]
-        slow = [height(sample_tree_recursive(RbParams(n, theta), tree_rng)) for _ in range(trials)]
-        bins = np.arange(min(fast + slow), max(fast + slow) + 2)
-        table = np.array([np.histogram(fast, bins)[0], np.histogram(slow, bins)[0]])
-        table = table[:, table.sum(axis=0) > 0]
-        assert chi2_contingency(table).pvalue > ALPHA
+        for cutoff in (samplers._EXACT_MAX, 64):
+            monkeypatch.setattr(samplers, "_EXACT_MAX", cutoff)
+            params = RbParams(n, theta)
+            fast = [sample_height_only(params, fast_rng).height for _ in range(trials)]
+            slow = [height(sample_tree_recursive(params, tree_rng)) for _ in range(trials)]
+            bins = np.arange(min(fast + slow), max(fast + slow) + 2)
+            table = np.array([np.histogram(fast, bins)[0], np.histogram(slow, bins)[0]])
+            table = table[:, table.sum(axis=0) > 0]
+            assert chi2_contingency(table).pvalue > ALPHA, cutoff
 
     def test_reproducible(self):
         a = sample_height_only(RbParams(5000, 1.5), RandomSource(123, 9))
@@ -440,21 +456,43 @@ class TestHeightOnly:
 
 class TestExactHeightTable:
     def test_rows_match_enumeration(self):
-        table = samplers._uniform_height_cdf(samplers._EXACT_MAX)
+        table = uniform_height_table(samplers._EXACT_MAX)
+        width = table.shape[1]
         for m in range(1, 9):
             counts = Counter(
                 height(build_bst(Permutation(values)))
                 for values in itertools.permutations(range(1, m + 1))
             )
             total = math.factorial(m)
-            cdf = np.cumsum([counts[h] for h in range(-1, samplers._EXACT_MAX)]) / total
+            cdf = np.cumsum([counts[h] for h in range(-1, width - 1)]) / total
             assert np.abs(table[m] - cdf).max() <= 1e-15, m
 
+    def test_matches_row_wise_reference(self):
+        # 16 ulps of 1.0: the float64 level-wise table was 1.7e-15 from the extended-precision
+        # rows at worst (m = 1023), and the same row-wise recursion in float64 9.5e-15
+        table = uniform_height_table(samplers._EXACT_MAX)
+        width = table.shape[1]
+        assert table.shape == (samplers._EXACT_MAX + 1, width)
+        assert (table[:, -1] == 1.0).all()
+        ref = ref_uniform_height_cdf(samplers._EXACT_MAX, width)
+        assert np.abs(table - ref).max() <= 16 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("k_max", (0, 1, 2, 8))
+    def test_small_tables_end_where_heights_do(self, k_max):
+        # H_m <= m - 1, reached with chance 2^(m - 1) / m! > 2^-54 for m <= 8
+        table = uniform_height_table(k_max)
+        assert table.shape == (k_max + 1, k_max + 1)
+        assert np.abs(table - ref_uniform_height_cdf(k_max)).max() <= 1e-15
+        assert (table[:, -1] == 1.0).all()
+        with pytest.raises(ValueError, match="k_max"):
+            uniform_height_table(-1)
+
     def test_shape_of_rows(self):
-        table = samplers._uniform_height_cdf(samplers._EXACT_MAX)
+        table = uniform_height_table(samplers._EXACT_MAX)
+        width = table.shape[1]
         assert (np.diff(table, axis=1) >= 0).all()
         for m in range(1, samplers._EXACT_MAX + 1):
-            assert table[m, m] == 1.0  # P(H_m <= m - 1)
+            assert table[m, min(m, width - 1)] == 1.0  # P(H_m <= m - 1)
         # E[H_3] = sum over h >= 0 of P(H_3 > h) = 5/3
         assert (1.0 - table[3, 1:]).sum() == pytest.approx(5 / 3, abs=1e-15)
 

@@ -57,9 +57,10 @@ def test_height_scaling_rejects_threads_below_one(tmp_path, threads):
     (
         (["--epsilon", "0"], "epsilon must be a finite positive number"),
         (["--theta", "0"], "theta must be positive"),
-        (["--theta", "20"], "epsilon * theta must be < 1"),
+        (["--theta", "20"], "--profile-epsilon * theta must be < 1"),
         (["--n", "2"], "n must be at least 3"),
         (["--max-j", "-1"], "j_values"),
+        (["--profile-epsilon", "0"], "--profile-epsilon must be positive and finite"),
     ),
 )
 def test_bounds_audit_rejects_bad_input(tmp_path, args, message):
