@@ -16,7 +16,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from rbtrees.cli import OutputTable, _positive_int, emit
+from rbtrees.cli import OutputTable, emit
 from rbtrees.experiments import ExperimentConfig, log_to_stderr, run_height_ratio
 
 DEFAULT_SPECS = ("constant:0", "constant:1", "constant:4.311", "constant:20", "power:0.5", "linear:1")
@@ -30,7 +30,6 @@ def main() -> int:
                         help="comma-separated theta specs (constant:x | linear:a | power:p)")
     parser.add_argument("--trials", type=int, default=300)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
     parser.add_argument("--out-dir", default="results")
     args = parser.parse_args()
 
@@ -40,7 +39,7 @@ def main() -> int:
         config = ExperimentConfig(
             n_values=n_values, theta_spec=spec, trials=args.trials, seed=args.seed
         )
-        rows = run_height_ratio(config, threads=args.threads, progress=log_to_stderr)
+        rows = run_height_ratio(config, progress=log_to_stderr)
         slug = spec.replace(":", "_").replace("/", "-").replace(".", "p")
         path = os.path.join(args.out_dir, f"height_{slug}.csv")
         emit(

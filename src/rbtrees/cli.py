@@ -221,7 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--trials", type=int, default=None)
     p_exp.add_argument("--epsilon", type=_finite, default=None)
     p_exp.add_argument("--j-values", type=_int_list, default=None)
-    p_exp.add_argument("--threads", type=_positive_int, default=None)
+    p_exp.add_argument(
+        "--threads", type=_positive_int, default=None, help="accepted for compatibility; no effect"
+    )
     add_io(p_exp)
 
     return parser
@@ -407,10 +409,9 @@ def _cmd_experiment(args, seed) -> OutputTable:
     settings = _load_experiment_settings(args)
     seed = _resolve_seed(settings.pop("seed", None))
     config = ExperimentConfig(**settings, seed=seed)
-    threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
     what = args.what
     if what == "height-ratio":
-        rows = run_height_ratio(config, threads=threads, progress=log_to_stderr)
+        rows = run_height_ratio(config, progress=log_to_stderr)
     elif what == "record-concentration":
         if config.epsilon is None:
             raise UsageError("record-concentration requires --epsilon (or config epsilon)")
@@ -450,7 +451,7 @@ def main(argv=None) -> int:
         return 0
     except UsageError as exc:
         parser.error(str(exc))
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

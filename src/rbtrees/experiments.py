@@ -3,27 +3,22 @@
 Every run_* function is a pure function of its config and seed. Monte Carlo
 trials go through one driver, :func:`_run_trials`: the trials at the i-th n
 come in blocks whose size depends on n alone, block b drawn in one call from
-the stream ``RandomSource(seed, (i << 32) | b)``. The blocks of every n run
-serially or over one process pool per run, and the draws come back in trial
-order, so reruns (serial or parallel, with any worker count) reproduce
-identical tables. Height rows from either sampler and record-count rows
-differ only in the draw function they pass; a block of recursive heights is
-one :func:`sample_height_only` sweep, and a block of record counts one
-:func:`sample_record_count` call. The dominance check draws one profile
-matrix per n instead, the i-th n's from ``RandomSource(seed, i << 32)``.
+the stream ``RandomSource(seed, (i << 32) | b)``. The blocks run one after
+another in trial order, so reruns reproduce identical tables. Height rows
+from either sampler and record-count rows differ only in the draw function
+they pass; a block of recursive heights is one :func:`sample_height_only`
+sweep, and a block of record counts one :func:`sample_record_count` call.
+The dominance check draws one profile matrix per n instead, the i-th n's
+from ``RandomSource(seed, i << 32)``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
 import sys
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice
 from numbers import Integral, Real
 from typing import Mapping
 
@@ -241,34 +236,20 @@ def _sequential_heights(params: RbParams, rng: RandomSource, count: int) -> list
     return [(height(tree), record_count_tree(tree)) for tree in trees]
 
 
-def _draw_block(args) -> list:
-    """``draw(params, rng, count)`` for block b of the i-th n, on stream ``(i << 32) | b``."""
-    draw, n, theta, seed, n_index, block, count = args
-    return draw(RbParams(n, theta), RandomSource(seed, _stream_index(n_index, block)), count)
-
-
-def _run_trials(draw, config: ExperimentConfig, threads: int = 1):
+def _run_trials(draw, config: ExperimentConfig):
     """Yield ``(n, theta, draws)`` for each n of ``config`` in turn, the draws in trial order.
 
     The trials of the i-th n come in blocks of :func:`_block_trials` (n), block b drawn by
-    ``draw(params, rng, count)`` from ``RandomSource(seed, (i << 32) | b)``. The blocks of
-    every n run over one pool of at most ``threads`` workers, blocks and cores, or serially
-    where that leaves fewer than two; the draws do not depend on the worker count.
+    ``draw(params, rng, count)`` from ``RandomSource(seed, (i << 32) | b)``.
     """
-    if not _is_int(threads) or threads < 1:
-        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
-    cells = []
     for n_index, (n, theta) in enumerate(zip(config.n_values, config.thetas)):
+        params = RbParams(n, theta)
         size = _block_trials(n)
-        cells.append([
-            (draw, n, theta, config.seed, n_index, b, min(size, config.trials - b * size))
-            for b in range(-(-config.trials // size))
-        ])
-    workers = min(threads, sum(map(len, cells)), os.cpu_count() or 1)
-    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        results = (map if pool is None else pool.map)(_draw_block, chain.from_iterable(cells))
-        for n, theta, cell in zip(config.n_values, config.thetas, cells):
-            yield n, theta, list(chain.from_iterable(islice(results, len(cell))))
+        draws = []
+        for b in range(-(-config.trials // size)):
+            rng = RandomSource(config.seed, _stream_index(n_index, b))
+            draws += draw(params, rng, min(size, config.trials - b * size))
+        yield n, theta, draws
 
 
 def _mean_sd(values: np.ndarray) -> tuple[float, float]:
@@ -302,7 +283,7 @@ def summarize(n: int, theta: float, heights, records, seed: int) -> TrialSummary
 
 
 def run_height_ratio(
-    config: ExperimentConfig, threads: int = 1, progress=None, method: str = "recursive"
+    config: ExperimentConfig, *, progress=None, method: str = "recursive"
 ) -> list[TrialSummary]:
     """Sample heights per n and report means, sds, and normalized ratios.
 
@@ -311,14 +292,13 @@ def run_height_ratio(
     permutation into a BST). The ratio column divides by
     max(c_star * log n, mu(n, theta)); first and second moments of the ratio
     follow from (mean, sd) since the normalizer is a constant for fixed n.
-    Every sample is hard-checked against height >= records - 1. With ``threads``
-    (an integer >= 1) above 1, the trials of every n share one process pool.
+    Every sample is hard-checked against height >= records - 1.
     """
     if method not in ("recursive", "sequential"):
         raise ValueError(f"method must be 'recursive' or 'sequential', got {method!r}")
     draw = {"recursive": _recursive_heights, "sequential": _sequential_heights}[method]
     rows = []
-    for n, theta, draws in _run_trials(draw, config, threads):
+    for n, theta, draws in _run_trials(draw, config):
         heights, records = np.array(draws).T
         below = np.flatnonzero(heights < records - 1)
         if below.size:

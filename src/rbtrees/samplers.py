@@ -42,8 +42,7 @@ from .model import NO_CHILD, BstTree, Permutation, RbParams
 # Uniform subtrees of at most _EXACT_MAX nodes draw their height from one row of
 # analytics.uniform_height_table. Heights of 200 trees each at n = 10**3, 10**4, 10**5 and 6 at
 # 10**6 (theta = 1, serial) took 100, 34, 18 and 16 ms with cutoffs 64, 256, 1024 and 2048 on
-# a 2-core Xeon, and the table 1, 1.5, 9 and 32 ms to build (192 ms at 4096); a pool worker
-# builds it once, unless it forks from a parent that already has.
+# a 2-core Xeon, and the table 1, 1.5, 9 and 32 ms to build (192 ms at 4096), once per process.
 _EXACT_MAX = 1024
 _SPINE_SCAN_PER_THETA = 1024.0
 _DENSE_MIN = 1024

@@ -264,6 +264,16 @@ class TestDeterminism:
                 assert code == 0
             assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_threads_flag_changes_no_byte(self, capsys):
+        argv = ["experiment", "height-ratio", "--n-values", "30,2000", "--theta-spec", "constant:1",
+                "--trials", "70", "--seed", "8"]
+        outputs = []
+        for extra in ([], ["--threads", "1"], ["--threads", "2"]):
+            code, out, _ = run_cli(argv + extra, capsys)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] and outputs[0] == outputs[1] == outputs[2]
+
     def test_sample_output_identical(self, tmp_path):
         argv = ["sample", "tree", "--n", "5", "--theta", "1/2", "--trials", "300", "--seed", "21"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -431,7 +441,7 @@ class TestErrors:
             ["bound", "profile-tail", "--n", "10", "--epsilon", "0.1", "--M", "nan", "--k", "2"],
             ["bound", "height-tail", "--n", "10", "--eta", "5", "--t", "inf"],
             ["exact", "records-mgf", "--n", "3", "--t", "nan"],
-            # a worker count below 1 is rejected by its flag's type, like a non-finite float
+            # --threads has no effect, but a value below 1 is still rejected by its flag's type
             ["experiment", "height-ratio", "--n-values", "10", "--theta-spec", "1", "--trials", "3",
              "--threads", "0"],
             ["experiment", "height-ratio", "--n-values", "10", "--theta-spec", "1", "--trials", "3",
@@ -466,6 +476,9 @@ class TestErrors:
              "--epsilon", "0", "--threads", "1"],
             ["experiment", "height-ratio", "--n-values", "10", "--theta-spec", "1", "--trials", "1",
              "--j-values", "2,-1", "--threads", "1"],
+            # a profile matrix of 3 x (10**12 + 1) int64 entries (21.8 TiB) cannot be allocated
+            ["experiment", "dominance", "--n-values", "10", "--theta-spec", "1", "--trials", "3",
+             "--j-values", "1000000000000"],
         ),
     )
     def test_out_of_range_value_exits_1(self, capsys, argv):

@@ -187,12 +187,6 @@ class TestHeightRatio:
         config = ExperimentConfig(n_values=(50, 120), theta_spec=2.0, trials=200, seed=9)
         assert run_height_ratio(config) == run_height_ratio(config)
 
-    def test_parallel_matches_serial(self):
-        config = ExperimentConfig(n_values=(60,), theta_spec=1.0, trials=120, seed=4)
-        for method in ("recursive", "sequential"):
-            pooled = run_height_ratio(config, threads=2, method=method)
-            assert pooled == run_height_ratio(config, threads=1, method=method)
-
     @pytest.mark.parametrize("method", ("recursive", "sequential"))
     def test_height_below_records_fails(self, monkeypatch, method):
         monkeypatch.setattr(
@@ -216,52 +210,10 @@ class TestHeightRatio:
         with pytest.raises(ValueError, match="method.*'bogus'"):
             run_height_ratio(config, method="bogus")
 
-    @pytest.mark.parametrize("threads", (0, -3, 1.5, True, "2", None))
-    def test_rejects_threads_below_one(self, threads):
+    def test_progress_and_method_are_keyword_only(self):
         config = ExperimentConfig(n_values=(10,), theta_spec=1.0, trials=3, seed=0)
-        with pytest.raises(ValueError, match="threads"):
-            run_height_ratio(config, threads=threads)
-
-    def test_one_pool_per_run(self, monkeypatch):
-        pools = []
-
-        class CountedPool(experiments.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountedPool)
-        config = ExperimentConfig(n_values=(20, 40, 80), theta_spec=1.0, trials=70, seed=3)
-        assert run_height_ratio(config, threads=2) == run_height_ratio(config)
-        assert len(pools) == 1
-
-    def test_pool_size_capped_by_blocks_and_cores(self, monkeypatch):
-        # a fake pool records its worker count and maps in process, so no process starts
-        sizes = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
-        config = ExperimentConfig(n_values=(20, 40), theta_spec=1.0, trials=70, seed=3)  # 4 blocks
-        serial = run_height_ratio(config)
-        assert run_height_ratio(config, threads=10**5) == serial
-        assert run_height_ratio(config, threads=2) == serial
-        one_block = ExperimentConfig(n_values=(20,), theta_spec=1.0, trials=10, seed=3)
-        run_height_ratio(one_block, threads=8)
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
-        assert run_height_ratio(config, threads=8) == serial
-        assert sizes == [3, 2]
+        with pytest.raises(TypeError):
+            run_height_ratio(config, 2)
 
     def test_mean_height_monotone_in_n(self):
         config = ExperimentConfig(n_values=(50, 100, 200, 400), theta_spec=1.0, trials=400, seed=1)

@@ -405,8 +405,8 @@ class TestHeightOnly:
         # theta = 2 has the height law of theta = 1 at every n: the right-subtree size j has
         # weight j + 1, and averaged with its mirror m - 1 - j that weight is constant. At
         # n = 200 the table ends every subtree; at n = 5000 every subtree over
-        # _EXACT_MAX nodes is split before the table ends it, and at theta = 2 the spine's
-        # splits over 2048 nodes are drawn in closed form.
+        # _EXACT_MAX nodes is split before the table ends it, and the spine's records come
+        # from _record_keys: one uniform per step below 1024, thinned Poisson steps beyond.
         cdf = uniform_height_table(n)[n]
         expected = ExactDistribution(support=tuple(range(len(cdf) - 1)), probs=tuple(np.diff(cdf)))
         samples = _height_samples(RbParams(n, theta), RandomSource(41, 0), 20000, BLOCK)

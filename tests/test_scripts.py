@@ -14,8 +14,7 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
     (
         (
             "height_scaling.py",
-            ["--n-values", "10,40", "--theta-specs", "constant:1,linear:1", "--trials", "4",
-             "--threads", "1"],
+            ["--n-values", "10,40", "--theta-specs", "constant:1,linear:1", "--trials", "4"],
         ),
         ("bounds_audit.py", ["--n", "100", "--trials", "200", "--max-j", "3", "--k", "2"]),
     ),
@@ -35,21 +34,6 @@ def test_script_runs(tmp_path, script, args):
     if script == "bounds_audit.py":
         verdicts = [line for line in result.stdout.splitlines() if "-> " in line]
         assert len(verdicts) == 3 and all(line.endswith("-> OK") for line in verdicts), result.stdout
-
-
-@pytest.mark.parametrize("threads", ("0", "-3", "two"))
-def test_height_scaling_rejects_threads_below_one(tmp_path, threads):
-    result = subprocess.run(
-        [sys.executable, str(SCRIPTS / "height_scaling.py"), "--threads", threads,
-         "--out-dir", str(tmp_path)],
-        cwd=tmp_path,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert result.returncode == 2
-    assert "--threads" in result.stderr and "Traceback" not in result.stderr
-    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
