@@ -33,12 +33,23 @@ def main() -> int:
     parser.add_argument("--out-dir", default="results")
     args = parser.parse_args()
 
-    n_values = tuple(int(x) for x in args.n_values.split(","))
-    os.makedirs(args.out_dir, exist_ok=True)
-    for spec in args.theta_specs.split(","):
-        config = ExperimentConfig(
-            n_values=n_values, theta_spec=spec, trials=args.trials, seed=args.seed
-        )
+    # every spec is checked at every n, and the output directory made, before the first draw
+    try:
+        try:
+            n_values = tuple(int(x) for x in args.n_values.split(","))
+        except ValueError:
+            raise ValueError(f"bad integer list {args.n_values!r} for --n-values") from None
+        configs = [
+            ExperimentConfig(n_values=n_values, theta_spec=spec, trials=args.trials, seed=args.seed)
+            for spec in args.theta_specs.split(",")
+        ]
+        os.makedirs(args.out_dir, exist_ok=True)
+    except (ValueError, OSError) as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
+
+    for config in configs:
+        spec = config.theta_spec
         rows = run_height_ratio(config, progress=log_to_stderr)
         slug = spec.replace(":", "_").replace("/", "-").replace(".", "p")
         path = os.path.join(args.out_dir, f"height_{slug}.csv")

@@ -188,22 +188,17 @@ def uniform_height_table(k_max: int) -> np.ndarray:
     """
     if k_max < 0:
         raise ValueError(f"k_max must be non-negative, got {k_max}")
-    # column `last` is all ones. P(H_m >= d) is at most the mean number of nodes at depth d,
-    # which is at most rate^d / d! with rate = 2 (1 + 1/2 + ... + 1/m), so column d rounds to
-    # 1.0 once that is below 2^-54; and column k_max is exactly 1.0, as H_m <= m - 1.
-    rate = 2.0 * math.fsum(1.0 / j for j in range(1, k_max + 1))
-    last = 0
-    while last < k_max and last * math.log(rate) - math.lgamma(last + 1) >= -54 * math.log(2):
-        last += 1
-    table = np.ones((k_max + 1, last + 1))
-    table[1:, 0] = 0.0
+    # row m is exactly 1.0 from column m on, as every input to its convolution is, so the
+    # loop ends by column k_max
     sizes = np.arange(1.0, k_max + 1)
-    for h in range(1, last):
-        below = table[:k_max, h - 1]
-        table[1:, h] = np.convolve(below, below)[:k_max] / sizes
-        if table[k_max, h] == 1.0:
-            table = table[:, : h + 1]
-            break
+    column = np.zeros(k_max + 1)
+    column[0] = 1.0
+    columns = [column]
+    while column[k_max] != 1.0:
+        below = column[:k_max]
+        column = np.concatenate(([1.0], np.convolve(below, below)[:k_max] / sizes))
+        columns.append(column)
+    table = np.column_stack(columns)
     table.flags.writeable = False
     return table
 

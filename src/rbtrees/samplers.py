@@ -3,21 +3,22 @@
 Two mechanisms draw the same law. The sequential generator places values one
 at a time, each at the leftmost open position with probability
 theta / (theta + remaining) and at a uniform other one otherwise. The
-recursive generator splits top-down along the paper's decomposition: all of
-theta sits on the rightmost path (the records), split by one rule (a scan of
-the per-step record chances, or one Beta-binomial variate for large splits),
-and every subtree off it is a uniform BST with uniform splits. The height and
-record-count samplers draw that path as its set of records instead: step k
-before the last of the n-step scan ends a split with chance
+recursive generators follow the paper's decomposition: all of theta sits on
+the rightmost path, whose nodes are the records, and every subtree off it is a
+uniform BST with uniform splits. One sampler draws that path as its set of
+records: step k before the last of the n-step scan is a record with chance
 theta / (theta + k), independently of every other step, so a block of paths
-reads one uniform per near step and a thinned Poisson process over the far ones.
+reads one uniform per near step and a thinned Poisson process over the far
+ones. Trees, heights and record counts all take their paths from it, so on
+the same stream they share their rightmost path.
 
 Randomness contract: a (seed, stream_index) pair of unsigned 64-bit integers
 identifies a stream, a PCG64 engine keyed by a SeedSequence of the pair's four
 32-bit words: distinct pairs give independent streams, identical pairs
 identical draws within this implementation. The stream yields uniform
-variates and, for closed-form splits and far spine cells, binomial and Poisson
-variates from the same engine. Cross-platform bit-exactness is not promised.
+variates and, for profile-matrix splits and far spine steps, binomial and
+Poisson variates from the same engine. Cross-platform bit-exactness is not
+promised.
 """
 
 from __future__ import annotations
@@ -31,26 +32,26 @@ import numpy as np
 from .analytics import uniform_height_table
 from .model import NO_CHILD, BstTree, Permutation, RbParams
 
-# A rightmost-path split of m nodes in sample_tree_recursive scans the per-step record
-# chances when theta > 0 and m <= _SPINE_SCAN_PER_THETA * theta (see _scans), and otherwise
-# draws a Beta-binomial variate: below the bound a tail of m nodes holds about
-# theta log(1 + m / theta) splits, 7 theta at m = 1024 theta. _record_keys reads the steps
-# k < max(theta, _DENSE_MIN) one uniform each, so a path of at most _DENSE_MIN nodes costs one
-# numpy compare and none of the thinning's fixed cost (a Poisson draw and a dozen numpy calls,
-# about 50 us per call on a 2-core Xeon). It reads at most _DENSE_CHUNK uniforms at a time:
-# 64 KiB blocks were faster there than 32 KiB and 128-256 KiB ones at n = 10**4, theta = n.
+# _record_keys reads the steps k < max(theta, _DENSE_MIN) one uniform each, so a path of at
+# most _DENSE_MIN nodes costs one numpy compare and none of the thinning's fixed cost (a Poisson
+# draw and a dozen numpy calls, about 50 us per call on a 2-core Xeon). It reads at most
+# _DENSE_CHUNK uniforms at a time: 64 KiB blocks were faster there than 32 KiB and 128-256 KiB
+# ones at n = 10**4, theta = n. A tree of at most _TINY_TREE nodes draws its path in a plain
+# loop instead, with the same draws: for theta = 0.5, 1 and 5 a path took 3 us by the loop and
+# 10-13 us through _record_keys at n = 8, 10-15 us either way at n = 32, and 20-30 us against
+# 9-14 us at n = 64 (timeit minima on a shared 2-core Xeon).
 # Uniform subtrees of at most _EXACT_MAX nodes draw their height from one row of
 # analytics.uniform_height_table. Heights of 200 trees each at n = 10**3, 10**4, 10**5 and 6 at
 # 10**6 (theta = 1, serial) took 100, 34, 18 and 16 ms with cutoffs 64, 256, 1024 and 2048 on
 # a 2-core Xeon, and the table 1, 1.5, 9 and 32 ms to build (192 ms at 4096), once per process.
 _EXACT_MAX = 1024
-_SPINE_SCAN_PER_THETA = 1024.0
+_TINY_TREE = 32
 _DENSE_MIN = 1024
 _DENSE_CHUNK = 1 << 13
 
 
 class RandomSource:
-    """A reproducible stream of uniform variates, with binomial ones on request.
+    """A reproducible stream of uniform variates, with binomial and Poisson ones on request.
 
     Scalar draws are served from an internal block buffer for speed; this is
     an implementation detail and does not affect reproducibility.
@@ -144,75 +145,62 @@ def sample_sequential(params: RbParams, rng: RandomSource) -> Permutation:
     return Permutation(tuple(values))
 
 
-def _split_sizes(m, theta: float, rng: RandomSource):
-    """Left-subtree sizes of record-biased trees of m >= 1 nodes; m is an int or an int64 array.
+def _split_sizes(m: np.ndarray, theta: float, rng: RandomSource) -> np.ndarray:
+    """Left-subtree sizes of record-biased trees of m >= 1 nodes, m an int64 array.
 
     The size is Beta-binomial(m - 1, 1, theta): Binomial(m - 1, W) with W = 1 - U**(1/theta)
     of law Beta(1, theta), so P(K = k) = theta (m-1)!/(m-1-k)! Gamma(theta+m-1-k)/Gamma(theta+m).
     """
     if theta == 0.0:
         return m - 1
-    if isinstance(m, np.ndarray):
-        with np.errstate(divide="ignore"):
-            w = -np.expm1(np.log(rng.randoms(len(m))) / theta)
-    else:
-        u = rng.random()
-        w = -math.expm1(math.log(u) / theta) if u > 0.0 else 1.0
+    with np.errstate(divide="ignore"):
+        w = -np.expm1(np.log(rng.randoms(len(m))) / theta)
     return rng.binomial(m - 1, w)
 
 
-def _scans(m: int, theta: float) -> bool:
-    """Whether a rightmost-path split of m nodes scans rather than draw :func:`_split_sizes`."""
-    return theta > 0.0 and m <= _SPINE_SCAN_PER_THETA * theta
-
-
-def _sample_left_size(m: int, theta: float, rng: RandomSource) -> int:
-    """Left-subtree size (first value minus 1) for a record-biased tree of m >= 1 nodes.
-
-    Where :func:`_scans` holds, the per-step record chances are scanned directly, mirroring
-    the sequential mechanism, whose last step has chance 1; otherwise the law is drawn in
-    closed form.
-    """
-    if not _scans(m, theta):
-        return _split_sizes(m, theta, rng)
-    for i in range(1, m + 1):
-        if rng.random() < theta / (theta + (m - i)):
-            return i - 1
-
-
 def sample_tree_recursive(params: RbParams, rng: RandomSource) -> BstTree:
-    """Generate a record-biased tree top-down from root splits.
+    """Generate a record-biased tree: its rightmost path first, then uniform subtrees off it.
 
-    Rightmost-path nodes draw their left size with :func:`_sample_left_size`, every other
-    node a uniform split. Right children are popped first, so the rightmost path is drawn
-    first, split by split. Its left sizes follow the law of :func:`_record_keys`'s paths,
-    but not their draws: one numpy call per path would cost more than a whole small tree.
+    The path's labels are its records, step p's label p + 1, as :func:`_record_keys` draws
+    them; a tree of at most _TINY_TREE nodes with theta > 0 makes the same draws in one plain
+    loop. Every node off the path is a uniform split, left subtree of the deepest path node
+    first, right children before left ones.
     """
     n, theta = params.n, params.theta
     tree = BstTree()
     if n == 0:
         return tree
+    if theta > 0.0 and n <= _TINY_TREE:
+        spine = [n - k for k in range(n - 1, -1, -1) if rng.random() < theta / (theta + k)]
+    else:
+        spine = (_record_keys(n, theta, rng, 1) + 1).tolist()
     labels, left, right = tree.labels, tree.left, tree.right
     tree.root = 0
-    # stack entries: (lo, hi, parent index, is_left_child, on the rightmost path)
-    stack = [(1, n, NO_CHILD, False, True)]
+    labels.extend(spine)
+    left.extend([NO_CHILD] * len(spine))
+    right.extend(range(1, len(spine)))
+    right.append(NO_CHILD)
+    # stack entries: (lo, hi, parent index, is_left_child); the deepest path node's is on top
+    stack = [
+        (prev + 1, label - 1, idx, True)
+        for idx, (prev, label) in enumerate(zip([0, *spine], spine))
+        if prev + 1 < label
+    ]
     while stack:
-        lo, hi, parent, is_left, on_spine = stack.pop()
-        m = hi - lo + 1
-        label = lo + (_sample_left_size(m, theta, rng) if on_spine else int(rng.random() * m))
+        lo, hi, parent, is_left = stack.pop()
+        label = lo + int(rng.random() * (hi - lo + 1))
         idx = len(labels)
         labels.append(label)
         left.append(NO_CHILD)
         right.append(NO_CHILD)
-        if parent != NO_CHILD:
-            if is_left:
-                left[parent] = idx
-            else:
-                right[parent] = idx
-        if lo <= label - 1:
-            stack.append((lo, label - 1, idx, True, False))
-        if label + 1 <= hi:
-            stack.append((label + 1, hi, idx, False, on_spine))
+        if is_left:
+            left[parent] = idx
+        else:
+            right[parent] = idx
+        if lo < label:
+            stack.append((lo, label - 1, idx, True))
+        if label < hi:
+            stack.append((label + 1, hi, idx, False))
     return tree
 
 

@@ -210,12 +210,12 @@ def _split_law(m, theta):
 
 
 class TestSplitLaw:
-    # the closed-form Beta-binomial draw against the exact root split law
+    # the closed-form Beta-binomial draw of the profile matrix against the exact root split law
     @pytest.mark.parametrize("theta", (0.5, 3.0))
     def test_scalar_draw(self, theta):
         m, trials = 200, 50000
-        rng = RandomSource(21, 0)
-        counts = Counter(samplers._split_sizes(m, theta, rng) for _ in range(trials))
+        nodes = np.full(trials, m, dtype=np.int64)
+        counts = Counter(samplers._split_sizes(nodes, theta, RandomSource(21, 0)).tolist())
         assert chi_square_gof(counts, _split_law(m, theta)).p_value > ALPHA
 
     @pytest.mark.parametrize("theta", (0.01, 1.0, 1e6))
@@ -227,8 +227,8 @@ class TestSplitLaw:
 
     def test_scalar_draw_at_a_million_nodes(self):
         params, trials = RbParams(10**6, 1.0), 20000
-        rng = RandomSource(23, 0)
-        sizes = np.array([samplers._split_sizes(params.n, 1.0, rng) for _ in range(trials)])
+        nodes = np.full(trials, params.n, dtype=np.int64)
+        sizes = samplers._split_sizes(nodes, 1.0, RandomSource(23, 0))
         band = dkw_epsilon(trials)
         for k in (1, 10, 1000, 10**5, 5 * 10**5, 9 * 10**5, 999_999):
             assert abs(float((sizes >= k).mean()) - left_root_tail(params, k)) <= band
@@ -265,13 +265,15 @@ class TestRecursiveSampler:
 
     @pytest.mark.parametrize(
         "n,spec",
-        [pytest.param(6, spec, id=f"{spec}-6") for spec in (0.0, 0.5, 2.0, "linear:1")]
-        + [pytest.param(n, 0.0, id=f"0.0-{n}") for n in (2000, 20000)],
+        [
+            pytest.param(n, spec, id=f"{spec}-{n}")
+            for n in (1, 6, 32, 33, 1000, 1024, 1025, 2000, 20000)
+            for spec in (0.0, 1e-3, 0.5, 2.0, 5.5, 316.0, "linear:1", "linear:3")
+        ],
     )
     def test_spine_equals_spine_profile(self, n, spec):
-        # the rightmost path is drawn first; a path of at most 1024 nodes that the tree scans
-        # reads its n uniforms in the order of _record_keys's one compare, and a theta = 0 path
-        # draws nothing, so the sizes agree byte for byte there (and only in law elsewhere)
+        # the tree draws its rightmost path first, through _record_keys or, for a tiny tree,
+        # through a loop that makes the same draws, so the sizes agree byte for byte
         theta = resolve_theta(spec, n)
         for stream in range(3):
             tree = sample_tree_recursive(RbParams(n, theta), RandomSource(8, stream))
@@ -280,9 +282,9 @@ class TestRecursiveSampler:
 
     @pytest.mark.parametrize("spec", (0.5, 2.0, "linear:1"))
     def test_spine_records_match_record_keys(self, spec):
-        # the tree splits its rightmost path split by split, _record_keys thins a Poisson
-        # process over the far steps: a two-sample chi-square of their record counts, in
-        # bins at the deciles of the larger sample
+        # trees against record counts on disjoint streams, past _record_keys's near steps:
+        # a two-sample chi-square of their record counts, in bins at the deciles of the
+        # larger sample
         n, tree_trials = 2000, 600
         params = RbParams(n, resolve_theta(spec, n))
         tree_rng = RandomSource(8, 0)

@@ -60,3 +60,41 @@ def test_bounds_audit_rejects_bad_input(tmp_path, args, message):
     assert result.stderr.startswith(f"bounds_audit.py: error: {message}")
     assert result.stderr.count("\n") == 1
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    (
+        (["--trials", "0"], "trials must be in [1, 2**32)"),
+        (["--seed", "-1"], "seed must be an unsigned 64-bit integer"),
+        (["--n-values", "10,abc"], "bad integer list '10,abc' for --n-values"),
+        (["--n-values", "20,10"], "n_values must be strictly increasing"),
+        (["--theta-specs", "bogus:1"], "unknown theta spec tag 'bogus'"),
+        # a bad later spec stops the run before the good one draws or writes anything
+        (["--theta-specs", "constant:1,bogus:1"], "unknown theta spec tag 'bogus'"),
+        (["--out-dir", "taken"], "[Errno 17] File exists: 'taken'"),
+    ),
+)
+def test_height_scaling_rejects_bad_input(tmp_path, args, message):
+    out_dir = tmp_path / "out"
+    (tmp_path / "taken").touch()
+    result = subprocess.run(
+        [
+            sys.executable,
+            str(SCRIPTS / "height_scaling.py"),
+            "--n-values", "10,20",
+            "--trials", "2",
+            "--out-dir", str(out_dir),
+            *args,
+        ],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith(f"height_scaling.py: error: {message}")
+    assert result.stderr.count("\n") == 1
+    assert result.stdout == ""
+    assert not out_dir.exists() or not any(out_dir.iterdir())
