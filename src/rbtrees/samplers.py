@@ -32,11 +32,13 @@ import numpy as np
 from .analytics import uniform_height_table
 from .model import NO_CHILD, BstTree, Permutation, RbParams
 
-# _record_keys reads the steps k < max(theta, _DENSE_MIN) one uniform each, so a path of at
-# most _DENSE_MIN nodes costs one numpy compare and none of the thinning's fixed cost (a Poisson
-# draw and a dozen numpy calls, about 50 us per call on a 2-core Xeon). It reads at most
-# _DENSE_CHUNK uniforms at a time: 64 KiB blocks were faster there than 32 KiB and 128-256 KiB
-# ones at n = 10**4, theta = n. A tree of at most _TINY_TREE nodes draws its path in a plain
+# A _record_keys call of c paths reads one uniform for each step k < max(theta, _DENSE_MIN / c)
+# of each path: a budget of _DENSE_MIN near uniforms per call, not per path. So one path of at
+# most _DENSE_MIN nodes costs one numpy compare and none of the thinning's fixed cost (a
+# Poisson draw and a dozen numpy calls, about 50 us per call on a 2-core Xeon), and a block of
+# 64 paths reads 16 steps of each and pays that fixed cost once. It reads at most _DENSE_CHUNK
+# uniforms at a time: 64 KiB blocks were faster there than 32 KiB and 128-256 KiB ones at
+# n = 10**4, theta = n. A tree of at most _TINY_TREE nodes draws its path in a plain
 # loop instead, with the same draws: for theta = 0.5, 1 and 5 a path took 3 us by the loop and
 # 10-13 us through _record_keys at n = 8, 10-15 us either way at n = 32, and 20-30 us against
 # 9-14 us at n = 64 (timeit minima on a shared 2-core Xeon).
@@ -229,7 +231,8 @@ def _record_keys(n: int, theta: float, rng: RandomSource, count: int) -> np.ndar
     Trial t's record at scan step p (0-based, of n) has key t * n + p; step p = n - 1 - k,
     k steps before the last, is a record with chance theta / (theta + k), independently,
     so the last step always is when theta > 0 and the only one when theta = 0. The steps
-    k < K = min(n, max(ceil(theta), _DENSE_MIN)) read one uniform each, trial after trial.
+    k < K = min(n, max(ceil(theta), ceil(_DENSE_MIN / count))) read one uniform each, trial
+    after trial: a call's near steps cost about _DENSE_MIN uniforms unless theta is larger.
     The steps k >= K carry a Poisson process of rate log1p(theta / k) on step k, which puts
     at least one point there with exactly that chance: over each doubling range [a, 2a) it
     is drawn by thinning one of the larger rate log1p(theta / a), which keeps at least half
@@ -239,7 +242,7 @@ def _record_keys(n: int, theta: float, rng: RandomSource, count: int) -> np.ndar
         return np.empty(0, dtype=np.int64)
     if theta == 0.0:
         return np.arange(n - 1, count * n, n, dtype=np.int64)
-    dense = min(n, max(math.ceil(theta), _DENSE_MIN))
+    dense = min(n, max(math.ceil(theta), -(-_DENSE_MIN // count)))
     width = min(dense, _DENSE_CHUNK)
     rows = _DENSE_CHUNK // width
     keys = []

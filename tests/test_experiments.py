@@ -8,8 +8,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from rbtrees import experiments
-from rbtrees.analytics import ExactDistribution, enumerate_exact, mu
+from rbtrees import experiments, samplers
+from rbtrees.analytics import ExactDistribution, beta_product_survival, enumerate_exact, mu
 from rbtrees.experiments import (
     ExperimentConfig,
     chi_square_gof,
@@ -25,6 +25,7 @@ from rbtrees.model import RbParams, build_bst, height, record_count_tree
 from rbtrees.samplers import (
     RandomSource,
     sample_height_only,
+    sample_left_profile_matrix,
     sample_record_count,
     sample_sequential,
     sample_tree_recursive,
@@ -259,19 +260,43 @@ class TestSummarize:
 
     def test_matches_run_height_ratio(self):
         # block b of the i-th n is one sample_height_only call on stream (i << 32) | b; a
-        # block holds 64 trials, or 2**20 // n where that is fewer (32 at n = 2**15)
-        config = ExperimentConfig(n_values=(40, 2**15), theta_spec=3.0, trials=70, seed=5)
-        blocks = {40: (64, 6), 2**15: (32, 32, 6)}
-        rows = []
-        for i, n in enumerate(config.n_values):
-            samples = [
-                sample
-                for b, count in enumerate(blocks[n])
-                for sample in sample_height_only(RbParams(n, 3.0), RandomSource(5, (i << 32) | b), count)
-            ]
-            heights, records = [s.height for s in samples], [s.records for s in samples]
-            rows.append(summarize(n, 3.0, heights, records, 5))
-        assert run_height_ratio(config) == rows
+        # block holds 64 trials, or 2**20 // ceil(mu + n / 1024) where that is fewer: 46 at
+        # n = 2**15, theta = n, where mu is about 22713
+        layouts = {3.0: {40: (64, 6), 2**15: (64, 6)}, "linear:1": {40: (64, 6), 2**15: (46, 24)}}
+        for spec, blocks in layouts.items():
+            config = ExperimentConfig(n_values=(40, 2**15), theta_spec=spec, trials=70, seed=5)
+            rows = []
+            for i, (n, theta) in enumerate(zip(config.n_values, config.thetas)):
+                params = RbParams(n, theta)
+                samples = [
+                    sample
+                    for b, count in enumerate(blocks[n])
+                    for sample in sample_height_only(params, RandomSource(5, (i << 32) | b), count)
+                ]
+                heights, records = [s.height for s in samples], [s.records for s in samples]
+                rows.append(summarize(n, theta, heights, records, 5))
+            assert run_height_ratio(config) == rows, spec
+
+
+class TestBlockTrials:
+    @pytest.mark.parametrize("theta", (0.0, 1.0))
+    def test_constant_theta_fills_blocks(self, theta):
+        for n in (1, 2, 1000, 2**15, 10**5, 10**6, 10**7):
+            assert experiments._block_trials(n, theta) == 64
+
+    def test_block_holds_at_most_2_to_the_20_nodes(self):
+        # a tree holds about mu(n, theta) spine records and n / 1024 frontier nodes; a block
+        # of one tree is the least, however many that tree holds
+        for n in (1, 1000, 2**15, 10**5, 10**6, 10**7):
+            for spec in (0.0, 1.0, 316.0, "power:0.5", "linear:0.1", "linear:1", "linear:3"):
+                theta = resolve_theta(spec, n)
+                count = experiments._block_trials(n, theta)
+                held = mu(n, theta) + n / samplers._EXACT_MAX
+                assert 1 <= count <= 64, (n, spec)
+                assert count == 1 or count * held <= 2**20, (n, spec)
+                assert count == 64 or (count + 1) * math.ceil(held) > 2**20, (n, spec)
+        assert experiments._block_trials(10**5, 1e5) == 15
+        assert experiments._block_trials(10**6, 1e6) == 1
 
 
 class TestRecordConcentration:
@@ -359,6 +384,18 @@ class TestDominance:
         )
         single = dataclasses.replace(config, n_values=(100,))
         assert run_dominance_check(config)[:3] == run_dominance_check(single)
+
+    def test_max_excess_matches_direct_count(self):
+        # the survival read from sorted columns against counting entries above each threshold
+        config = ExperimentConfig(
+            n_values=(50,), theta_spec=0.7, trials=3000, seed=2, j_values=[0, 1, 3]
+        )
+        profile = sample_left_profile_matrix(RbParams(50, 0.7), 3000, 3, RandomSource(2, 0))
+        for row in run_dominance_check(config):
+            cs, thresholds = experiments._dominance_grid(50, row.j)
+            empirical = (profile[:, row.j][None, :] > thresholds[:, None]).mean(axis=1)
+            dominating = [0.0 if c >= 1.0 else beta_product_survival(0.7, row.j, c) for c in cs]
+            assert row.max_excess == float(np.max(empirical - dominating))
 
     def test_default_j_values(self):
         config = ExperimentConfig(n_values=(100,), theta_spec=2.0, trials=200, seed=3)

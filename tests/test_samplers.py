@@ -38,7 +38,7 @@ from rbtrees.samplers import (
     sample_tree_recursive,
 )
 
-from reference import ref_uniform_height_cdf
+from reference import poisson_binomial_pmf, ref_uniform_height_cdf
 
 ALPHA = 1e-3
 # trials per sample_height_only call on the block path of the law tests
@@ -282,22 +282,18 @@ class TestRecursiveSampler:
 
     @pytest.mark.parametrize("spec", (0.5, 2.0, "linear:1"))
     def test_spine_records_match_record_keys(self, spec):
-        # trees against record counts on disjoint streams, past _record_keys's near steps:
-        # a two-sample chi-square of their record counts, in bins at the deciles of the
-        # larger sample
+        # the trees' record counts, past _record_keys's near steps, against the exact
+        # Poisson-binomial law of records: step k before the last is one with chance
+        # theta / (theta + k), independently
         n, tree_trials = 2000, 600
-        params = RbParams(n, resolve_theta(spec, n))
+        theta = resolve_theta(spec, n)
         tree_rng = RandomSource(8, 0)
-        slow = [
-            record_count_tree(sample_tree_recursive(params, tree_rng)) for _ in range(tree_trials)
-        ]
-        fast = _record_counts(params, RandomSource(8, 1), 10 * tree_trials)
-        edges = np.unique(np.quantile(fast, np.linspace(0.1, 0.9, 9)))
-        bins = [np.searchsorted(edges, counts, side="right") for counts in (fast, slow)]
-        table = np.array([np.bincount(b, minlength=len(edges) + 1) for b in bins])
-        table = table[:, table.sum(axis=0) > 0]
-        assert table.shape[1] >= 3
-        assert chi2_contingency(table).pvalue > ALPHA
+        counts = Counter(
+            record_count_tree(sample_tree_recursive(RbParams(n, theta), tree_rng))
+            for _ in range(tree_trials)
+        )
+        expected = _poisson_binomial(theta / (theta + np.arange(n, dtype=float)))
+        assert chi_square_gof(counts, expected).p_value > ALPHA
 
     @pytest.mark.parametrize("theta", (0.5, 5.0))
     def test_joint_law_matches_enumeration(self, theta):
@@ -408,7 +404,8 @@ class TestHeightOnly:
         # weight j + 1, and averaged with its mirror m - 1 - j that weight is constant. At
         # n = 200 the table ends every subtree; at n = 5000 every subtree over
         # _EXACT_MAX nodes is split before the table ends it, and the spine's records come
-        # from _record_keys: one uniform per step below 1024, thinned Poisson steps beyond.
+        # from _record_keys: one uniform per step below 16 in blocks of 64, thinned Poisson
+        # steps beyond.
         cdf = uniform_height_table(n)[n]
         expected = ExactDistribution(support=tuple(range(len(cdf) - 1)), probs=tuple(np.diff(cdf)))
         samples = _height_samples(RbParams(n, theta), RandomSource(41, 0), 20000, BLOCK)
@@ -508,11 +505,11 @@ def _record_counts(params, rng, trials):
     ]
 
 
-def _record_steps(n, theta, rng, trials):
+def _record_steps(n, theta, rng, trials, block=BLOCK):
     """The record steps of ``trials`` rightmost paths of n nodes as (trial, step) arrays."""
     keys = np.concatenate([
-        lo * n + samplers._record_keys(n, theta, rng, min(BLOCK, trials - lo))
-        for lo in range(0, trials, BLOCK)
+        lo * n + samplers._record_keys(n, theta, rng, min(block, trials - lo))
+        for lo in range(0, trials, block)
     ])
     return keys // n, keys % n
 
@@ -529,8 +526,9 @@ def _poisson_binomial(probs):
 
 
 class TestSpineRecords:
-    # _record_keys reads one uniform for each step k < K = min(n, max(ceil(theta), 1024))
-    # before the last, and thins a Poisson process over the ranges [K 2**i, K 2**(i+1))
+    # a _record_keys call of `count` paths reads one uniform for each step
+    # k < K = min(n, max(ceil(theta), ceil(1024 / count))) before the last, and thins a
+    # Poisson process over the ranges [K 2**i, K 2**(i+1))
     @pytest.mark.parametrize("n,theta", ((10**5, 316.0), (2000, 0.5)))
     def test_first_split_law(self, n, theta):
         # the first record's step is the root's left size; at (10**5, 316) it falls in the
@@ -539,16 +537,28 @@ class TestSpineRecords:
         first = step[np.flatnonzero(np.diff(trial, prepend=-1))]
         assert chi_square_gof(Counter(first.tolist()), _split_law(n, theta)).p_value > ALPHA
 
-    @pytest.mark.parametrize("n,theta", ((10**4, 5.0), (10**4, 1500.5)))
-    def test_hits_per_step_range(self, n, theta):
+    @pytest.mark.parametrize(
+        "n,theta,block",
+        (
+            pytest.param(10**4, 5.0, BLOCK, id="10000-5.0"),
+            pytest.param(10**4, 1.0, BLOCK, id="10000-1.0"),
+            pytest.param(10**4, 1500.5, BLOCK, id="10000-1500.5"),
+            pytest.param(10**4, 5.0, 1, id="10000-5.0-single"),
+            pytest.param(10**4, 5.0, 2000, id="10000-5.0-2000"),
+        ),
+    )
+    def test_hits_per_step_range(self, n, theta, block):
         # records summed over bins of steps k that straddle K and every doubling edge K 2**i,
         # against their Poisson-binomial mean and variance; the bins are disjoint, so the
-        # squared z-scores sum to a chi-square with one degree of freedom per bin
-        trials, big = 4000, max(math.ceil(theta), 1024)
-        trial, step = _record_steps(n, theta, RandomSource(62, 0), trials)
+        # squared z-scores sum to a chi-square with one degree of freedom per bin. K is 16
+        # for blocks of 64 at theta <= 16, 1024 for one path, and ceil(theta) past 1024 paths.
+        trials = 4000
+        big = min(n, max(math.ceil(theta), -(-1024 // block)))
+        trial, step = _record_steps(n, theta, RandomSource(62, 0), trials, block)
         k = n - 1 - step
         edges = big << np.arange(((n - 1) // big).bit_length())
-        bins = [(0, big // 2)] + [(e - e // 8, min(e + e // 8, n)) for e in edges.tolist()]
+        bins = [(0, big // 2)]
+        bins += [(e - max(1, e // 8), min(e + max(1, e // 8), n)) for e in edges.tolist()]
         stat = 0.0
         for lo, hi in bins:
             p = theta / (theta + np.arange(lo, hi, dtype=float))
@@ -585,11 +595,22 @@ class TestRecordCountSampler:
     )
     def test_law_matches_poisson_binomial(self, n, theta):
         # records are independent steps with chances p_k = theta / (theta + k), so the law has
-        # generating function prod(1 - p_k + p_k z); every n here but (2000, 2000) reads steps
-        # k < 1024 one uniform each and thins a Poisson process over the rest
+        # generating function prod(1 - p_k + p_k z); in blocks of 64, every n here but
+        # (2000, 2000) reads steps k < max(16, ceil(theta)) one uniform each and thins a
+        # Poisson process over the rest
         expected = _poisson_binomial(theta / (theta + np.arange(n, dtype=float)))
         counts = Counter(_record_counts(RbParams(n, theta), RandomSource(56, 0), 20000))
         assert chi_square_gof(counts, expected).p_value > ALPHA
+
+    def test_poisson_binomial_helper_matches_reference(self):
+        # the numpy law above against the pure-Python convolution it cuts and renormalizes
+        for n, theta in ((300, 2.0), (300, 0.05), (200, 200.0)):
+            probs = theta / (theta + np.arange(n, dtype=float))
+            law = _poisson_binomial(probs)
+            ref = poisson_binomial_pmf(probs.tolist())
+            assert list(law.support) == list(range(len(law.probs)))
+            assert math.fsum(ref[len(law.probs) :]) < 1e-30
+            assert np.allclose(law.probs, ref[: len(law.probs)], rtol=1e-12, atol=1e-300)
 
     def test_block_of_one_matches_one_count(self):
         params = RbParams(10**4, 5.0)
