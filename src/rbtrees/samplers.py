@@ -16,9 +16,9 @@ Randomness contract: a (seed, stream_index) pair of unsigned 64-bit integers
 identifies a stream, a PCG64 engine keyed by a SeedSequence of the pair's four
 32-bit words: distinct pairs give independent streams, identical pairs
 identical draws within this implementation. The stream yields uniform
-variates and, for profile-matrix splits and far spine steps, binomial and
-Poisson variates from the same engine. Cross-platform bit-exactness is not
-promised.
+variates, only in vectors, and, for profile-matrix splits and far spine steps,
+binomial and Poisson variates from the same engine. Cross-platform
+bit-exactness is not promised.
 """
 
 from __future__ import annotations
@@ -34,14 +34,15 @@ from .model import NO_CHILD, BstTree, Permutation, RbParams
 
 # A _record_keys call of c paths reads one uniform for each step k < max(theta, _DENSE_MIN / c)
 # of each path: a budget of _DENSE_MIN near uniforms per call, not per path. So one path of at
-# most _DENSE_MIN nodes costs one numpy compare and none of the thinning's fixed cost (a
-# Poisson draw and a dozen numpy calls, about 50 us per call on a 2-core Xeon), and a block of
-# 64 paths reads 16 steps of each and pays that fixed cost once. It reads at most _DENSE_CHUNK
-# uniforms at a time: 64 KiB blocks were faster there than 32 KiB and 128-256 KiB ones at
-# n = 10**4, theta = n. A tree of at most _TINY_TREE nodes draws its path in a plain
-# loop instead, with the same draws: for theta = 0.5, 1 and 5 a path took 3 us by the loop and
-# 10-13 us through _record_keys at n = 8, 10-15 us either way at n = 32, and 20-30 us against
-# 9-14 us at n = 64 (timeit minima on a shared 2-core Xeon).
+# most _DENSE_MIN nodes costs one numpy compare and none of the thinning's fixed cost (a Poisson
+# draw and a dozen numpy calls, about 50 us), and a block of 64 paths reads 16 steps of each and
+# pays that fixed cost once. It draws all its near uniforms at once: at n = theta = 10**4 one
+# path took 43-57 us and 64 took 2.7-2.8 ms, against 66-90 us and 4.2-5.9 ms in 64 KiB chunks.
+# It frees each large array before it makes the next: holding more at once, near glibc's heap
+# trim threshold, made some processes fault 1.3 MB back in per 10 trees at n = theta = 10**4 and
+# others none. A tree of at most _TINY_TREE nodes draws its path in a plain loop instead, with the
+# same draws (timeit minima, theta = 0.5, 1 and 5, shared 2-core Xeon): a path took 2-4 us by the
+# loop and 7-11 us through _record_keys at n = 6, 4-8 and 6-10 us at 32, 7-11 and 5-10 us at 64.
 # Uniform subtrees of at most _EXACT_MAX nodes draw their height from one row of
 # analytics.uniform_height_table. Heights of 200 trees each at n = 10**3, 10**4, 10**5 and 6 at
 # 10**6 (theta = 1, serial) took 100, 34, 18 and 16 ms with cutoffs 64, 256, 1024 and 2048 on
@@ -49,17 +50,14 @@ from .model import NO_CHILD, BstTree, Permutation, RbParams
 _EXACT_MAX = 1024
 _TINY_TREE = 32
 _DENSE_MIN = 1024
-_DENSE_CHUNK = 1 << 13
 
 
 class RandomSource:
     """A reproducible stream of uniform variates, with binomial and Poisson ones on request.
 
-    Scalar draws are served from an internal block buffer for speed; this is
-    an implementation detail and does not affect reproducibility.
+    Uniforms come only in vectors, straight from the engine: ``randoms(a)`` followed by
+    ``randoms(b)`` equals ``randoms(a + b)`` when no binomial or Poisson draw comes between.
     """
-
-    _BLOCK = 4096
 
     def __init__(self, seed: int, stream_index: int = 0):
         for name, value in (("seed", seed), ("stream_index", stream_index)):
@@ -71,35 +69,15 @@ class RandomSource:
         words = (seed & 0xFFFFFFFF, seed >> 32, stream_index & 0xFFFFFFFF, stream_index >> 32)
         key = np.random.SeedSequence(np.array(words, dtype=np.uint32))
         self._gen = np.random.Generator(np.random.PCG64(key))
-        self._buf = np.empty(0)
-        self._pos = 0
 
     def __repr__(self):
         return f"RandomSource(seed={self.seed}, stream_index={self.stream_index})"
 
-    def random(self) -> float:
-        """One uniform variate in [0, 1)."""
-        if self._pos == len(self._buf):
-            self._buf = self._gen.random(self._BLOCK)
-            self._pos = 0
-        value = self._buf[self._pos]
-        self._pos += 1
-        return float(value)
-
     def randoms(self, count: int) -> np.ndarray:
-        """The next ``count`` uniform variates, the same as ``count`` calls of :meth:`random`."""
+        """The next ``count`` uniform variates in [0, 1)."""
         if count < 0:
             raise ValueError("count must be non-negative")
-        available = len(self._buf) - self._pos
-        if count <= available:
-            out = self._buf[self._pos : self._pos + count].copy()
-            self._pos += count
-            return out
-        out = np.empty(count)
-        out[:available] = self._buf[self._pos :]
-        self._pos = len(self._buf)
-        self._gen.random(out=out[available:])
-        return out
+        return self._gen.random(count)
 
     def binomial(self, trials, probs):
         """Binomial(trials, probs) variates from the stream's engine, elementwise for arrays."""
@@ -116,7 +94,8 @@ def sample_sequential(params: RbParams, rng: RandomSource) -> Permutation:
     At step i the value i goes to the leftmost open position with
     probability theta / (theta + n - i) and to a uniformly chosen other open
     position otherwise; for theta = 0 the leftmost position is taken only
-    when it is the only one left. Consumes between n and 2n uniforms.
+    when it is the only one left. Draws 2n uniforms at once: step i tests the
+    leftmost position with u[2i - 2] and picks an other one with u[2i - 1].
 
     The open positions sit unordered in ``slots[:n - i + 1]`` with ``where``
     mapping each to its index there; a filled one is swap-removed with the
@@ -128,14 +107,15 @@ def sample_sequential(params: RbParams, rng: RandomSource) -> Permutation:
     slots = list(range(n))
     where = list(range(n))
     lo = 0
+    # a memoryview reads Python floats from the array's 8 bytes per uniform
+    u = memoryview(rng.randoms(2 * n))
     for i in range(1, n + 1):
         others = n - i
-        u = rng.random()
-        if others == 0 or (theta > 0.0 and u < theta / (theta + others)):
+        if others == 0 or (theta > 0.0 and u[2 * i - 2] < theta / (theta + others)):
             pos = lo
         else:
             # a uniform index among the others + 1 open slots, skipping lo's
-            j = int(rng.random() * others)
+            j = int(u[2 * i - 1] * others)
             pos = slots[j + (j >= where[lo])]
         values[pos] = i
         last = slots[others]
@@ -166,14 +146,15 @@ def sample_tree_recursive(params: RbParams, rng: RandomSource) -> BstTree:
     The path's labels are its records, step p's label p + 1, as :func:`_record_keys` draws
     them; a tree of at most _TINY_TREE nodes with theta > 0 makes the same draws in one plain
     loop. Every node off the path is a uniform split, left subtree of the deepest path node
-    first, right children before left ones.
+    first, right children before left ones, each reading the next of one vector of uniforms.
     """
     n, theta = params.n, params.theta
     tree = BstTree()
     if n == 0:
         return tree
     if theta > 0.0 and n <= _TINY_TREE:
-        spine = [n - k for k in range(n - 1, -1, -1) if rng.random() < theta / (theta + k)]
+        u = rng.randoms(n).tolist()
+        spine = [j + 1 for j in range(n) if u[j] < theta / (theta + (n - 1 - j))]
     else:
         spine = (_record_keys(n, theta, rng, 1) + 1).tolist()
     labels, left, right = tree.labels, tree.left, tree.right
@@ -188,10 +169,12 @@ def sample_tree_recursive(params: RbParams, rng: RandomSource) -> BstTree:
         for idx, (prev, label) in enumerate(zip([0, *spine], spine))
         if prev + 1 < label
     ]
+    records = len(spine)
+    splits = memoryview(rng.randoms(n - records))
     while stack:
         lo, hi, parent, is_left = stack.pop()
-        label = lo + int(rng.random() * (hi - lo + 1))
         idx = len(labels)
+        label = lo + int(splits[idx - records] * (hi - lo + 1))
         labels.append(label)
         left.append(NO_CHILD)
         right.append(NO_CHILD)
@@ -218,9 +201,9 @@ class HeightSample(NamedTuple):
 
 
 @functools.lru_cache(maxsize=16)
-def _record_chances(theta: float, top: int, width: int) -> np.ndarray:
-    """The record chances theta / (theta + k) of the steps k = top, top - 1, ..., top - width + 1."""
-    chances = theta / (theta + np.arange(top, top - width, -1.0))
+def _record_chances(theta: float, width: int) -> np.ndarray:
+    """The record chances theta / (theta + k) of the steps k = width - 1, width - 2, ..., 0."""
+    chances = theta / (theta + np.arange(width - 1, -1, -1.0))
     chances.flags.writeable = False
     return chances
 
@@ -243,35 +226,25 @@ def _record_keys(n: int, theta: float, rng: RandomSource, count: int) -> np.ndar
     if theta == 0.0:
         return np.arange(n - 1, count * n, n, dtype=np.int64)
     dense = min(n, max(math.ceil(theta), -(-_DENSE_MIN // count)))
-    width = min(dense, _DENSE_CHUNK)
-    rows = _DENSE_CHUNK // width
-    keys = []
-    for t0 in range(0, count, rows):
-        r = min(rows, count - t0)
-        for c0 in range(0, dense, width):
-            w = min(width, dense - c0)
-            chance = _record_chances(theta, dense - 1 - c0, w)
-            hits = np.flatnonzero(rng.randoms(r * w).reshape(r, w) < chance)
-            if r > 1:  # hit t * w + j is trial t0 + t's step n - dense + c0 + j
-                hits += hits // w * (n - w)
-            keys.append(hits + (t0 * n + n - dense + c0))
-    keys = np.concatenate(keys)
+    hits = rng.randoms(count * dense).reshape(count, dense) < _record_chances(theta, dense)
+    keys = np.flatnonzero(hits)
     if dense == n:
         return keys
+    # hit t * dense + j is trial t's step n - dense + j
+    keys += keys // dense * (n - dense) + (n - dense)
     starts = dense << np.arange(((n - 1) // dense).bit_length(), dtype=np.int64)
     lengths = np.minimum(starts, n - starts)
     rates = np.log1p(theta / starts)
     points = rng.poisson(rates * lengths, (count, len(starts)))
     total = int(points.sum())
-    u = rng.randoms(2 * total)
-    where, accept = u[:total], u[total:]
     ranges = np.repeat(np.tile(np.arange(len(starts), dtype=np.uint8), count), points.ravel())
-    where *= lengths[ranges]
-    k = where.astype(np.int64)
+    k = (rng.randoms(total) * lengths[ranges]).astype(np.int64)
     k += starts[ranges]
+    ratio = np.log1p(theta / k)
+    accept = rng.randoms(total)
     accept *= rates[ranges]
-    ratio = theta / k
-    kept = np.flatnonzero(accept < np.log1p(ratio, out=ratio))
+    kept = np.flatnonzero(accept < ratio)
+    del ratio, accept  # from here on at most three words per point are held, not five
     far = np.repeat(np.arange(count) * n + (n - 1), points.sum(axis=1))[kept]
     far -= k[kept]
     far.sort()
@@ -396,6 +369,8 @@ def sample_left_profile_matrix(
     n, theta = params.n, params.theta
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if max_j < 0:
+        raise ValueError(f"max_j must be non-negative, got {max_j}")
     remaining = np.full(trials, n, dtype=np.int64)
     out = np.zeros((trials, max_j + 1), dtype=np.int64)
     for j in range(max_j + 1):

@@ -116,3 +116,17 @@ def ref_uniform_height_cdf(k_max, width=None):
     for m in range(1, k_max + 1):
         table[m, 1:] = (table[:m, :-1] * table[m - 1 :: -1, :-1]).sum(axis=0) / m
     return table
+
+
+def ref_near_record_keys(count, n, theta, near, uniforms):
+    """Record keys t * n + p at the last ``near`` steps of ``count`` n-step paths, by a scan.
+
+    Path t's step n - near + j (j < near) reads uniforms[t * near + j] and is a record iff
+    that is below theta / (theta + near - 1 - j), its chance near - 1 - j steps before the last.
+    """
+    keys = []
+    for t in range(count):
+        for j in range(near):
+            if uniforms[t * near + j] < theta / (theta + (near - 1 - j)):
+                keys.append(t * n + n - near + j)
+    return keys

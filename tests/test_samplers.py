@@ -38,7 +38,7 @@ from rbtrees.samplers import (
     sample_tree_recursive,
 )
 
-from reference import poisson_binomial_pmf, ref_uniform_height_cdf
+from reference import poisson_binomial_pmf, ref_near_record_keys, ref_uniform_height_cdf
 
 ALPHA = 1e-3
 # trials per sample_height_only call on the block path of the law tests
@@ -49,16 +49,16 @@ class TestRandomSource:
     def test_reproducible(self):
         a = RandomSource(42, 3)
         b = RandomSource(42, 3)
-        assert [a.random() for _ in range(20)] == [b.random() for _ in range(20)]
+        assert a.randoms(20).tolist() == b.randoms(20).tolist()
         assert np.array_equal(a.randoms(1000), b.randoms(1000))
         lam = np.array([0.0, 0.5, 3.0, 200.0])
         assert np.array_equal(a.poisson(lam, (3, 4)), b.poisson(lam, (3, 4)))
-        assert a.random() == b.random()
+        assert a.randoms(1).tolist() == b.randoms(1).tolist()
 
     def test_streams_differ(self):
         a = RandomSource(42, 0)
         b = RandomSource(42, 1)
-        assert [a.random() for _ in range(8)] != [b.random() for _ in range(8)]
+        assert a.randoms(8).tolist() != b.randoms(8).tolist()
 
     @pytest.mark.parametrize(
         "a,b",
@@ -78,16 +78,23 @@ class TestRandomSource:
     def test_mixed_draw_patterns_consistent(self):
         a = RandomSource(1, 1)
         b = RandomSource(1, 1)
-        got_a = [a.random(), *a.randoms(5000).tolist(), a.random()]
-        got_b = [b.random(), *b.randoms(5000).tolist(), b.random()]
-        assert got_a == got_b
+        got_a = [*a.randoms(1).tolist(), *a.randoms(5000).tolist(), *a.randoms(1).tolist()]
+        assert got_a == b.randoms(5002).tolist()
+
+    @pytest.mark.parametrize("a,b", ((0, 7), (1, 4095), (4095, 1), (4096, 5000)))
+    def test_split_draws_equal_one_draw(self, a, b):
+        split, one = RandomSource(3, 8), RandomSource(3, 8)
+        got = [*split.randoms(a).tolist(), *split.randoms(b).tolist()]
+        assert got == one.randoms(a + b).tolist()
+        assert split.randoms(1).tolist() == one.randoms(1).tolist()
 
     @pytest.mark.parametrize("count", (1, 4095, 4096, 10000, 3 * 4096 + 100))
     def test_block_draw_equals_scalar_draws(self, count):
+        # a vector of `count` uniforms equals `count` draws of one each
         a, b = RandomSource(3, 8), RandomSource(3, 8)
-        assert a.random() == b.random()
-        assert a.randoms(count).tolist() == [b.random() for _ in range(count)]
-        assert a.random() == b.random()
+        assert a.randoms(1).tolist() == b.randoms(1).tolist()
+        assert a.randoms(count).tolist() == [b.randoms(1)[0] for _ in range(count)]
+        assert a.randoms(1).tolist() == b.randoms(1).tolist()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -99,21 +106,25 @@ class TestRandomSource:
 
 
 class ScriptedSource:
-    """Feeds a fixed variate sequence; raises when it runs dry."""
+    """Serves ``randoms(count)`` from a fixed variate sequence; raises when it runs dry."""
 
     def __init__(self, values):
         self._values = list(values)
 
-    def random(self):
-        return self._values.pop(0)
+    def randoms(self, count):
+        if count > len(self._values):
+            raise IndexError("the script ran dry")
+        out, self._values = self._values[:count], self._values[count:]
+        return np.array(out)
 
 
 class TestSequentialStepLaw:
     def test_min_taken_iff_variate_below_threshold(self):
-        # n=3, theta=1: step thresholds are 1/3, 1/2, then forced
+        # n=3, theta=1: step thresholds are 1/3, 1/2, then forced; the feed holds one
+        # (u, v) pair per step, and v is read only when u does not take the leftmost
         params = RbParams(3, 1.0)
         # step1: u < 1/3 takes the leftmost open position
-        perm = sample_sequential(params, ScriptedSource([0.32, 0.51, 0.0, 0.99]))
+        perm = sample_sequential(params, ScriptedSource([0.32, 0.99, 0.51, 0.0, 0.99, 0.99]))
         # value 1 -> position 1; value 2: u=0.51 >= 1/2 so the single
         # non-min position 3; value 3 forced into position 2
         assert perm.values == (1, 3, 2)
@@ -121,19 +132,18 @@ class TestSequentialStepLaw:
     def test_boundary_is_strict(self):
         params = RbParams(3, 1.0)
         # u exactly at the threshold must NOT select the min
-        perm = sample_sequential(params, ScriptedSource([1 / 3, 0.0, 0.49, 0.9]))
+        perm = sample_sequential(params, ScriptedSource([1 / 3, 0.0, 0.49, 0.99, 0.9, 0.99]))
         # step1: 1/3 not < 1/3 -> other slot from [2, 3] with v=0 -> position 2
         # step2: 0.49 < 1/2 -> min position 1; step3 forced -> position 3
         assert perm.values == (2, 1, 3)
 
     def test_variate_budget(self):
-        # between n and 2n variates are consumed
+        # exactly 2n variates are drawn, whichever of them the steps read
         params = RbParams(4, 2.0)
-        feed = [0.9, 0.0] * 4
+        feed = [0.9, 0.0] * 5
         src = ScriptedSource(feed)
         sample_sequential(params, src)
-        used = len(feed) - len(src._values)
-        assert 4 <= used <= 8
+        assert len(feed) - len(src._values) == 8
 
 
 class TestSequential:
@@ -423,7 +433,7 @@ class TestHeightOnly:
         single = sample_height_only(params, rng2)
         assert block.height == single.height
         assert block.sizes.dtype == single.sizes.dtype and np.array_equal(block.sizes, single.sizes)
-        assert rng.random() == rng2.random()
+        assert rng.randoms(1).tolist() == rng2.randoms(1).tolist()
 
     @pytest.mark.parametrize("trials", (0, -1, 2.0, True, "3"))
     def test_rejects_bad_trials(self, trials):
@@ -566,6 +576,29 @@ class TestSpineRecords:
             stat += (hits - trials * p.sum()) ** 2 / (trials * (p * (1.0 - p)).sum())
         assert chi2.sf(stat, len(bins)) > ALPHA
 
+    @pytest.mark.parametrize(
+        "n,theta,count",
+        (
+            (10, 1.0, 64),
+            (300, 2.0, 3),
+            (2000, 2000.0, 10),
+            (10**4, 1e4, 2),
+            (9000, 20000.0, 1),
+            (10**4, 5.0, 64),
+            (10**5, 1.0, 1),
+        ),
+    )
+    def test_near_steps_match_reference_scan(self, n, theta, count):
+        # the K = near steps before each path's end read the call's first count * K uniforms,
+        # path after path, one per step; K = n in the first five cases, and the last two also
+        # have far steps, so only their keys at steps >= n - K are checked
+        near = min(n, max(math.ceil(theta), -(-1024 // count)))
+        for stream in range(3):
+            keys = samplers._record_keys(n, theta, RandomSource(63, stream), count)
+            uniforms = RandomSource(63, stream).randoms(count * near).tolist()
+            got = keys[keys % n >= n - near].tolist()
+            assert got == ref_near_record_keys(count, n, theta, near, uniforms)
+
 
 class TestRecordCountSampler:
     def test_theta_zero(self):
@@ -616,7 +649,7 @@ class TestRecordCountSampler:
         params = RbParams(10**4, 5.0)
         rng, rng2 = RandomSource(19, 4), RandomSource(19, 4)
         assert sample_record_count(params, rng, 1) == [sample_record_count(params, rng2)]
-        assert rng.random() == rng2.random()
+        assert rng.randoms(1).tolist() == rng2.randoms(1).tolist()
 
     @pytest.mark.parametrize("trials", (0, -1, 2.0, True, "3"))
     def test_rejects_bad_trials(self, trials):
@@ -664,3 +697,7 @@ class TestProfileMatrix:
             dom = 1.0 - ratio**theta if 0.0 < ratio < 1.0 else (1.0 if ratio <= 0.0 else 0.0)
             assert emp <= dom + band
 
+    @pytest.mark.parametrize("max_j", (-1, -2))
+    def test_rejects_negative_max_j(self, max_j):
+        with pytest.raises(ValueError, match="max_j"):
+            sample_left_profile_matrix(RbParams(10, 1.0), 5, max_j, RandomSource(0))
