@@ -204,16 +204,18 @@ def uniform_height_table(k_max: int) -> np.ndarray:
 
 
 def _log_survival_prefixes(n: int, theta: float, k: int):
-    """The prefix sums of log1p(-theta / (theta + n - i)) over i = 1..j, for j = 0..k.
+    """The prefix sums of log1p(-theta / (theta + n - i)) over i = 1..j, for j = 0..k < n.
 
-    The j-th is log P(no record in the first j steps). They are accumulated with
-    compensated summation, so the split law sums to 1 within 1e-12 even for n around 1e4
-    and extreme theta.
+    The j-th is log P(no record in the first j steps). Each term is taken as the equal
+    -log1p(theta / (n - i)), which stays well conditioned where theta / (theta + n - i)
+    rounds to 1 (theta past about 9e15 (n - i)). They are accumulated with compensated
+    summation, so the split law sums to 1 within 1e-12 even for n around 1e4 and extreme
+    theta.
     """
     log_prefix = comp = 0.0
     yield log_prefix
     for i in range(1, k + 1):
-        term = math.log1p(-theta / (theta + (n - i))) - comp
+        term = -math.log1p(theta / (n - i)) - comp
         total = log_prefix + term
         comp = (total - log_prefix) - term
         log_prefix = total
@@ -433,7 +435,10 @@ def enumerate_exact(params: RbParams) -> EnumeratedLaws:
     if theta <= 0.0:
         raise ValueError("theta must be positive")
     keys = [key for key, _ in _perm_stats(n)]
-    weights = [count * theta ** key[0] for key, count in _perm_stats(n)]
+    # theta**records relative to the heaviest record count (n for theta > 1, else 1), so no
+    # weight exceeds its count and none overflows
+    heaviest = n if theta > 1.0 else 1
+    weights = [count * theta ** (key[0] - heaviest) for key, count in _perm_stats(n)]
     laws = {}
     for name, outcome in _LAWS.items():
         law_w: dict = {}

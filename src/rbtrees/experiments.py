@@ -378,12 +378,6 @@ def run_record_concentration(
     return rows
 
 
-def _dominance_grid(n: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Threshold grid t = j + n * c with c log-spaced in (0, 1]."""
-    cs = np.logspace(-6.0, 0.0, DOMINANCE_GRID_SIZE)
-    return cs, j + n * cs
-
-
 def run_dominance_check(config: ExperimentConfig, progress=None) -> list[DominanceRow]:
     """Check that sampled profile entries stay below their dominating law.
 
@@ -397,6 +391,8 @@ def run_dominance_check(config: ExperimentConfig, progress=None) -> list[Dominan
     if min(config.thetas) <= 0.0:
         raise ValueError("theta must be positive")
     band = dkw_epsilon(config.trials)
+    # thresholds t = j + n * c with c log-spaced in (0, 1]
+    cs = np.logspace(-6.0, 0.0, DOMINANCE_GRID_SIZE)
     rows = []
     for n_index, (n, theta) in enumerate(zip(config.n_values, config.thetas)):
         rng = RandomSource(config.seed, _stream_index(n_index, 0))
@@ -404,8 +400,7 @@ def run_dominance_check(config: ExperimentConfig, progress=None) -> list[Dominan
         # with each column sorted, the entries above t are those past t's right insertion point
         profile.sort(axis=0)
         for j in j_values:
-            cs, thresholds = _dominance_grid(n, j)
-            above = config.trials - np.searchsorted(profile[:, j], thresholds, side="right")
+            above = config.trials - np.searchsorted(profile[:, j], j + n * cs, side="right")
             empirical = above / config.trials
             dominating = np.array(
                 [0.0 if c >= 1.0 else beta_product_survival(theta, j, float(c)) for c in cs]

@@ -10,7 +10,9 @@ records: step k before the last of the n-step scan is a record with chance
 theta / (theta + k), independently of every other step, so a block of paths
 reads one uniform per near step and a thinned Poisson process over the far
 ones. Trees, heights and record counts all take their paths from it, so on
-the same stream they share their rightmost path.
+the same stream they share their rightmost path. The profile matrix draws the
+same path's left-subtree sizes split by split instead, each from its
+Beta-binomial law in closed form, which is cheaper for its first few entries.
 
 Randomness contract: a (seed, stream_index) pair of unsigned 64-bit integers
 identifies a stream, a PCG64 engine keyed by a SeedSequence of the pair's four
@@ -23,7 +25,6 @@ bit-exactness is not promised.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -38,11 +39,17 @@ from .model import NO_CHILD, BstTree, Permutation, RbParams
 # draw and a dozen numpy calls, about 50 us), and a block of 64 paths reads 16 steps of each and
 # pays that fixed cost once. It draws all its near uniforms at once: at n = theta = 10**4 one
 # path took 43-57 us and 64 took 2.7-2.8 ms, against 66-90 us and 4.2-5.9 ms in 64 KiB chunks.
+# Their chances are computed on every call, not cached: a cache keyed by (theta, K) held one
+# array of up to n floats per key for the life of the process, 23 MiB after one path at
+# n = theta = 3 * 10**6, while computing them costs one path of K = 1024 steps 3-6 us.
 # It frees each large array before it makes the next: holding more at once, near glibc's heap
 # trim threshold, made some processes fault 1.3 MB back in per 10 trees at n = theta = 10**4 and
 # others none. A tree of at most _TINY_TREE nodes draws its path in a plain loop instead, with the
-# same draws (timeit minima, theta = 0.5, 1 and 5, shared 2-core Xeon): a path took 2-4 us by the
-# loop and 7-11 us through _record_keys at n = 6, 4-8 and 6-10 us at 32, 7-11 and 5-10 us at 64.
+# same draws (timeit minima, theta = 0.5, 1 and 5, shared 2-core Xeon): a path took 4 us by the
+# loop and 11-12 us through _record_keys at n = 6, 7 and 12 us at 32, 11-12 and 12-13 us at 64.
+# The profile matrix's closed-form splits drew k_0..k_5 of 20,000 trees at n = 10**4, theta = 2
+# in 13-17 ms, and k_0..k_20 in 48-58 ms, against 40-56 ms for their paths from _record_keys
+# in calls of 1024 paths.
 # Uniform subtrees of at most _EXACT_MAX nodes draw their height from one row of
 # analytics.uniform_height_table. Heights of 200 trees each at n = 10**3, 10**4, 10**5 and 6 at
 # 10**6 (theta = 1, serial) took 100, 34, 18 and 16 ms with cutoffs 64, 256, 1024 and 2048 on
@@ -127,19 +134,6 @@ def sample_sequential(params: RbParams, rng: RandomSource) -> Permutation:
     return Permutation(tuple(values))
 
 
-def _split_sizes(m: np.ndarray, theta: float, rng: RandomSource) -> np.ndarray:
-    """Left-subtree sizes of record-biased trees of m >= 1 nodes, m an int64 array.
-
-    The size is Beta-binomial(m - 1, 1, theta): Binomial(m - 1, W) with W = 1 - U**(1/theta)
-    of law Beta(1, theta), so P(K = k) = theta (m-1)!/(m-1-k)! Gamma(theta+m-1-k)/Gamma(theta+m).
-    """
-    if theta == 0.0:
-        return m - 1
-    with np.errstate(divide="ignore"):
-        w = -np.expm1(np.log(rng.randoms(len(m))) / theta)
-    return rng.binomial(m - 1, w)
-
-
 def sample_tree_recursive(params: RbParams, rng: RandomSource) -> BstTree:
     """Generate a record-biased tree: its rightmost path first, then uniform subtrees off it.
 
@@ -200,14 +194,6 @@ class HeightSample(NamedTuple):
         return len(self.sizes)
 
 
-@functools.lru_cache(maxsize=16)
-def _record_chances(theta: float, width: int) -> np.ndarray:
-    """The record chances theta / (theta + k) of the steps k = width - 1, width - 2, ..., 0."""
-    chances = theta / (theta + np.arange(width - 1, -1, -1.0))
-    chances.flags.writeable = False
-    return chances
-
-
 def _record_keys(n: int, theta: float, rng: RandomSource, count: int) -> np.ndarray:
     """Records of ``count`` independent rightmost paths of n nodes, as sorted int64 keys.
 
@@ -219,14 +205,18 @@ def _record_keys(n: int, theta: float, rng: RandomSource, count: int) -> np.ndar
     The steps k >= K carry a Poisson process of rate log1p(theta / k) on step k, which puts
     at least one point there with exactly that chance: over each doubling range [a, 2a) it
     is drawn by thinning one of the larger rate log1p(theta / a), which keeps at least half
-    its points, so far steps cost O(records + log(n / K)) per path.
+    its points, so far steps cost O(records + log(n / K)) per path. The K near chances are
+    computed afresh on every call.
     """
     if n == 0:
         return np.empty(0, dtype=np.int64)
     if theta == 0.0:
         return np.arange(n - 1, count * n, n, dtype=np.int64)
     dense = min(n, max(math.ceil(theta), -(-_DENSE_MIN // count)))
-    hits = rng.randoms(count * dense).reshape(count, dense) < _record_chances(theta, dense)
+    # near step k = dense - 1, ..., 0 of each path against its chance theta / (theta + k)
+    hits = rng.randoms(count * dense).reshape(count, dense) < (
+        theta / (theta + np.arange(dense - 1, -1, -1.0))
+    )
     keys = np.flatnonzero(hits)
     if dense == n:
         return keys
@@ -364,11 +354,14 @@ def sample_left_profile_matrix(
     """Profile entries k_0..k_max_j for many independent trees at once.
 
     Returns an int64 array of shape (trials, max_j + 1); positions past a
-    tree's spine end are 0.
+    tree's spine end are 0. Column j holds the left-subtree size of each tree's
+    j-th spine node, of the m >= 1 nodes left after the first j: it is
+    Beta-binomial(m - 1, 1, theta), drawn as Binomial(m - 1, W) with W = 1 - U**(1/theta)
+    of law Beta(1, theta), so P(K = k) = theta (m-1)!/(m-1-k)! Gamma(theta+m-1-k)/Gamma(theta+m).
+    Each column reads one uniform per live tree, then its binomial draws.
     """
     n, theta = params.n, params.theta
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    trials = _trial_count(trials)
     if max_j < 0:
         raise ValueError(f"max_j must be non-negative, got {max_j}")
     remaining = np.full(trials, n, dtype=np.int64)
@@ -377,8 +370,13 @@ def sample_left_profile_matrix(
         active = remaining > 0
         if not active.any():
             break
-        ks = _split_sizes(remaining[active], theta, rng)
+        m = remaining[active]
+        if theta == 0.0:
+            ks = m - 1
+        else:
+            with np.errstate(divide="ignore"):
+                w = -np.expm1(np.log(rng.randoms(len(m))) / theta)
+            ks = rng.binomial(m - 1, w)
         out[active, j] = ks
         remaining[active] -= ks + 1
     return out
-

@@ -183,6 +183,29 @@ class TestRootSplit:
         ks = range(1, n + 1) if n <= 100 else [*range(1, n, 101), n]
         assert [root_split_pmf(params, k) for k in ks] == [pmf[k - 1] for k in ks]
 
+    @pytest.mark.parametrize("theta", (1e17, 1e300))
+    def test_theta_far_above_n(self, theta):
+        # theta / (theta + n - i) rounds to 1.0 here; the law must still sum to 1
+        params = RbParams(5, theta)
+        pmf = root_split_distribution(params)
+        assert math.fsum(pmf) == pytest.approx(1.0, rel=0.0, abs=1e-12)
+        assert pmf[0] == pytest.approx(1.0, rel=1e-15)
+        assert root_split_pmf(params, 2) == pmf[1] == pytest.approx(4.0 / theta, rel=1e-12)
+        assert left_root_tail(params, 2) == pytest.approx(12.0 / theta / theta, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "theta", (Fraction(1, 1000), Fraction(7, 2), Fraction(10**6)), ids=("1e-3", "3.5", "1e6")
+    )
+    @pytest.mark.parametrize("n", (1, 2, 7, 50))
+    def test_matches_exact_product(self, n, theta):
+        # P(first = k) = prod_{i < k} (n - i) / (theta + n - i) * theta / (theta + n - k)
+        pmf = root_split_distribution(RbParams(n, float(theta)))
+        survival = Fraction(1)
+        for k in range(1, n + 1):
+            exact = survival * theta / (theta + n - k)
+            assert rel_err(pmf[k - 1], float(exact)) < 1e-12
+            survival *= Fraction(n - k) / (theta + n - k)
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             root_split_pmf(RbParams(3, 1.0), 0)
@@ -473,6 +496,23 @@ class TestEnumerate:
                 p * math.exp(t * rec) for rec, p in zip(laws.record.support, laws.record.probs)
             )
             assert rel_err(from_law, records_mgf(params, t)) < 1e-10
+
+    @pytest.mark.parametrize("n,theta", ((8, 1e39), (3, 1e200)))
+    def test_theta_far_above_n(self, n, theta):
+        # theta**n overflows a float here; the record law is s(n, r) theta**r normalized,
+        # s the unsigned Stirling numbers of the first kind, and tends to {n: 1}
+        stirling = [1]
+        for m in range(n):
+            stirling = [a * m + b for a, b in zip([*stirling, 0], [0, *stirling])]
+        weights = {r: s * Fraction(theta) ** r for r, s in enumerate(stirling) if s}
+        total = sum(weights.values())
+        laws = enumerate_exact(RbParams(n, theta))
+        assert laws.record.prob(n) == 1.0
+        for r, w in weights.items():
+            assert rel_err(laws.record.prob(r), float(w / total)) < 1e-12
+        params = RbParams(n, theta)
+        for k in range(1, n + 1):
+            assert rel_err(laws.first_value.prob(k), root_split_pmf(params, k)) < 1e-12
 
     def test_profile_law_consistency(self):
         laws = enumerate_exact(RbParams(5, 2.0))

@@ -391,8 +391,9 @@ class TestDominance:
             n_values=(50,), theta_spec=0.7, trials=3000, seed=2, j_values=[0, 1, 3]
         )
         profile = sample_left_profile_matrix(RbParams(50, 0.7), 3000, 3, RandomSource(2, 0))
+        cs = np.logspace(-6.0, 0.0, experiments.DOMINANCE_GRID_SIZE)
         for row in run_dominance_check(config):
-            cs, thresholds = experiments._dominance_grid(50, row.j)
+            thresholds = row.j + 50 * cs
             empirical = (profile[:, row.j][None, :] > thresholds[:, None]).mean(axis=1)
             dominating = [0.0 if c >= 1.0 else beta_product_survival(0.7, row.j, c) for c in cs]
             assert row.max_excess == float(np.max(empirical - dominating))

@@ -224,8 +224,8 @@ class TestSplitLaw:
     @pytest.mark.parametrize("theta", (0.5, 3.0))
     def test_scalar_draw(self, theta):
         m, trials = 200, 50000
-        nodes = np.full(trials, m, dtype=np.int64)
-        counts = Counter(samplers._split_sizes(nodes, theta, RandomSource(21, 0)).tolist())
+        matrix = sample_left_profile_matrix(RbParams(m, theta), trials, 0, RandomSource(21, 0))
+        counts = Counter(matrix[:, 0].tolist())
         assert chi_square_gof(counts, _split_law(m, theta)).p_value > ALPHA
 
     @pytest.mark.parametrize("theta", (0.01, 1.0, 1e6))
@@ -237,8 +237,7 @@ class TestSplitLaw:
 
     def test_scalar_draw_at_a_million_nodes(self):
         params, trials = RbParams(10**6, 1.0), 20000
-        nodes = np.full(trials, params.n, dtype=np.int64)
-        sizes = samplers._split_sizes(nodes, 1.0, RandomSource(23, 0))
+        sizes = sample_left_profile_matrix(params, trials, 0, RandomSource(23, 0))[:, 0]
         band = dkw_epsilon(trials)
         for k in (1, 10, 1000, 10**5, 5 * 10**5, 9 * 10**5, 999_999):
             assert abs(float((sizes >= k).mean()) - left_root_tail(params, k)) <= band
@@ -701,3 +700,9 @@ class TestProfileMatrix:
     def test_rejects_negative_max_j(self, max_j):
         with pytest.raises(ValueError, match="max_j"):
             sample_left_profile_matrix(RbParams(10, 1.0), 5, max_j, RandomSource(0))
+
+    @pytest.mark.parametrize("trials", (0, -1, True, 2.5, "4"))
+    def test_rejects_bad_trials(self, trials):
+        # the rule and message of sample_height_only and sample_record_count
+        with pytest.raises(ValueError, match="trials"):
+            sample_left_profile_matrix(RbParams(10, 1.0), trials, 3, RandomSource(0))
