@@ -26,6 +26,7 @@ from .model import (
     Permutation,
     RbParams,
     build_bst,
+    check_int,
     height,
     left_profile,
     record_count_perm,
@@ -147,7 +148,8 @@ def weight(perm: Permutation, theta: float) -> float:
     return math.exp(math.fsum(log_terms))
 
 
-@lru_cache(maxsize=None)
+# typed, so that True is checked, not served from 1's entry
+@lru_cache(maxsize=None, typed=True)
 def mu(n: int, theta: float) -> float:
     """Expected record count: sum of theta / (theta + i) for 0 <= i < n.
 
@@ -156,8 +158,7 @@ def mu(n: int, theta: float) -> float:
     _MU_CHUNK terms, so memory stays small, and ``math.fsum`` adds the chunk sums. Memoized:
     a height-ratio row asks for it more than once.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    n = check_int("n", n)
     if theta == 0.0:
         return 0.0
     return math.fsum(
@@ -177,7 +178,7 @@ def c_star() -> float:
     return float(-1.0 / lambertw(-0.5 / math.e).real)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def uniform_height_table(k_max: int) -> np.ndarray:
     """``T[m, h + 1] = P(H_m <= h)`` for uniform BSTs of m <= k_max nodes, h >= -1.
 
@@ -186,8 +187,7 @@ def uniform_height_table(k_max: int) -> np.ndarray:
     is 1.0, so every row's last column is 1.0 and later columns would all be ones. Built once
     per process and read-only.
     """
-    if k_max < 0:
-        raise ValueError(f"k_max must be non-negative, got {k_max}")
+    k_max = check_int("k_max", k_max)
     # row m is exactly 1.0 from column m on, as every input to its convolution is, so the
     # loop ends by column k_max
     sizes = np.arange(1.0, k_max + 1)
@@ -230,10 +230,8 @@ def _log_survival(n: int, theta: float, k: int) -> float:
 def root_split_pmf(params: RbParams, k: int) -> float:
     """P(first inserted value equals k) for a record-biased permutation."""
     n, theta = params.n, params.theta
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
+    check_int("n", n, 1)
+    k = check_int("k", k, 1, n + 1)
     if theta == 0.0:
         return 1.0 if k == n else 0.0
     return math.exp(_log_survival(n, theta, k - 1)) * theta / (theta + (n - k))
@@ -242,8 +240,7 @@ def root_split_pmf(params: RbParams, k: int) -> float:
 def root_split_distribution(params: RbParams) -> list[float]:
     """The full first-value law as a length-n list (index k-1 is P(k))."""
     n, theta = params.n, params.theta
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    check_int("n", n, 1)
     if theta == 0.0:
         return [0.0] * (n - 1) + [1.0]
     return [
@@ -255,8 +252,7 @@ def root_split_distribution(params: RbParams) -> list[float]:
 def left_root_tail(params: RbParams, k: int) -> float:
     """P(the root's left subtree has at least k nodes)."""
     n, theta = params.n, params.theta
-    if not 0 <= k <= n:
-        raise ValueError(f"k must be in [0, {n}], got {k}")
+    k = check_int("k", k, 0, n + 1)
     if k == 0:
         return 1.0
     if k == n:
@@ -302,7 +298,8 @@ def chernoff_record_tail(params: RbParams, epsilon: float) -> tuple[float, float
     Returns ``(upper, lower, two_sided)``: upper bounds P(records >= (1 + eps) * mu) by
     exp(-mu * ((1+eps) log(1+eps) - eps)); lower bounds P(records <= (1 - eps) * mu) by
     exp(-mu * (eps + (1-eps) log(1-eps))), degenerating to exp(-mu) once eps >= 1;
-    two_sided is min(1, upper + lower). All lie in (0, 1] and decrease in mu.
+    two_sided is min(1, upper + lower). All lie in [0, 1] and decrease in mu; 0.0 stands for
+    a tail below the smallest float, as at n = 10**5 and theta >= 10**6.
     """
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
@@ -328,8 +325,7 @@ def beta_product_survival(theta: float, j: int, c: float) -> float:
         raise ValueError("theta must be positive")
     if not 0.0 < c < 1.0:
         raise ValueError("c must lie strictly between 0 and 1")
-    if j < 0:
-        raise ValueError("j must be non-negative")
+    j = check_int("j", j)
     if j == 0:
         return 1.0
     return float(gammainc(j, theta * (-math.log(c))))
@@ -367,10 +363,8 @@ def left_profile_tail_bound(params: RbParams, epsilon: float, M: float, k: int) 
     C, lam = profile_tail_constants(theta, epsilon)
     if not M >= 0.0:
         raise ValueError(f"M must be non-negative, got {M}")
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    k = check_int("k", k)
+    check_int("n", n, 1)
     if k == 0:
         log_xi = -math.inf
     else:
@@ -391,7 +385,7 @@ def profile_exceedance_thresholds(params: RbParams, epsilon: float, M: float, k:
     if theta <= 0.0:
         raise ValueError("theta must be positive")
     rate = 1.0 / theta - epsilon
-    return [n * math.exp(-rate * j + M) for j in range(k + 1)]
+    return [n * math.exp(-rate * j + M) for j in range(check_int("k", k) + 1)]
 
 
 def conditional_height_tail_bound(profile: LeftProfile, eta: int, t: float) -> float:
@@ -401,8 +395,7 @@ def conditional_height_tail_bound(profile: LeftProfile, eta: int, t: float) -> f
     j = 0..r, where k_j = 0 beyond the profile's end. The terms are added in log space,
     shifted by the largest, since a factor can overflow where the sum does not.
     """
-    if eta < 0:
-        raise ValueError("eta must be non-negative")
+    eta = check_int("eta", eta)
     if t <= 0.0:
         raise ValueError("t must be positive")
     log_base = math.log(2.0) - t

@@ -20,14 +20,14 @@ import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Integral, Real
+from numbers import Real
 from typing import Mapping
 
 import numpy as np
 from scipy.special import gammaincc
 
 from .analytics import ExactDistribution, beta_product_survival, c_star, chernoff_record_tail, mu
-from .model import RbParams, build_bst, height, record_count_tree
+from .model import RbParams, build_bst, check_int, height, record_count_tree
 from .samplers import (
     _EXACT_MAX,
     RandomSource,
@@ -95,18 +95,12 @@ def resolve_theta(theta_spec, n: int) -> float:
     return parse_theta_value(text)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, Integral) and not isinstance(value, bool)
-
-
 def _int_tuple(name: str, values, least: int) -> tuple[int, ...]:
     """``values`` as a non-empty int tuple, in order, each at least ``least``."""
-    ints = tuple(values) if isinstance(values, Iterable) else ()
-    if not ints or not all(map(_is_int, ints)):
+    ints = tuple(values) if isinstance(values, Iterable) and not isinstance(values, str) else ()
+    if not ints:
         raise ValueError(f"{name} must be a non-empty sequence of integers, got {values!r}")
-    if min(ints) < least:
-        raise ValueError(f"{name} must be at least {least}, got {min(ints)}")
-    return tuple(int(v) for v in ints)
+    return tuple(check_int(f"{name}[{i}]", v, least) for i, v in enumerate(ints))
 
 
 @dataclass(frozen=True)
@@ -126,14 +120,12 @@ class ExperimentConfig:
         object.__setattr__(self, "n_values", n_values)
         if any(b <= a for a, b in zip(n_values, n_values[1:])):
             raise ValueError("n_values must be strictly increasing")
-        if not _is_int(self.trials):
-            raise ValueError(f"trials must be an integer, got {self.trials!r}")
         # _stream_index packs a block index, which is below trials, into the low 32 bits
-        if not 1 <= self.trials < 1 << 32:
-            raise ValueError(f"trials must be in [1, 2**32), got {self.trials}")
-        object.__setattr__(self, "trials", int(self.trials))
-        if not _is_int(self.seed) or not 0 <= self.seed < 1 << 64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        trials = check_int("trials", self.trials, 1, 1 << 32, "in [1, 2**32)")
+        object.__setattr__(self, "trials", trials)
+        # the rule RandomSource applies to the seed
+        seed = check_int("seed", self.seed, 0, 1 << 64, "an unsigned 64-bit integer")
+        object.__setattr__(self, "seed", seed)
         if self.epsilon is not None:
             real = isinstance(self.epsilon, Real) and not isinstance(self.epsilon, bool)
             try:
@@ -213,13 +205,12 @@ class ChiSquareResult:
 
 def dkw_epsilon(trials: int, alpha: float = DKW_ALPHA) -> float:
     """Uniform empirical-CDF deviation with failure probability alpha."""
-    return math.sqrt(math.log(2.0 / alpha) / (2.0 * trials))
+    return math.sqrt(math.log(2.0 / alpha) / (2.0 * check_int("trials", trials, 1)))
 
 
 def height_normalizer(n: int, theta: float) -> float:
     """The height scale max(c_star * log n, mu(n, theta))."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = check_int("n", n, 1)
     return max(c_star() * math.log(n), mu(n, theta))
 
 

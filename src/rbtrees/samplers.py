@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analytics import uniform_height_table
-from .model import NO_CHILD, BstTree, Permutation, RbParams
+from .model import NO_CHILD, BstTree, Permutation, RbParams, check_int
 
 # A _record_keys call of c paths reads one uniform for each step k < max(theta, _DENSE_MIN / c)
 # of each path: a budget of _DENSE_MIN near uniforms per call, not per path. So one path of at
@@ -67,11 +67,9 @@ class RandomSource:
     """
 
     def __init__(self, seed: int, stream_index: int = 0):
-        for name, value in (("seed", seed), ("stream_index", stream_index)):
-            if not isinstance(value, int) or not 0 <= value < 1 << 64:
-                raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
-        self.seed = seed
-        self.stream_index = stream_index
+        rule = "an unsigned 64-bit integer"
+        self.seed = seed = check_int("seed", seed, 0, 1 << 64, rule)
+        self.stream_index = stream_index = check_int("stream_index", stream_index, 0, 1 << 64, rule)
         # four 32-bit words, so that the key is injective in the pair
         words = (seed & 0xFFFFFFFF, seed >> 32, stream_index & 0xFFFFFFFF, stream_index >> 32)
         key = np.random.SeedSequence(np.array(words, dtype=np.uint32))
@@ -82,8 +80,6 @@ class RandomSource:
 
     def randoms(self, count: int) -> np.ndarray:
         """The next ``count`` uniform variates in [0, 1)."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
         return self._gen.random(count)
 
     def binomial(self, trials, probs):
@@ -118,7 +114,7 @@ def sample_sequential(params: RbParams, rng: RandomSource) -> Permutation:
     u = memoryview(rng.randoms(2 * n))
     for i in range(1, n + 1):
         others = n - i
-        if others == 0 or (theta > 0.0 and u[2 * i - 2] < theta / (theta + others)):
+        if others == 0 or u[2 * i - 2] < theta / (theta + others):
             pos = lo
         else:
             # a uniform index among the others + 1 open slots, skipping lo's
@@ -305,10 +301,7 @@ def _spine_sizes(keys: np.ndarray, n: int, count: int) -> list[np.ndarray]:
 
 
 def _trial_count(trials) -> int:
-    count = 1 if trials is None else trials
-    if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 1:
-        raise ValueError(f"trials must be None or an integer >= 1, got {trials!r}")
-    return int(count)
+    return check_int("trials", 1 if trials is None else trials, 1, rule="None or an integer >= 1")
 
 
 def sample_height_only(
@@ -362,8 +355,7 @@ def sample_left_profile_matrix(
     """
     n, theta = params.n, params.theta
     trials = _trial_count(trials)
-    if max_j < 0:
-        raise ValueError(f"max_j must be non-negative, got {max_j}")
+    max_j = check_int("max_j", max_j)
     remaining = np.full(trials, n, dtype=np.int64)
     out = np.zeros((trials, max_j + 1), dtype=np.int64)
     for j in range(max_j + 1):
@@ -371,12 +363,10 @@ def sample_left_profile_matrix(
         if not active.any():
             break
         m = remaining[active]
-        if theta == 0.0:
-            ks = m - 1
-        else:
-            with np.errstate(divide="ignore"):
-                w = -np.expm1(np.log(rng.randoms(len(m))) / theta)
-            ks = rng.binomial(m - 1, w)
+        # theta -> 0 sends log(U) / theta to -inf and W to 1, so K = m - 1, as the limit law
+        with np.errstate(divide="ignore", over="ignore"):
+            w = -np.expm1(np.log(rng.randoms(len(m))) / theta)
+        ks = rng.binomial(m - 1, w)
         out[active, j] = ks
         remaining[active] -= ks + 1
     return out
