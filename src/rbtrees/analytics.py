@@ -178,14 +178,15 @@ def c_star() -> float:
     return float(-1.0 / lambertw(-0.5 / math.e).real)
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=4, typed=True)
 def uniform_height_table(k_max: int) -> np.ndarray:
     """``T[m, h + 1] = P(H_m <= h)`` for uniform BSTs of m <= k_max nodes, h >= -1.
 
     Devroye's recursion, level by level: ``F_h = (F_{h-1} * F_{h-1})[m - 1] / m`` for
     m >= 1, one convolution per level. The table ends at the first column where row k_max
-    is 1.0, so every row's last column is 1.0 and later columns would all be ones. Built once
-    per process and read-only.
+    is 1.0, so every row's last column is 1.0 and later columns would all be ones. Its rows
+    are those of any larger table, bit for bit, cut to its width. Read-only, and kept for the
+    last few sizes asked for: the height sweep asks for one.
     """
     k_max = check_int("k_max", k_max)
     # row m is exactly 1.0 from column m on, as every input to its convolution is, so the

@@ -42,12 +42,15 @@ DKW_ALPHA = 1e-3
 DOMINANCE_GRID_SIZE = 50
 # Monte Carlo trials are drawn in blocks of _BLOCK_TRIALS, or of as many as hold at most
 # _BLOCK_NODES nodes, as _block_trials counts them. A block pays a RandomSource, one
-# _record_keys call and the sweep's numpy calls once: at theta = 1, n = 10**5, a height
-# took 530 us alone, 95 us in blocks of 16, 40 us in blocks of 64 and 24 us in blocks of
-# 256 (2-core Xeon). The node cap keeps a block's arrays within those of one tree of
-# 10**6 nodes at theta = n.
-_BLOCK_TRIALS = 64
-_BLOCK_NODES = 1 << 20
+# _record_keys call and the sweep's rounds of numpy calls once: at theta = 1 a height took
+# 4.5, 12 and 25 us in blocks of 64 and 3.0, 6.5 and 17 us in blocks of 256, at n = 10**3,
+# 10**4 and 10**5 (timeit minima, shared 2-core Xeon). Each table read gathers one 51-wide
+# row per node, about 3 kB a tree, so blocks stay at 256: with no cap on trials, 200,000
+# heights at n = 1000 peaked at 252 MiB against 78 MiB. The node cap keeps a block's arrays
+# within those of one tree of 5 * 10**5 nodes at theta = n; with 2**20, n = 10**7 took
+# blocks of 107 trees and peaked at 92 MiB against 76 MiB, and a tree took 1.2 ms either way.
+_BLOCK_TRIALS = 256
+_BLOCK_NODES = 1 << 19
 
 
 def parse_theta_value(text: str) -> float:

@@ -64,7 +64,13 @@ class Permutation:
         n = len(values)
         seen = bytearray(n)
         for v in values:
-            if not isinstance(v, int) or not (1 <= v <= n) or seen[v - 1]:
+            if type(v) is not int:
+                # anything but an exact int goes through check_int, then the converted values
+                # through this loop
+                values = tuple(check_int(f"values[{i}]", w, 1) for i, w in enumerate(values))
+                object.__setattr__(self, "values", values)
+                return self.__post_init__()
+            if not 1 <= v <= n or seen[v - 1]:
                 raise ValueError(f"not a permutation of 1..{n}: {values!r}")
             seen[v - 1] = 1
 
@@ -87,9 +93,12 @@ class LeftProfile:
 
     def __post_init__(self):
         sizes = tuple(self.sizes)
+        for k in sizes:
+            if type(k) is not int or k < 0:
+                # anything but an exact int >= 0 takes check_int
+                sizes = tuple(check_int(f"sizes[{j}]", m) for j, m in enumerate(sizes))
+                break
         object.__setattr__(self, "sizes", sizes)
-        if sizes and min(sizes) < 0:
-            raise ValueError("subtree sizes must be non-negative")
 
     @property
     def record_count(self) -> int:

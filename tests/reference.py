@@ -130,3 +130,33 @@ def ref_near_record_keys(count, n, theta, near, uniforms):
             if uniforms[t * near + j] < theta / (theta + (near - 1 - j)):
                 keys.append(t * n + n - near + j)
     return keys
+
+
+def ref_spine_sizes(keys, n, count):
+    """Each of ``count`` trials' left-subtree sizes along its path, from its sorted record keys.
+
+    Trial t's records are the keys in [t * n, (t + 1) * n); every path ends at step n - 1, so
+    the key before trial t's first is t * n - 1. One slice of one int64 array per trial.
+    """
+    sizes = np.empty_like(keys)
+    sizes[:1] = keys[:1]
+    np.subtract(keys[1:], keys[:-1], out=sizes[1:])
+    sizes[1:] -= 1
+    ends = np.searchsorted(keys, n * np.arange(1, count)).tolist() if count > 1 else []
+    return [sizes[a:b] for a, b in zip([0, *ends], [*ends, len(keys)])]
+
+
+def ref_spine_join(spines):
+    """The nodes (size, top, tree) a height sweep starts from, and each tree's records - 1.
+
+    Spine by spine: a spine of r nodes keeps its j-th subtree, at top = j, iff its size is at
+    least r - j, the least that can beat the depth r - 1 the spine itself reaches.
+    """
+    lengths = [len(s) for s in spines]
+    best = np.array(lengths, dtype=np.int64) - 1
+    desc = np.arange(max(lengths), 0, -1)
+    tops = [(s >= desc[len(desc) - len(s) :]).nonzero()[0] for s in spines]
+    size = np.concatenate([s[top] for s, top in zip(spines, tops)])
+    tree = np.repeat(np.arange(len(spines)), [len(top) for top in tops])
+    top = np.concatenate(tops)
+    return size, top, tree, best

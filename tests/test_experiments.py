@@ -199,9 +199,9 @@ class TestHeightRatio:
 
     def test_sequential_matches_sequential_trees(self):
         # the sequential method summarizes BSTs built from sample_sequential, in blocks of
-        # 64 trials, block b drawn one tree after another from stream b
-        config = ExperimentConfig(n_values=(30,), theta_spec=2.0, trials=70, seed=6)
-        streams = [RandomSource(6, 0)] * 64 + [RandomSource(6, 1)] * 6
+        # 256 trials, block b drawn one tree after another from stream b
+        config = ExperimentConfig(n_values=(30,), theta_spec=2.0, trials=260, seed=6)
+        streams = [RandomSource(6, 0)] * 256 + [RandomSource(6, 1)] * 4
         trees = [build_bst(sample_sequential(RbParams(30, 2.0), rng)) for rng in streams]
         row = summarize(30, 2.0, [height(t) for t in trees], [record_count_tree(t) for t in trees], 6)
         assert run_height_ratio(config, method="sequential") == [row]
@@ -260,11 +260,14 @@ class TestSummarize:
 
     def test_matches_run_height_ratio(self):
         # block b of the i-th n is one sample_height_only call on stream (i << 32) | b; a
-        # block holds 64 trials, or 2**20 // ceil(mu + n / 1024) where that is fewer: 46 at
+        # block holds 256 trials, or 2**19 // ceil(mu + n / 1024) where that is fewer: 23 at
         # n = 2**15, theta = n, where mu is about 22713
-        layouts = {3.0: {40: (64, 6), 2**15: (64, 6)}, "linear:1": {40: (64, 6), 2**15: (46, 24)}}
+        layouts = {
+            3.0: {40: (256, 4), 2**15: (256, 4)},
+            "linear:1": {40: (256, 4), 2**15: (23,) * 11 + (7,)},
+        }
         for spec, blocks in layouts.items():
-            config = ExperimentConfig(n_values=(40, 2**15), theta_spec=spec, trials=70, seed=5)
+            config = ExperimentConfig(n_values=(40, 2**15), theta_spec=spec, trials=260, seed=5)
             rows = []
             for i, (n, theta) in enumerate(zip(config.n_values, config.thetas)):
                 params = RbParams(n, theta)
@@ -281,10 +284,13 @@ class TestSummarize:
 class TestBlockTrials:
     @pytest.mark.parametrize("theta", (0.0, 1.0))
     def test_constant_theta_fills_blocks(self, theta):
-        for n in (1, 2, 1000, 2**15, 10**5, 10**6, 10**7):
-            assert experiments._block_trials(n, theta) == 64
+        # up to n = 10**6; at 10**7 a tree holds about 9766 frontier nodes, and 53 trees fill
+        # the node budget
+        for n in (1, 2, 1000, 2**15, 10**5, 10**6):
+            assert experiments._block_trials(n, theta) == 256
+        assert experiments._block_trials(10**7, theta) == 53
 
-    def test_block_holds_at_most_2_to_the_20_nodes(self):
+    def test_block_holds_at_most_2_to_the_19_nodes(self):
         # a tree holds about mu(n, theta) spine records and n / 1024 frontier nodes; a block
         # of one tree is the least, however many that tree holds
         for n in (1, 1000, 2**15, 10**5, 10**6, 10**7):
@@ -292,10 +298,11 @@ class TestBlockTrials:
                 theta = resolve_theta(spec, n)
                 count = experiments._block_trials(n, theta)
                 held = mu(n, theta) + n / samplers._EXACT_MAX
-                assert 1 <= count <= 64, (n, spec)
-                assert count == 1 or count * held <= 2**20, (n, spec)
-                assert count == 64 or (count + 1) * math.ceil(held) > 2**20, (n, spec)
-        assert experiments._block_trials(10**5, 1e5) == 15
+                assert 1 <= count <= 256, (n, spec)
+                assert count == 1 or count * held <= 2**19, (n, spec)
+                assert count == 256 or (count + 1) * math.ceil(held) > 2**19, (n, spec)
+        assert experiments._block_trials(2**15, 2.0**15) == 23
+        assert experiments._block_trials(10**5, 1e5) == 7
         assert experiments._block_trials(10**6, 1e6) == 1
 
 
@@ -329,10 +336,10 @@ class TestRecordConcentration:
         assert abs(row.freq_beyond - exact) <= 4 * se
 
     def test_counts_come_in_blocks_like_heights(self):
-        config = ExperimentConfig(n_values=(100,), theta_spec=2.0, trials=70, seed=4, epsilon=0.5)
+        config = ExperimentConfig(n_values=(100,), theta_spec=2.0, trials=260, seed=4, epsilon=0.5)
         params = RbParams(100, 2.0)
-        counts = sample_record_count(params, RandomSource(4, 0), 64)
-        counts += sample_record_count(params, RandomSource(4, 1), 6)
+        counts = sample_record_count(params, RandomSource(4, 0), 256)
+        counts += sample_record_count(params, RandomSource(4, 1), 4)
         row = run_record_concentration(config)[0]
         assert (row.mean_records, row.sd_records) == experiments._mean_sd(np.array(counts))
 

@@ -26,7 +26,7 @@ from rbtrees.experiments import (
     run_height_ratio,
     run_record_concentration,
 )
-from rbtrees.model import LeftProfile, RbParams
+from rbtrees.model import LeftProfile, Permutation, RbParams
 from rbtrees.samplers import (
     HeightSample,
     RandomSource,
@@ -129,6 +129,44 @@ def test_numpy_integers_act_as_ints():
     assert rng.randoms(10).tobytes() == RandomSource(7, 3).randoms(10).tobytes()
     assert mu(np.int64(50), 2.0) == mu(50, 2.0)
     assert np.array_equal(uniform_height_table(np.int32(8)), uniform_height_table(8))
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    (
+        (lambda: Permutation((True,)), "values[0]"),
+        (lambda: Permutation((1.0,)), "values[0]"),
+        (lambda: Permutation((2, True)), "values[1]"),
+        (lambda: LeftProfile((2.5, 0.5)), "sizes[0]"),
+        (lambda: LeftProfile((True, 2.5)), "sizes[0]"),
+        (lambda: LeftProfile(("3",)), "sizes[0]"),
+        (lambda: LeftProfile((1, 2.5)), "sizes[1]"),
+        (lambda: LeftProfile((0, -1)), "sizes[1]"),
+    ),
+    ids=(
+        "values-True",
+        "values-1.0",
+        "values-2-True",
+        "sizes-2.5",
+        "sizes-True",
+        "sizes-str",
+        "sizes-1-2.5",
+        "sizes-0--1",
+    ),
+)
+def test_permutation_values_and_profile_sizes_take_the_rule(call, name):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value).startswith(f"{name} must be "), str(excinfo.value)
+
+
+def test_numpy_integer_values_and_sizes_are_stored_as_ints():
+    perm = Permutation((np.int64(1),))
+    assert perm == Permutation((1,)) and type(perm.values[0]) is int
+    perm = Permutation((np.int32(2), 1))
+    assert perm.values == (2, 1) and all(type(v) is int for v in perm.values)
+    profile = LeftProfile((np.int64(3), np.uint8(0), 2))
+    assert profile.sizes == (3, 0, 2) and all(type(k) is int for k in profile.sizes)
 
 
 @pytest.mark.parametrize("seed", (np.uint64(3), np.int64(3), 2**64 - 1), ids=repr)

@@ -38,7 +38,13 @@ from rbtrees.samplers import (
     sample_tree_recursive,
 )
 
-from reference import poisson_binomial_pmf, ref_near_record_keys, ref_uniform_height_cdf
+from reference import (
+    poisson_binomial_pmf,
+    ref_near_record_keys,
+    ref_spine_join,
+    ref_spine_sizes,
+    ref_uniform_height_cdf,
+)
 
 ALPHA = 1e-3
 # trials per sample_height_only call on the block path of the law tests
@@ -455,6 +461,26 @@ class TestHeightOnly:
             table = table[:, table.sum(axis=0) > 0]
             assert chi2_contingency(table).pvalue > ALPHA, cutoff
 
+    @pytest.mark.parametrize("trials", (None, 1, 3, 256), ids=repr)
+    @pytest.mark.parametrize("n", (0, 1, 7, 1000, 10**5))
+    def test_join_matches_the_per_spine_join(self, n, trials):
+        # joined as whole arrays or spine by spine, the sweep starts from the same nodes, so it
+        # makes the same draws; at n = theta = 10**5, 7 trees stand in for 256, which would
+        # hold about 18M records: 7 is the block `_run_trials` draws there
+        for theta in sorted({0.0, 0.5, 1.0, float(n)}):
+            count = 7 if n == theta == 10**5 and trials == 256 else trials
+            rng, ref_rng = RandomSource(n, 5), RandomSource(n, 5)
+            got = sample_height_only(RbParams(n, theta), rng, count)
+            got = [got] if count is None else got
+            keys = samplers._record_keys(n, theta, ref_rng, len(got))
+            spines = ref_spine_sizes(keys, n, len(got))
+            size, top, tree, best = ref_spine_join(spines)
+            heights = samplers._sweep_heights(size, best[tree] - top, tree, best, ref_rng)
+            assert [s.height for s in got] == heights.tolist(), theta
+            for sample, spine in zip(got, spines):
+                assert sample.sizes.dtype == spine.dtype and np.array_equal(sample.sizes, spine)
+            assert rng.randoms(4).tobytes() == ref_rng.randoms(4).tobytes(), theta
+
     def test_reproducible(self):
         a = sample_height_only(RbParams(5000, 1.5), RandomSource(123, 9))
         b = sample_height_only(RbParams(5000, 1.5), RandomSource(123, 9))
@@ -484,6 +510,15 @@ class TestExactHeightTable:
         assert (table[:, -1] == 1.0).all()
         ref = ref_uniform_height_cdf(samplers._EXACT_MAX, width)
         assert np.abs(table - ref).max() <= 16 * np.finfo(float).eps
+
+    def test_smaller_tables_are_leading_rows_of_larger_ones(self):
+        # so rows of any size up to the largest table built so far may be read from it
+        for big in (uniform_height_table(1024), uniform_height_table(5000)):
+            for k in (1, 2, 7, 64, 100, 300, 513, 777, 1023):
+                table = uniform_height_table(k)
+                width = table.shape[1]
+                assert big[: k + 1, :width].tobytes() == table.tobytes(), k
+                assert (big[: k + 1, width:] == 1.0).all(), k
 
     @pytest.mark.parametrize("k_max", (0, 1, 2, 8))
     def test_small_tables_end_where_heights_do(self, k_max):
