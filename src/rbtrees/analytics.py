@@ -22,11 +22,13 @@ import numpy as np
 from scipy.special import gammainc, lambertw
 
 from .model import (
+    POSITIVE,
     LeftProfile,
     Permutation,
     RbParams,
     build_bst,
     check_int,
+    check_real,
     height,
     left_profile,
     record_count_perm,
@@ -57,9 +59,9 @@ class ExactDistribution:
             raise ValueError("support and probs must have equal length")
         if len(set(support)) != len(support):
             raise ValueError("support keys must be distinct")
-        if any(p < 0.0 for p in probs):
+        if not all(p >= 0.0 for p in probs):  # negated, as below, so that NaN fails
             raise ValueError("probabilities must be non-negative")
-        if support and abs(math.fsum(probs) - 1.0) > PROB_SUM_TOL:
+        if support and not abs(math.fsum(probs) - 1.0) <= PROB_SUM_TOL:
             raise ValueError("probabilities must sum to 1")
 
     @classmethod
@@ -138,8 +140,7 @@ def weight(perm: Permutation, theta: float) -> float:
     the Ewens normalizer (records and cycles are equinumerous by Foata's bijection). Its
     first factor cancels one factor of theta**records, and the rest is summed in log space.
     """
-    if theta <= 0.0:
-        raise ValueError("theta must be positive; theta = 0 has no weight normalization")
+    theta = check_real("theta", theta, POSITIVE, rule="positive and finite")
     n = perm.n
     if n == 0:
         return 1.0
@@ -159,6 +160,7 @@ def mu(n: int, theta: float) -> float:
     a height-ratio row asks for it more than once.
     """
     n = check_int("n", n)
+    theta = check_real("theta", theta, 0.0, rule="finite and >= 0")
     if theta == 0.0:
         return 0.0
     return math.fsum(
@@ -233,20 +235,18 @@ def root_split_pmf(params: RbParams, k: int) -> float:
     n, theta = params.n, params.theta
     check_int("n", n, 1)
     k = check_int("k", k, 1, n + 1)
-    if theta == 0.0:
-        return 1.0 if k == n else 0.0
-    return math.exp(_log_survival(n, theta, k - 1)) * theta / (theta + (n - k))
+    survival = math.exp(_log_survival(n, theta, k - 1))
+    # the last step is a record at every theta; only at theta = 0 does its chance read 0 / 0
+    return survival * theta / (theta + (n - k)) if theta + (n - k) else survival
 
 
 def root_split_distribution(params: RbParams) -> list[float]:
     """The full first-value law as a length-n list (index k-1 is P(k))."""
     n, theta = params.n, params.theta
     check_int("n", n, 1)
-    if theta == 0.0:
-        return [0.0] * (n - 1) + [1.0]
     return [
-        math.exp(log_prefix) * theta / (theta + (n - k))
-        for k, log_prefix in enumerate(_log_survival_prefixes(n, theta, n - 1), start=1)
+        survival * theta / (theta + (n - k)) if theta + (n - k) else survival
+        for k, survival in enumerate(map(math.exp, _log_survival_prefixes(n, theta, n - 1)), 1)
     ]
 
 
@@ -258,8 +258,6 @@ def left_root_tail(params: RbParams, k: int) -> float:
         return 1.0
     if k == n:
         return 0.0
-    if theta == 0.0:
-        return 1.0
     return math.exp(_log_survival(n, theta, k))
 
 
@@ -278,6 +276,7 @@ def records_mgf(params: RbParams, t: float) -> float:
     log space keeps the product accurate where e^t - 1 rounds to -1.
     """
     n, theta = params.n, params.theta
+    t = check_real("t", t, rule="finite")
     if n == 0:
         return 1.0
     em1 = _expm1(t)
@@ -302,8 +301,7 @@ def chernoff_record_tail(params: RbParams, epsilon: float) -> tuple[float, float
     two_sided is min(1, upper + lower). All lie in [0, 1] and decrease in mu; 0.0 stands for
     a tail below the smallest float, as at n = 10**5 and theta >= 10**6.
     """
-    if not 0.0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    epsilon = check_real("epsilon", epsilon, POSITIVE, rule="positive and finite")
     m = mu(params.n, params.theta)
     if m <= 0.0:
         raise ValueError("mu(n, theta) must be positive")
@@ -322,10 +320,8 @@ def beta_product_survival(theta: float, j: int, c: float) -> float:
     negative Gamma(j) sum and the survival probability is the regularized
     lower incomplete gamma P(j, theta * (-log c)).
     """
-    if theta <= 0.0:
-        raise ValueError("theta must be positive")
-    if not 0.0 < c < 1.0:
-        raise ValueError("c must lie strictly between 0 and 1")
+    theta = check_real("theta", theta, POSITIVE, rule="positive and finite")
+    c = check_real("c", c, POSITIVE, 1.0, rule="strictly between 0 and 1")
     j = check_int("j", j)
     if j == 0:
         return 1.0
@@ -338,10 +334,8 @@ def profile_tail_constants(theta: float, epsilon: float) -> tuple[float, float]:
     ``C = 1 / (1 - (1 - epsilon*theta) * exp(epsilon*theta))`` and
     ``lam = epsilon * theta**2 / (1 - epsilon*theta)``; both need 0 < epsilon * theta < 1.
     """
-    if theta <= 0.0:
-        raise ValueError("theta must be positive")
-    if not 0.0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    theta = check_real("theta", theta, POSITIVE, rule="positive and finite")
+    epsilon = check_real("epsilon", epsilon, POSITIVE, rule="positive and finite")
     u = epsilon * theta
     if u >= 1.0:
         raise ValueError(f"epsilon * theta must be < 1, got {u}")
@@ -362,8 +356,7 @@ def left_profile_tail_bound(params: RbParams, epsilon: float, M: float, k: int) 
     """
     n, theta = params.n, params.theta
     C, lam = profile_tail_constants(theta, epsilon)
-    if not M >= 0.0:
-        raise ValueError(f"M must be non-negative, got {M}")
+    M = check_real("M", M, 0.0, rule="finite and >= 0")
     k = check_int("k", k)
     check_int("n", n, 1)
     if k == 0:
@@ -385,6 +378,8 @@ def profile_exceedance_thresholds(params: RbParams, epsilon: float, M: float, k:
     n, theta = params.n, params.theta
     if theta <= 0.0:
         raise ValueError("theta must be positive")
+    epsilon = check_real("epsilon", epsilon, POSITIVE, rule="positive and finite")
+    M = check_real("M", M, 0.0, rule="finite and >= 0")
     rate = 1.0 / theta - epsilon
     return [n * math.exp(-rate * j + M) for j in range(check_int("k", k) + 1)]
 
@@ -397,8 +392,7 @@ def conditional_height_tail_bound(profile: LeftProfile, eta: int, t: float) -> f
     shifted by the largest, since a factor can overflow where the sum does not.
     """
     eta = check_int("eta", eta)
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    t = check_real("t", t, POSITIVE, rule="positive and finite")
     log_base = math.log(2.0) - t
     power = _expm1(t)
     r = profile.record_count

@@ -38,7 +38,7 @@ from .experiments import (
     run_height_ratio,
     run_record_concentration,
 )
-from .model import LeftProfile, RbParams, build_bst, height, record_count_tree
+from .model import LeftProfile, RbParams, build_bst, check_real, height, record_count_tree
 from .samplers import RandomSource, sample_height_only, sample_sequential, sample_tree_recursive
 
 SEED_ENV_VAR = "RBL_SEED"
@@ -130,12 +130,9 @@ def _u64(text: str) -> int:
 
 def _theta(text: str) -> float:
     try:
-        value = parse_theta_value(text)
+        return check_real("theta", parse_theta_value(text), 0.0, rule="finite and >= 0")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad theta {text!r}: {exc}") from exc
-    if not math.isfinite(value) or value < 0.0:
-        raise argparse.ArgumentTypeError("theta must be finite and >= 0")
-    return value
 
 
 def _positive_int(text: str) -> int:

@@ -20,14 +20,13 @@ import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Real
 from typing import Mapping
 
 import numpy as np
 from scipy.special import gammaincc
 
 from .analytics import ExactDistribution, beta_product_survival, c_star, chernoff_record_tail, mu
-from .model import RbParams, build_bst, check_int, height, record_count_tree
+from .model import POSITIVE, RbParams, build_bst, check_int, check_real, height, record_count_tree
 from .samplers import (
     _EXACT_MAX,
     RandomSource,
@@ -69,16 +68,13 @@ def parse_theta_value(text: str) -> float:
 def resolve_theta(theta_spec, n: int) -> float:
     """Resolve a theta specification at size n.
 
-    Accepts a plain number, a numeric string (including 'p/q'), or a tag:
+    Accepts a finite number, a numeric string (including 'p/q'), or a tag:
     ``constant:X`` for theta = X, ``linear:A`` for theta = A * n, and
     ``power:P`` for theta = n ** P.
     """
-    if isinstance(theta_spec, (int, float)):
-        try:
-            return float(theta_spec)
-        except OverflowError:
-            raise ValueError("theta_spec is too large for a float") from None
-    text = str(theta_spec).strip()
+    if not isinstance(theta_spec, str):
+        return check_real("theta_spec", theta_spec, rule="a finite number or a string")
+    text = theta_spec.strip()
     if ":" in text:
         tag, _, arg = text.partition(":")
         value = parse_theta_value(arg)
@@ -130,18 +126,10 @@ class ExperimentConfig:
         seed = check_int("seed", self.seed, 0, 1 << 64, "an unsigned 64-bit integer")
         object.__setattr__(self, "seed", seed)
         if self.epsilon is not None:
-            real = isinstance(self.epsilon, Real) and not isinstance(self.epsilon, bool)
-            try:
-                epsilon = float(self.epsilon) if real else math.nan
-            except OverflowError:
-                raise ValueError("epsilon is too large for a float") from None
-            if not 0.0 < epsilon < math.inf:
-                raise ValueError(f"epsilon must be a finite positive number, got {self.epsilon!r}")
+            epsilon = check_real("epsilon", self.epsilon, POSITIVE, rule="a finite positive number")
             object.__setattr__(self, "epsilon", epsilon)
         if self.j_values is not None:
             object.__setattr__(self, "j_values", _int_tuple("j_values", self.j_values, 0))
-        if not isinstance(self.theta_spec, (Real, str)) or isinstance(self.theta_spec, bool):
-            raise ValueError(f"theta_spec must be a number or a string, got {self.theta_spec!r}")
         thetas = tuple(resolve_theta(self.theta_spec, n) for n in n_values)
         for n, theta in zip(n_values, thetas):
             try:
@@ -208,6 +196,7 @@ class ChiSquareResult:
 
 def dkw_epsilon(trials: int, alpha: float = DKW_ALPHA) -> float:
     """Uniform empirical-CDF deviation with failure probability alpha."""
+    alpha = check_real("alpha", alpha, POSITIVE, 1.0, rule="strictly between 0 and 1")
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * check_int("trials", trials, 1)))
 
 
