@@ -19,7 +19,6 @@ from functools import lru_cache
 from operator import itemgetter
 
 import numpy as np
-from scipy.special import gammainc, lambertw
 
 from .model import (
     POSITIVE,
@@ -149,18 +148,19 @@ def weight(perm: Permutation, theta: float) -> float:
     return math.exp(math.fsum(log_terms))
 
 
-# typed, so that True is checked, not served from 1's entry
-@lru_cache(maxsize=None, typed=True)
 def mu(n: int, theta: float) -> float:
     """Expected record count: sum of theta / (theta + i) for 0 <= i < n.
 
     Summed term by term, which stays accurate for theta -> 0 and theta >> n (the digamma
     form theta (psi(theta + n) - psi(theta)) cancels there): numpy sums chunks of at most
-    _MU_CHUNK terms, so memory stays small, and ``math.fsum`` adds the chunk sums. Memoized:
-    a height-ratio row asks for it more than once.
+    _MU_CHUNK terms, so memory stays small, and ``math.fsum`` adds the chunk sums. Memoized
+    on the checked values: a height-ratio row asks for it more than once.
     """
-    n = check_int("n", n)
-    theta = check_real("theta", theta, 0.0, rule="finite and >= 0")
+    return _mu(check_int("n", n), check_real("theta", theta, 0.0, rule="finite and >= 0"))
+
+
+@lru_cache(maxsize=None)
+def _mu(n: int, theta: float) -> float:
     if theta == 0.0:
         return 0.0
     return math.fsum(
@@ -169,18 +169,17 @@ def mu(n: int, theta: float) -> float:
     )
 
 
-@lru_cache(maxsize=1)
 def c_star() -> float:
     """The unique c >= 2 with c * log(2e / c) = 1 (about 4.311).
 
     This is the growth constant of the height of a binary search tree built
     from a uniform permutation. With c = -1/w the equation is w e^w = -1/(2e), so
-    c = -1 / W_0(-1/(2e)) on the principal branch of Lambert's W.
+    c = -1 / W_0(-1/(2e)) on the principal branch of Lambert's W; the literal is the
+    float nearest that root (the 50-digit root is 4.31107040700100503504707609644689).
     """
-    return float(-1.0 / lambertw(-0.5 / math.e).real)
+    return 4.311070407001005
 
 
-@lru_cache(maxsize=4, typed=True)
 def uniform_height_table(k_max: int) -> np.ndarray:
     """``T[m, h + 1] = P(H_m <= h)`` for uniform BSTs of m <= k_max nodes, h >= -1.
 
@@ -190,7 +189,11 @@ def uniform_height_table(k_max: int) -> np.ndarray:
     are those of any larger table, bit for bit, cut to its width. Read-only, and kept for the
     last few sizes asked for: the height sweep asks for one.
     """
-    k_max = check_int("k_max", k_max)
+    return _uniform_height_table(check_int("k_max", k_max))
+
+
+@lru_cache(maxsize=4)
+def _uniform_height_table(k_max: int) -> np.ndarray:
     # row m is exactly 1.0 from column m on, as every input to its convolution is, so the
     # loop ends by column k_max
     sizes = np.arange(1.0, k_max + 1)
@@ -325,6 +328,8 @@ def beta_product_survival(theta: float, j: int, c: float) -> float:
     j = check_int("j", j)
     if j == 0:
         return 1.0
+    from scipy.special import gammainc
+
     return float(gammainc(j, theta * (-math.log(c))))
 
 

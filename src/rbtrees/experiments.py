@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .analytics import ExactDistribution, beta_product_survival, c_star, chernoff_record_tail, mu
 from .model import POSITIVE, RbParams, build_bst, check_int, check_real, height, record_count_tree
@@ -445,6 +444,8 @@ def chi_square_gof(observed: Mapping, expected: ExactDistribution) -> ChiSquareR
         (obs - total * prob) ** 2 / (total * prob) for obs, prob in cells
     )
     dof = len(cells) - 1
+    from scipy.special import gammaincc
+
     p_value = float(gammaincc(dof / 2.0, statistic / 2.0))
     return ChiSquareResult(statistic=statistic, p_value=p_value, dof=dof, cells=len(cells))
 

@@ -11,6 +11,7 @@ import pytest
 from rbtrees.analytics import (
     ENUMERATION_MAX_N,
     ExactDistribution,
+    _mu,
     beta_product_survival,
     c_star,
     chernoff_record_tail,
@@ -111,7 +112,7 @@ class TestMu:
             assert mu(n, theta) == pytest.approx(exact, rel=1e-14, abs=0.0)
 
     def test_memory_stays_small(self):
-        mu.cache_clear()
+        _mu.cache_clear()
         tracemalloc.start()
         try:
             mu(10**6, 1.0)
@@ -141,6 +142,13 @@ class TestCStar:
         # the 50-digit root is 4.31107040700100503504707609644689; the float below it is
         # 6.2e-16 away, this one 2.7e-16
         assert c_star() == 4.311070407001005
+
+    def test_literal_is_lamberts_w_root_within_4_ulp_of_the_equation(self):
+        from scipy.special import lambertw
+
+        c = c_star()
+        assert c == float(-1 / lambertw(-0.5 / math.e).real)
+        assert abs(c * math.log(2 * math.e / c) - 1.0) <= 4 * math.ulp(1.0)
 
 
 class TestRootSplit:

@@ -121,6 +121,18 @@ def test_bools_fractions_and_negatives_do_not_pass_as_integers(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call,name",
+    ((lambda: mu([10], 1.0), "n"), (lambda: uniform_height_table([4]), "k_max")),
+    ids=("mu-n-list", "k_max-list"),
+)
+def test_memoized_laws_check_before_hashing(call, name):
+    # a list once reached the cache first and ended in "unhashable type"
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value).startswith(f"{name} must be "), str(excinfo.value)
+
+
 def test_numpy_integers_act_as_ints():
     params = RbParams(np.int64(100), 2.0)
     assert params == RbParams(100, 2.0) and type(params.n) is int

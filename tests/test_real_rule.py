@@ -113,6 +113,7 @@ def test_every_real_argument_refuses_what_is_not_a_real_in_range(argument, value
         (lambda: dkw_epsilon(10, 2.0), "alpha"),
         (lambda: dkw_epsilon(10, 0.0), "alpha"),
         (lambda: weight(Permutation((2, 1, 3)), math.inf), "theta"),
+        (lambda: mu(10, [0.5]), "theta"),
     ),
     ids=(
         "mu--0.5",
@@ -128,6 +129,7 @@ def test_every_real_argument_refuses_what_is_not_a_real_in_range(argument, value
         "dkw-2",
         "dkw-0",
         "weight-inf",
+        "mu-list",
     ),
 )
 def test_reals_once_let_through_are_refused_by_name(call, name):
