@@ -149,7 +149,7 @@ def weight(perm: Permutation, theta: float) -> float:
 
 
 def mu(n: int, theta: float) -> float:
-    """Expected record count: sum of theta / (theta + i) for 0 <= i < n.
+    """Expected record count: sum of theta / (theta + i) for 0 <= i < n, and 1 at theta = 0.
 
     Summed term by term, which stays accurate for theta -> 0 and theta >> n (the digamma
     form theta (psi(theta + n) - psi(theta)) cancels there): numpy sums chunks of at most
@@ -162,7 +162,8 @@ def mu(n: int, theta: float) -> float:
 @lru_cache(maxsize=None)
 def _mu(n: int, theta: float) -> float:
     if theta == 0.0:
-        return 0.0
+        # only the last step is a record, as it is at every theta
+        return float(n > 0)
     return math.fsum(
         float(np.sum(theta / (theta + np.arange(lo, min(lo + _MU_CHUNK, n)))))
         for lo in range(0, n, _MU_CHUNK)
@@ -239,8 +240,8 @@ def root_split_pmf(params: RbParams, k: int) -> float:
     check_int("n", n, 1)
     k = check_int("k", k, 1, n + 1)
     survival = math.exp(_log_survival(n, theta, k - 1))
-    # the last step is a record at every theta; only at theta = 0 does its chance read 0 / 0
-    return survival * theta / (theta + (n - k)) if theta + (n - k) else survival
+    # the last step is a record with chance 1 at every theta
+    return survival * theta / (theta + (n - k)) if k < n else survival
 
 
 def root_split_distribution(params: RbParams) -> list[float]:
@@ -248,7 +249,7 @@ def root_split_distribution(params: RbParams) -> list[float]:
     n, theta = params.n, params.theta
     check_int("n", n, 1)
     return [
-        survival * theta / (theta + (n - k)) if theta + (n - k) else survival
+        survival * theta / (theta + (n - k)) if k < n else survival
         for k, survival in enumerate(map(math.exp, _log_survival_prefixes(n, theta, n - 1)), 1)
     ]
 
@@ -283,13 +284,15 @@ def records_mgf(params: RbParams, t: float) -> float:
     if n == 0:
         return 1.0
     em1 = _expm1(t)
-    terms = [t]
-    for k in range(1, n):
+
+    def log_factor(k: int) -> float:
         p = theta / (theta + k)
         # near x = -1, 1 + x keeps few digits of 1 - p (none once p rounds to 1): add the parts
         x = em1 * p
-        terms.append(math.log1p(x) if x > -0.5 else math.log(k / (theta + k) + p * math.exp(t)))
-    log_mgf = math.fsum(terms)
+        return math.log1p(x) if x > -0.5 else math.log(k / (theta + k) + p * math.exp(t))
+
+    # fsum is correctly rounded in any order, so a generator keeps the value and O(1) memory
+    log_mgf = math.fsum(itertools.chain((t,), map(log_factor, range(1, n))))
     if log_mgf > _LOG_FLOAT_MAX:
         raise ValueError(f"t = {t} is too large: E[exp(t * records)] overflows a float")
     return math.exp(log_mgf)
@@ -305,9 +308,7 @@ def chernoff_record_tail(params: RbParams, epsilon: float) -> tuple[float, float
     a tail below the smallest float, as at n = 10**5 and theta >= 10**6.
     """
     epsilon = check_real("epsilon", epsilon, POSITIVE, rule="positive and finite")
-    m = mu(params.n, params.theta)
-    if m <= 0.0:
-        raise ValueError("mu(n, theta) must be positive")
+    m = _mu(check_int("n", params.n, 1), params.theta)
     upper = math.exp(-m * ((1.0 + epsilon) * math.log1p(epsilon) - epsilon))
     if epsilon >= 1.0:
         lower = math.exp(-m)

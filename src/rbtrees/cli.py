@@ -38,7 +38,8 @@ from .experiments import (
     run_height_ratio,
     run_record_concentration,
 )
-from .model import LeftProfile, RbParams, build_bst, check_real, height, record_count_tree
+from .model import LeftProfile, RbParams, build_bst, check_int, check_real
+from .model import height, record_count_tree
 from .samplers import RandomSource, sample_height_only, sample_sequential, sample_tree_recursive
 
 SEED_ENV_VAR = "RBL_SEED"
@@ -51,7 +52,7 @@ SCALAR_COMMANDS = ("exact mu", "exact cstar", "exact records-mgf")
 
 
 class UsageError(ValueError):
-    """Flag combinations that argparse's declarative checks cannot express."""
+    """Usage errors argparse cannot see: flag combinations, and a bad $RBL_SEED."""
 
 
 @dataclass
@@ -121,32 +122,27 @@ def emit(table: OutputTable, fmt: str, out_path: str | None = None) -> None:
         raise ValueError(f"cannot write {out_path}: {exc}") from exc
 
 
-def _u64(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 1 << 64:
-        raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit integer")
-    return value
+def _flag(name: str, check, parse=int, **bounds):
+    """The argparse type of a flag: ``parse`` the text, then ``check`` it with ``bounds``.
+
+    ``check`` is :func:`check_int` or :func:`check_real`; text that does not parse goes to it
+    as it is, so every bad value reads "bad <name> '<text>': <name> must be <rule>, got ...".
+    """
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = text
+        try:
+            return check(name, value, **bounds)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad {name} {text!r}: {exc}") from exc
+
+    return convert
 
 
-def _theta(text: str) -> float:
-    try:
-        return check_real("theta", parse_theta_value(text), 0.0, rule="finite and >= 0")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad theta {text!r}: {exc}") from exc
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
-    return value
+_seed = _flag("seed", check_int, below=1 << 64, rule="an unsigned 64-bit integer")
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -160,13 +156,10 @@ def _resolve_seed(explicit: int | None) -> int:
     if explicit is not None:
         return explicit
     env = os.environ.get(SEED_ENV_VAR)
-    if env is None:
-        return 0
     try:
-        return _u64(env)
-    except (ValueError, argparse.ArgumentTypeError):
-        print(f"rbtrees: error: bad {SEED_ENV_VAR} value {env!r}", file=sys.stderr)
-        raise SystemExit(2)
+        return 0 if env is None else _seed(env)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"${SEED_ENV_VAR}: {exc}") from None
 
 
 @functools.cache
@@ -177,37 +170,42 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sample record-biased permutations/trees and evaluate their exact laws and bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    size = _flag("n", check_int)
+    theta = _flag("theta", check_real, parse_theta_value, least=0.0, rule="finite and >= 0")
+    t, epsilon, big_m = (
+        _flag(name, check_real, float, rule="finite") for name in ("t", "epsilon", "M")
+    )
 
     def add_io(p):
-        p.add_argument("--seed", type=_u64, default=None, help="u64 seed (default: $RBL_SEED or 0)")
+        p.add_argument("--seed", type=_seed, default=None, help="u64 seed (default: $RBL_SEED or 0)")
         p.add_argument("--out", default=None, help="output file path (default: stdout)")
         p.add_argument("--format", choices=["csv", "json"], default=None)
 
     p_sample = sub.add_parser("sample", help="draw permutations, trees, or height statistics")
     p_sample.add_argument("what", choices=["perm", "tree", "height"])
-    p_sample.add_argument("--n", type=int, required=True)
-    p_sample.add_argument("--theta", type=_theta, default=_theta(DEFAULT_THETA))
-    p_sample.add_argument("--trials", type=int, default=1)
+    p_sample.add_argument("--n", type=size, required=True)
+    p_sample.add_argument("--theta", type=theta, default=DEFAULT_THETA)
+    p_sample.add_argument("--trials", type=_flag("trials", check_int, least=1), default=1)
     p_sample.add_argument("--method", choices=["sequential", "recursive"], default=None)
     add_io(p_sample)
 
     p_exact = sub.add_parser("exact", help="closed-form quantities and the enumeration oracle")
     p_exact.add_argument("what", choices=["mu", "cstar", "split-pmf", "records-mgf", "enumerate"])
-    p_exact.add_argument("--n", type=int, default=None)
-    p_exact.add_argument("--theta", type=_theta, default=_theta(DEFAULT_THETA))
-    p_exact.add_argument("--t", type=_finite, default=0.0)
+    p_exact.add_argument("--n", type=size, default=None)
+    p_exact.add_argument("--theta", type=theta, default=DEFAULT_THETA)
+    p_exact.add_argument("--t", type=t, default=0.0)
     p_exact.add_argument("--k", type=int, default=None)
     add_io(p_exact)
 
     p_bound = sub.add_parser("bound", help="tail bound evaluators")
     p_bound.add_argument("what", choices=["chernoff", "profile-tail", "height-tail"])
-    p_bound.add_argument("--n", type=int, required=True)
-    p_bound.add_argument("--theta", type=_theta, default=_theta(DEFAULT_THETA))
-    p_bound.add_argument("--epsilon", type=_finite, default=None)
-    p_bound.add_argument("--M", type=_finite, default=None)
+    p_bound.add_argument("--n", type=size, required=True)
+    p_bound.add_argument("--theta", type=theta, default=DEFAULT_THETA)
+    p_bound.add_argument("--epsilon", type=epsilon, default=None)
+    p_bound.add_argument("--M", type=big_m, default=None)
     p_bound.add_argument("--k", type=int, default=None)
-    p_bound.add_argument("--eta", type=int, default=None)
-    p_bound.add_argument("--t", type=_finite, default=math.log(2.0 * math.e))
+    p_bound.add_argument("--eta", type=_flag("eta", check_int), default=None)
+    p_bound.add_argument("--t", type=t, default=math.log(2.0 * math.e))
     add_io(p_bound)
 
     p_exp = sub.add_parser("experiment", help="Monte Carlo experiment drivers")
@@ -216,11 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--n-values", type=_int_list, default=None)
     p_exp.add_argument("--theta-spec", default=None)
     p_exp.add_argument("--trials", type=int, default=None)
-    p_exp.add_argument("--epsilon", type=_finite, default=None)
+    p_exp.add_argument("--epsilon", type=epsilon, default=None)
     p_exp.add_argument("--j-values", type=_int_list, default=None)
-    p_exp.add_argument(
-        "--threads", type=_positive_int, default=None, help="accepted for compatibility; no effect"
-    )
+    threads = _flag("threads", check_int, least=1)
+    p_exp.add_argument("--threads", type=threads, help="accepted for compatibility; no effect")
     add_io(p_exp)
 
     return parser
@@ -247,10 +244,6 @@ def _tally(draw, columns, trials: int, seed: int) -> list[dict]:
 
 
 def _cmd_sample(args, seed) -> OutputTable:
-    if args.n < 0:
-        raise UsageError("n must be non-negative")
-    if args.trials < 1:
-        raise UsageError("trials must be at least 1")
     what, n, theta, trials = args.what, args.n, args.theta, args.trials
     method = args.method
     if method is None:

@@ -268,8 +268,8 @@ def summarize(n: int, theta: float, heights, records, seed: int) -> TrialSummary
         sd_height=sd_h,
         mean_records=mean_r,
         sd_records=sd_r,
-        ratio_height_norm=mean_h / norm if norm > 0.0 else math.nan,
-        ratio_records_mu=mean_r / m if m > 0.0 else math.nan,
+        ratio_height_norm=mean_h / norm,
+        ratio_records_mu=mean_r / m,
         seed=seed,
     )
 
@@ -321,9 +321,6 @@ def run_record_concentration(
     epsilon = config.epsilon
     if epsilon is None:
         raise ValueError("record concentration requires config.epsilon")
-    for n, theta in zip(config.n_values, config.thetas):
-        if mu(n, theta) <= 0.0:
-            raise ValueError(f"mu(n, theta) must be positive, got {mu(n, theta)} at n={n}")
     rows = []
     for n, theta, draws in _run_trials(sample_record_count, config):
         params = RbParams(n, theta)

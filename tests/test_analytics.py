@@ -84,7 +84,7 @@ class TestMu:
 
     def test_degenerate(self):
         assert mu(0, 2.0) == 0.0
-        assert mu(5, 0.0) == 0.0
+        assert mu(5, 0.0) == 1.0
 
     def test_integral_sandwich(self):
         # |mu - (1 + theta*log(1 + n/theta))| <= theta*log(1 + 1/theta)
@@ -120,6 +120,12 @@ class TestMu:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("n", (1, 7, 10**6))
+    def test_theta_zero_has_one_record(self, n):
+        # the last scan step is a record at every theta, and at theta = 0 no other step is
+        assert mu(n, 0.0) == 1.0
+        assert records_mgf(RbParams(n, 0.0), 0.5) == pytest.approx(math.exp(0.5), rel=1e-14)
 
 
 class TestCStar:
@@ -168,6 +174,14 @@ class TestRootSplit:
     def test_theta_zero_concentrates_at_n(self):
         pmf = root_split_distribution(RbParams(4, 0.0))
         assert pmf == [0.0, 0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("n", (7, 242))
+    def test_forced_last_step_is_the_survival(self, n):
+        # P(first value = n) is P(no record in the first n - 1 steps), bit for bit: no
+        # survival * theta / theta round trip
+        params = RbParams(n, 2.8500464767894975)
+        assert root_split_pmf(params, n) == left_root_tail(params, n - 1)
+        assert root_split_distribution(params)[-1] == left_root_tail(params, n - 1)
 
     @pytest.mark.parametrize("theta", (1e-3, 1e-1, 1.0, 1e1, 1e3))
     @pytest.mark.parametrize("n", (1, 2, 10, 100, 10**4))
@@ -278,6 +292,15 @@ class TestRecordsMgf:
         deriv = (math.log(records_mgf(params, h)) - math.log(records_mgf(params, -h))) / (2 * h)
         assert rel_err(deriv, mu(n, theta)) < 1e-6
 
+    def test_memory_stays_small(self):
+        tracemalloc.start()
+        try:
+            records_mgf(RbParams(10**6, 2.0), 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestChernoff:
     def test_closed_form_optimum_upper(self):
@@ -332,8 +355,15 @@ class TestChernoff:
         for epsilon in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="epsilon"):
                 chernoff_record_tail(RbParams(100, 2.0), epsilon)
-        with pytest.raises(ValueError):
-            chernoff_record_tail(RbParams(5, 0.0), 0.5)
+        with pytest.raises(ValueError, match="^n must be"):
+            chernoff_record_tail(RbParams(0, 2.0), 0.5)
+
+    def test_theta_zero_has_mu_one(self):
+        # one record for sure: the bounds are those of mu = 1
+        upper, lower, total = chernoff_record_tail(RbParams(5, 0.0), 0.5)
+        assert upper == math.exp(-(1.5 * math.log1p(0.5) - 0.5))
+        assert lower == math.exp(-(0.5 + 0.5 * math.log1p(-0.5)))
+        assert total == min(1.0, upper + lower)
 
 
 class TestBetaProductSurvival:

@@ -126,6 +126,13 @@ class TestSampleCommands:
         assert float(row["mean_height"]) > 0
         assert 0 < float(row["ratio_height_norm"]) < 2
 
+    def test_height_at_theta_zero_has_one_record(self, capsys):
+        argv = ["sample", "height", "--n", "50", "--theta", "0", "--trials", "20"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        row = parse_csv(out)[0]
+        assert row["mean_records"] == "1.0" and row["ratio_records_mu"] == "1.0"
+
     def test_height_sequential_method(self, capsys):
         code, out, _ = run_cli(
             [
@@ -235,6 +242,18 @@ class TestExperimentCommand:
             main(["experiment", "height-ratio", "--config", str(config)])
         assert excinfo.value.code == 2
         assert "bogus" in capsys.readouterr().err
+
+    def test_record_concentration_at_theta_zero(self, capsys):
+        code, out, _ = run_cli(
+            [
+                "experiment", "record-concentration", "--n-values", "10,1000", "--theta-spec", "0",
+                "--trials", "200", "--epsilon", "0.5",
+            ],
+            capsys,
+        )
+        assert code == 0
+        rows = parse_csv(out)
+        assert len(rows) == 2 and all(r["mu"] == "1.0" and r["passed"] == "true" for r in rows)
 
     def test_dominance_inline(self, capsys):
         code, out, _ = run_cli(
@@ -346,8 +365,61 @@ class TestSeeds:
         assert code == 0
         assert parse_csv(out)[0]["seed"] == "0"
 
+    @pytest.mark.parametrize("env", ("-1", "abc", str(2**64)))
+    def test_bad_env_seed_exits_2_with_the_flags_rule(self, capsys, monkeypatch, env):
+        monkeypatch.setenv("RBL_SEED", env)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sample", "height", "--n", "20", "--trials", "5"])
+        assert excinfo.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"rbtrees: error: $RBL_SEED: bad seed {env!r}: seed must be an ")
+
+
+# (argv, flag, values its rule refuses): every flag whose argparse type is the shared rule
+_INTS = ("-1", "abc", "nan", "inf", "2.5")
+_COUNTS = ("0", "-1", "abc", "nan", "inf")
+_FINITE = ("abc", "nan", "inf", "1e999")
+_SEEDS = ("-1", "abc", "nan", "inf", str(2**64))
+_EXPERIMENT = [
+    "experiment", "height-ratio", "--n-values", "10", "--theta-spec", "1", "--trials", "3",
+]
+_ROUTED_FLAGS = (
+    (["sample", "height"], "--n", _INTS),
+    (["exact", "mu"], "--n", _INTS),
+    (["bound", "chernoff", "--epsilon", "0.5"], "--n", _INTS),
+    (["bound", "height-tail", "--n", "10"], "--eta", _INTS),
+    (["sample", "height", "--n", "5"], "--trials", _COUNTS),
+    (_EXPERIMENT, "--threads", _COUNTS),
+    (["sample", "height", "--n", "5"], "--seed", _SEEDS),
+    (_EXPERIMENT, "--seed", _SEEDS),
+    (["bound", "chernoff", "--n", "5", "--epsilon", "0.5"], "--theta", ("-1", *_FINITE)),
+    (["exact", "records-mgf", "--n", "3"], "--t", _FINITE),
+    (["bound", "height-tail", "--n", "10", "--eta", "5"], "--t", _FINITE),
+    (["bound", "chernoff", "--n", "10"], "--epsilon", _FINITE),
+    (["experiment", "record-concentration", *_EXPERIMENT[2:]], "--epsilon", _FINITE),
+    (["bound", "profile-tail", "--n", "10", "--epsilon", "0.1", "--k", "2"], "--M", _FINITE),
+)
+
 
 class TestErrors:
+    @pytest.mark.parametrize(
+        "argv,flag,text",
+        [
+            pytest.param(argv, flag, text, id=f"{argv[0]} {argv[1]} {flag} {text}")
+            for argv, flag, texts in _ROUTED_FLAGS
+            for text in texts
+        ],
+    )
+    def test_routed_flag_states_its_rule_and_exits_2(self, capsys, argv, flag, text):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, flag, text])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        name = flag[2:]
+        lines = [line for line in err.splitlines() if f"argument {flag}: " in line]
+        assert len(lines) == 1 and "Traceback" not in err
+        assert f"argument {flag}: bad {name} {text!r}: {name} must be " in lines[0]
+
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["exact", "mu", "--n", "3", "--bogus", "1"])
