@@ -52,7 +52,7 @@ SCALAR_COMMANDS = ("exact mu", "exact cstar", "exact records-mgf")
 
 
 class UsageError(ValueError):
-    """Usage errors argparse cannot see: flag combinations, and a bad $RBL_SEED."""
+    """Usage errors argparse cannot see: a bad $RBL_SEED, and experiment settings from a config."""
 
 
 @dataclass
@@ -145,11 +145,16 @@ def _flag(name: str, check, parse=int, **bounds):
 _seed = _flag("seed", check_int, below=1 << 64, rule="an unsigned 64-bit integer")
 
 
-def _int_list(text: str) -> tuple[int, ...]:
+def _int_or_text(text: str):
+    """``text`` as an int, or as it is: ExperimentConfig's rule then refuses it by its key."""
     try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
+        return int(text)
+    except ValueError:
+        return text
+
+
+def _int_list(text: str) -> tuple:
+    return tuple(map(_int_or_text, text.split(",")))
 
 
 def _resolve_seed(explicit: int | None) -> int:
@@ -164,12 +169,18 @@ def _resolve_seed(explicit: int | None) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process: parsing leaves it unchanged."""
+    """The CLI's parser, built once per process: parsing leaves it unchanged.
+
+    Each ``sample``, ``exact`` and ``bound`` command has its own parser that takes exactly the
+    flags it reads, so argparse refuses any other and names a missing one. Flags are spelled
+    in full: an abbreviation could read as another flag of the command (``--t`` as ``--theta``).
+    """
     parser = argparse.ArgumentParser(
         prog="rbtrees",
         description="Sample record-biased permutations/trees and evaluate their exact laws and bounds.",
+        allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    groups = parser.add_subparsers(dest="command", required=True)
     size = _flag("n", check_int)
     theta = _flag("theta", check_real, parse_theta_value, least=0.0, rule="finite and >= 0")
     t, epsilon, big_m = (
@@ -181,39 +192,51 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output file path (default: stdout)")
         p.add_argument("--format", choices=["csv", "json"], default=None)
 
-    p_sample = sub.add_parser("sample", help="draw permutations, trees, or height statistics")
-    p_sample.add_argument("what", choices=["perm", "tree", "height"])
-    p_sample.add_argument("--n", type=size, required=True)
-    p_sample.add_argument("--theta", type=theta, default=DEFAULT_THETA)
-    p_sample.add_argument("--trials", type=_flag("trials", check_int, least=1), default=1)
-    p_sample.add_argument("--method", choices=["sequential", "recursive"], default=None)
-    add_io(p_sample)
+    def add_group(name, help_text):
+        group = groups.add_parser(name, help=help_text, allow_abbrev=False)
+        return group.add_subparsers(dest="what", required=True)
 
-    p_exact = sub.add_parser("exact", help="closed-form quantities and the enumeration oracle")
-    p_exact.add_argument("what", choices=["mu", "cstar", "split-pmf", "records-mgf", "enumerate"])
-    p_exact.add_argument("--n", type=size, default=None)
-    p_exact.add_argument("--theta", type=theta, default=DEFAULT_THETA)
-    p_exact.add_argument("--t", type=t, default=0.0)
-    p_exact.add_argument("--k", type=int, default=None)
-    add_io(p_exact)
+    def add_command(commands, what, model=True):
+        p = commands.add_parser(what, allow_abbrev=False)
+        if model:
+            p.add_argument("--n", type=size, required=True)
+            p.add_argument("--theta", type=theta, default=DEFAULT_THETA)
+        add_io(p)
+        return p
 
-    p_bound = sub.add_parser("bound", help="tail bound evaluators")
-    p_bound.add_argument("what", choices=["chernoff", "profile-tail", "height-tail"])
-    p_bound.add_argument("--n", type=size, required=True)
-    p_bound.add_argument("--theta", type=theta, default=DEFAULT_THETA)
-    p_bound.add_argument("--epsilon", type=epsilon, default=None)
-    p_bound.add_argument("--M", type=big_m, default=None)
-    p_bound.add_argument("--k", type=int, default=None)
-    p_bound.add_argument("--eta", type=_flag("eta", check_int), default=None)
-    p_bound.add_argument("--t", type=t, default=math.log(2.0 * math.e))
-    add_io(p_bound)
+    sample = add_group("sample", "draw permutations, trees, or height statistics")
+    for what, methods in (
+        ("perm", ["sequential"]),
+        ("tree", ["sequential", "recursive"]),
+        ("height", ["sequential", "recursive"]),
+    ):
+        p = add_command(sample, what)
+        p.add_argument("--trials", type=_flag("trials", check_int, least=1), default=1)
+        p.add_argument("--method", choices=methods, default=methods[-1])
 
-    p_exp = sub.add_parser("experiment", help="Monte Carlo experiment drivers")
+    exact = add_group("exact", "closed-form quantities and the enumeration oracle")
+    add_command(exact, "mu")
+    add_command(exact, "cstar", model=False)
+    add_command(exact, "split-pmf").add_argument("--k", type=_flag("k", check_int, least=1))
+    add_command(exact, "records-mgf").add_argument("--t", type=t, default=0.0)
+    add_command(exact, "enumerate")
+
+    bound = add_group("bound", "tail bound evaluators")
+    add_command(bound, "chernoff").add_argument("--epsilon", type=epsilon, required=True)
+    p = add_command(bound, "profile-tail")
+    p.add_argument("--epsilon", type=epsilon, required=True)
+    p.add_argument("--M", type=big_m, required=True)
+    p.add_argument("--k", type=_flag("k", check_int), required=True)
+    p = add_command(bound, "height-tail")
+    p.add_argument("--eta", type=_flag("eta", check_int), required=True)
+    p.add_argument("--t", type=t, default=math.log(2.0 * math.e))
+
+    p_exp = groups.add_parser("experiment", help="Monte Carlo experiment drivers", allow_abbrev=False)
     p_exp.add_argument("what", choices=["height-ratio", "record-concentration", "dominance"])
     p_exp.add_argument("--config", default=None, help="JSON config mirroring ExperimentConfig")
     p_exp.add_argument("--n-values", type=_int_list, default=None)
     p_exp.add_argument("--theta-spec", default=None)
-    p_exp.add_argument("--trials", type=int, default=None)
+    p_exp.add_argument("--trials", type=_int_or_text, default=None)
     p_exp.add_argument("--epsilon", type=epsilon, default=None)
     p_exp.add_argument("--j-values", type=_int_list, default=None)
     threads = _flag("threads", check_int, least=1)
@@ -243,28 +266,24 @@ def _tally(draw, columns, trials: int, seed: int) -> list[dict]:
     ]
 
 
-def _cmd_sample(args, seed) -> OutputTable:
-    what, n, theta, trials = args.what, args.n, args.theta, args.trials
-    method = args.method
-    if method is None:
-        method = "sequential" if what == "perm" else "recursive"
-    head = {"n": n, "theta": theta, "trials": trials}
+def _sample_rows(args, flags: dict, seed: int) -> list:
+    what, n, theta, trials, method = args.what, args.n, args.theta, args.trials, args.method
     if what == "perm":
-        if method != "sequential":
-            raise UsageError("sample perm supports only the sequential method")
         if n > MAX_PERM_TABLE_N:
             raise ValueError(
                 "sample perm tabulates distinct permutations and requires "
                 f"n <= {MAX_PERM_TABLE_N}; use 'sample height' for large n"
             )
         params = RbParams(n, theta)
-        rows = _tally(
+        return _tally(
             lambda rng: sample_sequential(params, rng).values,
-            lambda values: {**head, "perm": "-".join(str(v) for v in values)},
+            lambda values: {
+                "n": n, "theta": theta, "trials": trials, "perm": "-".join(map(str, values))
+            },
             trials,
             seed,
         )
-    elif what == "tree":
+    if what == "tree":
         _check_size(n, "sample tree", "use 'sample height' for large n")
         params = RbParams(n, theta)
 
@@ -277,93 +296,64 @@ def _cmd_sample(args, seed) -> OutputTable:
             return height(tree), record_count_tree(tree), root_label
 
         names = ("height", "records", "root_label")
-        rows = _tally(
-            draw_tree, lambda key: {**head, "method": method, **dict(zip(names, key))}, trials, seed
-        )
-    else:
-        if method == "sequential":
-            _check_size(n, "sample height --method sequential", "use 'sample height' for large n")
-        config = ExperimentConfig(n_values=(n,), theta_spec=theta, trials=trials, seed=seed)
-        rows = run_height_ratio(config, method=method)
-    params = {"what": what, "n": n, "theta": theta, "trials": trials, "method": method}
-    return OutputTable(f"sample {what}", params, seed, rows)
+        return _tally(draw_tree, lambda key: {**flags, **dict(zip(names, key))}, trials, seed)
+    if method == "sequential":
+        _check_size(n, "sample height --method sequential", "use 'sample height' for large n")
+    config = ExperimentConfig(n_values=(n,), theta_spec=theta, trials=trials, seed=seed)
+    return run_height_ratio(config, method=method)
 
 
-def _cmd_exact(args, seed) -> OutputTable:
+def _exact_rows(args, flags: dict, seed: int) -> list:
     what = args.what
     if what == "cstar":
-        rows = [{"n": 0, "theta": 0.0, "quantity": "c_star", "value": c_star(), "seed": seed}]
-        return OutputTable("exact cstar", {"what": what}, seed, rows)
-    if args.n is None:
-        raise UsageError(f"exact {what} requires --n")
-    n, theta = args.n, args.theta
-    params = {"what": what, "n": n, "theta": theta}
-    head = {"n": n, "theta": theta}
+        return [{"n": 0, "theta": 0.0, "quantity": "c_star", "value": c_star(), "seed": seed}]
     if what == "mu":
-        rows = [{**head, "quantity": "mu", "value": mu(n, theta), "seed": seed}]
-    elif what == "records-mgf":
-        value = records_mgf(RbParams(n, theta), args.t)
-        params["t"] = args.t
-        rows = [{**head, "t": args.t, "value": value, "seed": seed}]
-    elif what == "split-pmf":
-        rb = RbParams(n, theta)
+        return [{**flags, "quantity": "mu", "value": mu(args.n, args.theta), "seed": seed}]
+    rb = RbParams(args.n, args.theta)
+    if what == "records-mgf":
+        return [{**flags, "value": records_mgf(rb, args.t), "seed": seed}]
+    if what == "split-pmf":
         if args.k is not None:
             pmf = {args.k: root_split_pmf(rb, args.k)}
-            params["k"] = args.k
         else:
-            _check_size(n, "exact split-pmf", "pass --k for one probability")
+            _check_size(args.n, "exact split-pmf", "pass --k for one probability")
             pmf = dict(enumerate(root_split_distribution(rb), start=1))
-        rows = [{**head, "k": k, "probability": p, "seed": seed} for k, p in pmf.items()]
-    else:
-        laws = enumerate_exact(RbParams(n, theta))
-        rows = []
-        for law_name, dist in (
-            ("record", laws.record),
-            ("first_value", laws.first_value),
-            ("left_subtree_size", laws.left_subtree_size),
-            ("height", laws.height),
-            ("profile", laws.profile),
-        ):
-            for key, prob in zip(dist.support, dist.probs):
-                outcome = "|".join(str(v) for v in key) if isinstance(key, tuple) else str(key)
-                rows.append(
-                    {**head, "law": law_name, "outcome": outcome, "probability": prob, "seed": seed}
-                )
-    return OutputTable(f"exact {what}", params, seed, rows)
+        return [{**flags, "k": k, "probability": p, "seed": seed} for k, p in pmf.items()]
+    laws = enumerate_exact(rb)
+    rows = []
+    for law_name, dist in (
+        ("record", laws.record),
+        ("first_value", laws.first_value),
+        ("left_subtree_size", laws.left_subtree_size),
+        ("height", laws.height),
+        ("profile", laws.profile),
+    ):
+        for key, prob in zip(dist.support, dist.probs):
+            outcome = "|".join(str(v) for v in key) if isinstance(key, tuple) else str(key)
+            rows.append({**flags, "law": law_name, "outcome": outcome, "probability": prob, "seed": seed})
+    return rows
 
 
-def _cmd_bound(args, seed) -> OutputTable:
-    what = args.what
-    n, theta = args.n, args.theta
-    rb = RbParams(n, theta)
-    head = {"n": n, "theta": theta}
-    if what == "chernoff":
-        if args.epsilon is None:
-            raise UsageError("bound chernoff requires --epsilon")
+def _bound_rows(args, flags: dict, seed: int) -> list:
+    rb = RbParams(args.n, args.theta)
+    if args.what == "chernoff":
         values = chernoff_record_tail(rb, args.epsilon)
-        params = {"what": what, "n": n, "theta": theta, "epsilon": args.epsilon}
-        rows = [
-            {**head, "epsilon": args.epsilon, "side": side, "value": value, "seed": seed}
+        return [
+            {**flags, "side": side, "value": value, "seed": seed}
             for side, value in zip(("upper", "lower", "two_sided"), values)
         ]
-    elif what == "profile-tail":
-        if args.epsilon is None or args.M is None or args.k is None:
-            raise UsageError("bound profile-tail requires --epsilon, --M, and --k")
-        C, lam = profile_tail_constants(theta, args.epsilon)
+    if args.what == "profile-tail":
+        C, lam = profile_tail_constants(args.theta, args.epsilon)
         value = left_profile_tail_bound(rb, args.epsilon, args.M, args.k)
-        inputs = {"epsilon": args.epsilon, "M": args.M, "k": args.k}
-        params = {"what": what, **head, **inputs}
-        rows = [{**head, **inputs, "C": C, "lam": lam, "value": value, "seed": seed}]
-    else:
-        if args.eta is None:
-            raise UsageError("bound height-tail requires --eta")
-        sample = sample_height_only(rb, RandomSource(seed, 0))
-        profile = LeftProfile(sample.sizes.tolist())
-        value = conditional_height_tail_bound(profile, args.eta, args.t)
-        inputs = {"eta": args.eta, "t": args.t}
-        params = {"what": what, **head, **inputs}
-        rows = [{**head, **inputs, "records": sample.records, "value": value, "seed": seed}]
-    return OutputTable(f"bound {what}", params, seed, rows)
+        return [{**flags, "C": C, "lam": lam, "value": value, "seed": seed}]
+    sample = sample_height_only(rb, RandomSource(seed, 0))
+    value = conditional_height_tail_bound(LeftProfile(sample.sizes.tolist()), args.eta, args.t)
+    return [{**flags, "records": sample.records, "value": value, "seed": seed}]
+
+
+_ROWS = {"sample": _sample_rows, "exact": _exact_rows, "bound": _bound_rows}
+# namespace entries that are not a command's own flags
+_NOT_FLAGS = ("command", "what", "seed", "out", "format")
 
 
 # each experiment setting names a config key and the dest of the flag that overrides it
@@ -425,15 +415,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        seed = _resolve_seed(getattr(args, "seed", None))
-        if args.command == "sample":
-            table = _cmd_sample(args, seed)
-        elif args.command == "exact":
-            table = _cmd_exact(args, seed)
-        elif args.command == "bound":
-            table = _cmd_bound(args, seed)
-        else:
+        seed = _resolve_seed(args.seed)
+        if args.command == "experiment":
             table = _cmd_experiment(args, seed)
+        else:
+            # the command's flags in declaration order, which params and each row start with
+            flags = {k: v for k, v in vars(args).items() if k not in _NOT_FLAGS and v is not None}
+            rows = _ROWS[args.command](args, flags, seed)
+            params = {"what": args.what, **flags}
+            table = OutputTable(f"{args.command} {args.what}", params, seed, rows)
         if table.command in SCALAR_COMMANDS and args.out is None and args.format is None:
             sys.stdout.write(repr(table.rows[0]["value"]) + "\n")
             return 0

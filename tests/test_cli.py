@@ -341,7 +341,7 @@ class TestParser:
             with pytest.raises(SystemExit) as excinfo:
                 main(["bound", "chernoff", "--n", "10"])
             assert excinfo.value.code == 2
-            assert "requires --epsilon" in capsys.readouterr().err
+            assert "the following arguments are required: --epsilon" in capsys.readouterr().err
 
 
 class TestSeeds:
