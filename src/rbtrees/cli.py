@@ -231,7 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=_flag("eta", check_int), required=True)
     p.add_argument("--t", type=t, default=math.log(2.0 * math.e))
 
-    p_exp = groups.add_parser("experiment", help="Monte Carlo experiment drivers", allow_abbrev=False)
+    p_exp = groups.add_parser(
+        "experiment", help="Monte Carlo experiment drivers", allow_abbrev=False
+    )
     p_exp.add_argument("what", choices=["height-ratio", "record-concentration", "dominance"])
     p_exp.add_argument("--config", default=None, help="JSON config mirroring ExperimentConfig")
     p_exp.add_argument("--n-values", type=_int_list, default=None)
@@ -275,11 +277,10 @@ def _sample_rows(args, flags: dict, seed: int) -> list:
                 f"n <= {MAX_PERM_TABLE_N}; use 'sample height' for large n"
             )
         params = RbParams(n, theta)
+        head = {"n": n, "theta": theta, "trials": trials}
         return _tally(
             lambda rng: sample_sequential(params, rng).values,
-            lambda values: {
-                "n": n, "theta": theta, "trials": trials, "perm": "-".join(map(str, values))
-            },
+            lambda values: {**head, "perm": "-".join(str(v) for v in values)},
             trials,
             seed,
         )
@@ -330,7 +331,9 @@ def _exact_rows(args, flags: dict, seed: int) -> list:
     ):
         for key, prob in zip(dist.support, dist.probs):
             outcome = "|".join(str(v) for v in key) if isinstance(key, tuple) else str(key)
-            rows.append({**flags, "law": law_name, "outcome": outcome, "probability": prob, "seed": seed})
+            rows.append(
+                {**flags, "law": law_name, "outcome": outcome, "probability": prob, "seed": seed}
+            )
     return rows
 
 

@@ -398,7 +398,42 @@ _ROUTED_FLAGS = (
     (["bound", "chernoff", "--n", "10"], "--epsilon", _FINITE),
     (["experiment", "record-concentration", *_EXPERIMENT[2:]], "--epsilon", _FINITE),
     (["bound", "profile-tail", "--n", "10", "--epsilon", "0.1", "--k", "2"], "--M", _FINITE),
+    (["exact", "split-pmf", "--n", "5"], "--k", ("0", *_INTS)),
+    (["bound", "profile-tail", "--n", "10", "--epsilon", "0.1", "--M", "3"], "--k", _INTS),
 )
+# the flags each exact and bound command reads besides --seed, --out and --format, a value
+# each, and which of them must be given
+_GROUP_FLAGS = {
+    "exact": ("--n", "--theta", "--t", "--k"),
+    "bound": ("--n", "--theta", "--epsilon", "--M", "--k", "--eta", "--t"),
+}
+_DECLARED = {
+    ("exact", "mu"): ("--n", "--theta"),
+    ("exact", "cstar"): (),
+    ("exact", "split-pmf"): ("--n", "--theta", "--k"),
+    ("exact", "records-mgf"): ("--n", "--theta", "--t"),
+    ("exact", "enumerate"): ("--n", "--theta"),
+    ("bound", "chernoff"): ("--n", "--theta", "--epsilon"),
+    ("bound", "profile-tail"): ("--n", "--theta", "--epsilon", "--M", "--k"),
+    ("bound", "height-tail"): ("--n", "--theta", "--eta", "--t"),
+}
+_VALUES = {"--n": "5", "--theta": "2", "--t": "0.5", "--k": "2", "--epsilon": "0.5", "--M": "3", "--eta": "4"}
+_REQUIRED = {
+    ("sample", "perm"): ("--n",),
+    ("sample", "tree"): ("--n",),
+    ("sample", "height"): ("--n",),
+    ("exact", "mu"): ("--n",),
+    ("exact", "split-pmf"): ("--n",),
+    ("exact", "records-mgf"): ("--n",),
+    ("exact", "enumerate"): ("--n",),
+    ("bound", "chernoff"): ("--n", "--epsilon"),
+    ("bound", "profile-tail"): ("--n", "--epsilon", "--M", "--k"),
+    ("bound", "height-tail"): ("--n", "--eta"),
+}
+
+
+def _with_values(command, flags):
+    return [*command, *(word for flag in flags for word in (flag, _VALUES[flag]))]
 
 
 class TestErrors:
@@ -419,6 +454,40 @@ class TestErrors:
         lines = [line for line in err.splitlines() if f"argument {flag}: " in line]
         assert len(lines) == 1 and "Traceback" not in err
         assert f"argument {flag}: bad {name} {text!r}: {name} must be " in lines[0]
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            pytest.param(command, flag, id=f"{' '.join(command)} {flag}")
+            for command, declared in _DECLARED.items()
+            for flag in _GROUP_FLAGS[command[0]]
+            if flag not in declared
+        ],
+    )
+    def test_flag_the_command_does_not_read_exits_2(self, capsys, command, flag):
+        argv = _with_values(command, _REQUIRED.get(command, ()))
+        assert run_cli(argv, capsys)[0] == 0
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, flag, _VALUES[flag]])
+        assert excinfo.value.code == 2
+        lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert lines == [f"rbtrees: error: unrecognized arguments: {flag} {_VALUES[flag]}"]
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            pytest.param(command, flag, id=f"{' '.join(command)} {flag}")
+            for command, required in _REQUIRED.items()
+            for flag in required
+        ],
+    )
+    def test_missing_required_flag_is_named_and_exits_2(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(_with_values(command, [f for f in _REQUIRED[command] if f != flag]))
+        assert excinfo.value.code == 2
+        lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(lines) == 1
+        assert lines[0].endswith(f"error: the following arguments are required: {flag}")
 
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -476,6 +545,25 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert field in err
+
+    @pytest.mark.parametrize(
+        "flag,text,field,value,message",
+        (
+            pytest.param("--n-values", "10,abc", "n_values", [10, "abc"],
+                         "n_values[1] must be an integer >= 1, got 'abc'", id="n-values"),
+            pytest.param("--trials", "abc", "trials", "abc",
+                         "trials must be in [1, 2**32), got 'abc'", id="trials"),
+        ),
+    )
+    def test_unparsable_setting_exits_1_as_its_config_key(
+        self, tmp_path, capsys, flag, text, field, value, message
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n_values": [10], "theta_spec": 1, "trials": 5, field: value}))
+        via_config = run_cli(["experiment", "height-ratio", "--config", str(config)], capsys)
+        argv = ["experiment", "height-ratio", "--n-values", "10", "--theta-spec", "1", "--trials", "5"]
+        argv[argv.index(flag) + 1] = text
+        assert run_cli(argv, capsys) == via_config == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("field", ("epsilon", "theta_spec"))
     def test_config_integer_past_the_float_range_exits_1(self, tmp_path, capsys, field):
@@ -663,32 +751,36 @@ _FLAG_VALUES = {
     "--seed": _mostly(st.sampled_from(("0", "7", str(2**64 - 1))), str(2**64), "-1"),
     "--format": st.sampled_from(("csv", "json")),
 }
-# (what, required flags, optional flags) per command
+# (required flags, optional flags) per command
+_SAMPLE_FLAGS = (("--n",), ("--theta", "--trials", "--method", "--seed"))
+_EXPERIMENT_FLAGS = (("--n-values", "--theta-spec", "--trials"), ("--epsilon", "--j-values", "--seed"))
 _COMMANDS = {
-    "sample": (("perm", "tree", "height"), ("--n",), ("--theta", "--trials", "--method", "--seed")),
-    "exact": (("mu", "cstar", "split-pmf", "records-mgf", "enumerate"), (), ("--n", "--theta", "--t", "--k")),
-    "bound": (
-        ("chernoff", "profile-tail", "height-tail"),
-        ("--n",),
-        ("--theta", "--epsilon", "--M", "--k", "--eta", "--t", "--seed"),
-    ),
-    "experiment": (
-        ("height-ratio", "record-concentration", "dominance"),
-        ("--n-values", "--theta-spec", "--trials"),
-        ("--epsilon", "--j-values", "--seed"),
-    ),
+    ("sample", "perm"): _SAMPLE_FLAGS,
+    ("sample", "tree"): _SAMPLE_FLAGS,
+    ("sample", "height"): _SAMPLE_FLAGS,
+    ("exact", "mu"): (("--n",), ("--theta",)),
+    ("exact", "cstar"): ((), ()),
+    ("exact", "split-pmf"): (("--n",), ("--theta", "--k")),
+    ("exact", "records-mgf"): (("--n",), ("--theta", "--t")),
+    ("exact", "enumerate"): (("--n",), ("--theta",)),
+    ("bound", "chernoff"): (("--n", "--epsilon"), ("--theta", "--seed")),
+    ("bound", "profile-tail"): (("--n", "--epsilon", "--M", "--k"), ("--theta", "--seed")),
+    ("bound", "height-tail"): (("--n", "--eta"), ("--theta", "--t", "--seed")),
+    ("experiment", "height-ratio"): _EXPERIMENT_FLAGS,
+    ("experiment", "record-concentration"): _EXPERIMENT_FLAGS,
+    ("experiment", "dominance"): _EXPERIMENT_FLAGS,
 }
 
 
 @st.composite
 def _argvs(draw):
     command = draw(st.sampled_from(sorted(_COMMANDS)))
-    whats, required, optional = _COMMANDS[command]
-    argv = [command, draw(st.sampled_from(whats))]
+    required, optional = _COMMANDS[command]
+    argv = list(command)
     for flag in required + optional + ("--format",):
         if flag in required or draw(st.integers(0, 3)):
             argv += [flag, draw(_FLAG_VALUES[flag])]
-    if command == "experiment":
+    if command[0] == "experiment":
         argv += ["--threads", "1"]
     return argv
 
@@ -697,6 +789,7 @@ def _argvs(draw):
 @given(_argvs())
 @example(["experiment", "height-ratio", "--n-values", "1,5", "--theta-spec", "power:-1000",
           "--trials", "1", "--threads", "1"])
+@example(["exact", "cstar", "--n", "7", "--k", "1"])  # a flag the command does not read
 def test_any_argv_exits_0_1_or_2(argv):
     # n <= 64 and trials <= 3 keep every example small; a traceback would propagate out of
     # main and fail the test. Exit 1 is one error line and nothing else.

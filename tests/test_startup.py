@@ -41,7 +41,11 @@ def _run(argv):
         "sample perm --n 6 --trials 50",
         "sample height --n 1000 --trials 4",
         "exact cstar",
+        "exact enumerate --n 5",
+        "exact split-pmf --n 50 --k 3",
         "bound chernoff --n 1000 --theta 5 --epsilon 0.5",
+        "bound profile-tail --n 100 --theta 2 --epsilon 0.1 --M 3 --k 2",
+        "bound height-tail --n 500 --theta 2 --eta 40",
         "experiment height-ratio --n-values 1000 --theta-spec 1 --trials 4",
     ),
 )
