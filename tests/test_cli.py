@@ -401,34 +401,30 @@ _ROUTED_FLAGS = (
     (["exact", "split-pmf", "--n", "5"], "--k", ("0", *_INTS)),
     (["bound", "profile-tail", "--n", "10", "--epsilon", "0.1", "--M", "3"], "--k", _INTS),
 )
-# the flags each exact and bound command reads besides --seed, --out and --format, a value
-# each, and which of them must be given
+# the flags of each exact and bound group, and a value for each flag
 _GROUP_FLAGS = {
     "exact": ("--n", "--theta", "--t", "--k"),
     "bound": ("--n", "--theta", "--epsilon", "--M", "--k", "--eta", "--t"),
 }
-_DECLARED = {
-    ("exact", "mu"): ("--n", "--theta"),
-    ("exact", "cstar"): (),
-    ("exact", "split-pmf"): ("--n", "--theta", "--k"),
-    ("exact", "records-mgf"): ("--n", "--theta", "--t"),
-    ("exact", "enumerate"): ("--n", "--theta"),
-    ("bound", "chernoff"): ("--n", "--theta", "--epsilon"),
-    ("bound", "profile-tail"): ("--n", "--theta", "--epsilon", "--M", "--k"),
-    ("bound", "height-tail"): ("--n", "--theta", "--eta", "--t"),
-}
 _VALUES = {"--n": "5", "--theta": "2", "--t": "0.5", "--k": "2", "--epsilon": "0.5", "--M": "3", "--eta": "4"}
-_REQUIRED = {
-    ("sample", "perm"): ("--n",),
-    ("sample", "tree"): ("--n",),
-    ("sample", "height"): ("--n",),
-    ("exact", "mu"): ("--n",),
-    ("exact", "split-pmf"): ("--n",),
-    ("exact", "records-mgf"): ("--n",),
-    ("exact", "enumerate"): ("--n",),
-    ("bound", "chernoff"): ("--n", "--epsilon"),
-    ("bound", "profile-tail"): ("--n", "--epsilon", "--M", "--k"),
-    ("bound", "height-tail"): ("--n", "--eta"),
+# (required flags, optional flags) of each command; all of them also take --seed, --out, --format
+_SAMPLE_FLAGS = (("--n",), ("--theta", "--trials", "--method", "--seed"))
+_EXPERIMENT_FLAGS = (("--n-values", "--theta-spec", "--trials"), ("--epsilon", "--j-values", "--seed"))
+_COMMANDS = {
+    ("sample", "perm"): _SAMPLE_FLAGS,
+    ("sample", "tree"): _SAMPLE_FLAGS,
+    ("sample", "height"): _SAMPLE_FLAGS,
+    ("exact", "mu"): (("--n",), ("--theta",)),
+    ("exact", "cstar"): ((), ()),
+    ("exact", "split-pmf"): (("--n",), ("--theta", "--k")),
+    ("exact", "records-mgf"): (("--n",), ("--theta", "--t")),
+    ("exact", "enumerate"): (("--n",), ("--theta",)),
+    ("bound", "chernoff"): (("--n", "--epsilon"), ("--theta", "--seed")),
+    ("bound", "profile-tail"): (("--n", "--epsilon", "--M", "--k"), ("--theta", "--seed")),
+    ("bound", "height-tail"): (("--n", "--eta"), ("--theta", "--t", "--seed")),
+    ("experiment", "height-ratio"): _EXPERIMENT_FLAGS,
+    ("experiment", "record-concentration"): _EXPERIMENT_FLAGS,
+    ("experiment", "dominance"): _EXPERIMENT_FLAGS,
 }
 
 
@@ -459,13 +455,13 @@ class TestErrors:
         "command,flag",
         [
             pytest.param(command, flag, id=f"{' '.join(command)} {flag}")
-            for command, declared in _DECLARED.items()
-            for flag in _GROUP_FLAGS[command[0]]
-            if flag not in declared
+            for command, (required, optional) in _COMMANDS.items()
+            for flag in _GROUP_FLAGS.get(command[0], ())
+            if flag not in required + optional
         ],
     )
     def test_flag_the_command_does_not_read_exits_2(self, capsys, command, flag):
-        argv = _with_values(command, _REQUIRED.get(command, ()))
+        argv = _with_values(command, _COMMANDS[command][0])
         assert run_cli(argv, capsys)[0] == 0
         with pytest.raises(SystemExit) as excinfo:
             main([*argv, flag, _VALUES[flag]])
@@ -477,13 +473,14 @@ class TestErrors:
         "command,flag",
         [
             pytest.param(command, flag, id=f"{' '.join(command)} {flag}")
-            for command, required in _REQUIRED.items()
+            for command, (required, _) in _COMMANDS.items()
+            if command[0] != "experiment"  # a config file may give these, see below
             for flag in required
         ],
     )
     def test_missing_required_flag_is_named_and_exits_2(self, capsys, command, flag):
         with pytest.raises(SystemExit) as excinfo:
-            main(_with_values(command, [f for f in _REQUIRED[command] if f != flag]))
+            main(_with_values(command, [f for f in _COMMANDS[command][0] if f != flag]))
         assert excinfo.value.code == 2
         lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(lines) == 1
@@ -751,27 +748,6 @@ _FLAG_VALUES = {
     "--seed": _mostly(st.sampled_from(("0", "7", str(2**64 - 1))), str(2**64), "-1"),
     "--format": st.sampled_from(("csv", "json")),
 }
-# (required flags, optional flags) per command
-_SAMPLE_FLAGS = (("--n",), ("--theta", "--trials", "--method", "--seed"))
-_EXPERIMENT_FLAGS = (("--n-values", "--theta-spec", "--trials"), ("--epsilon", "--j-values", "--seed"))
-_COMMANDS = {
-    ("sample", "perm"): _SAMPLE_FLAGS,
-    ("sample", "tree"): _SAMPLE_FLAGS,
-    ("sample", "height"): _SAMPLE_FLAGS,
-    ("exact", "mu"): (("--n",), ("--theta",)),
-    ("exact", "cstar"): ((), ()),
-    ("exact", "split-pmf"): (("--n",), ("--theta", "--k")),
-    ("exact", "records-mgf"): (("--n",), ("--theta", "--t")),
-    ("exact", "enumerate"): (("--n",), ("--theta",)),
-    ("bound", "chernoff"): (("--n", "--epsilon"), ("--theta", "--seed")),
-    ("bound", "profile-tail"): (("--n", "--epsilon", "--M", "--k"), ("--theta", "--seed")),
-    ("bound", "height-tail"): (("--n", "--eta"), ("--theta", "--t", "--seed")),
-    ("experiment", "height-ratio"): _EXPERIMENT_FLAGS,
-    ("experiment", "record-concentration"): _EXPERIMENT_FLAGS,
-    ("experiment", "dominance"): _EXPERIMENT_FLAGS,
-}
-
-
 @st.composite
 def _argvs(draw):
     command = draw(st.sampled_from(sorted(_COMMANDS)))
