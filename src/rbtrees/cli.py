@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 from .analytics import (
     c_star,
@@ -171,9 +171,10 @@ def _resolve_seed(explicit: int | None) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: parsing leaves it unchanged.
 
-    Each ``sample``, ``exact`` and ``bound`` command has its own parser that takes exactly the
-    flags it reads, so argparse refuses any other and names a missing one. Flags are spelled
-    in full: an abbreviation could read as another flag of the command (``--t`` as ``--theta``).
+    Each command has its own parser that takes exactly the flags it reads, so argparse refuses
+    any other; an experiment's config file may also give its settings, so it names a missing
+    one itself. Flags are spelled in full: an abbreviation could read as another flag of the
+    command (``--t`` as ``--theta``).
     """
     parser = argparse.ArgumentParser(
         prog="rbtrees",
@@ -231,19 +232,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=_flag("eta", check_int), required=True)
     p.add_argument("--t", type=t, default=math.log(2.0 * math.e))
 
-    p_exp = groups.add_parser(
-        "experiment", help="Monte Carlo experiment drivers", allow_abbrev=False
-    )
-    p_exp.add_argument("what", choices=["height-ratio", "record-concentration", "dominance"])
-    p_exp.add_argument("--config", default=None, help="JSON config mirroring ExperimentConfig")
-    p_exp.add_argument("--n-values", type=_int_list, default=None)
-    p_exp.add_argument("--theta-spec", default=None)
-    p_exp.add_argument("--trials", type=_int_or_text, default=None)
-    p_exp.add_argument("--epsilon", type=epsilon, default=None)
-    p_exp.add_argument("--j-values", type=_int_list, default=None)
+    experiment = add_group("experiment", "Monte Carlo experiment drivers")
     threads = _flag("threads", check_int, least=1)
-    p_exp.add_argument("--threads", type=threads, help="accepted for compatibility; no effect")
-    add_io(p_exp)
+
+    def add_experiment(what):
+        p = experiment.add_parser(what, allow_abbrev=False)
+        p.add_argument("--config", default=None, help="JSON config mirroring ExperimentConfig")
+        p.add_argument("--n-values", type=_int_list, default=None)
+        p.add_argument("--theta-spec", default=None)
+        p.add_argument("--trials", type=_int_or_text, default=None)
+        p.add_argument("--threads", type=threads, help="accepted for compatibility; no effect")
+        add_io(p)
+        return p
+
+    add_experiment("height-ratio")
+    add_experiment("record-concentration").add_argument("--epsilon", type=epsilon, default=None)
+    add_experiment("dominance").add_argument("--j-values", type=_int_list, default=None)
 
     return parser
 
@@ -363,55 +367,44 @@ _NOT_FLAGS = ("command", "what", "seed", "out", "format")
 _EXPERIMENT_SETTINGS = tuple(f.name for f in fields(ExperimentConfig) if f.init)
 
 
-def _load_experiment_settings(args) -> dict:
+def _cmd_experiment(args, seed) -> OutputTable:
+    """Run one experiment on the settings its parser declares, which are also its config keys.
+
+    A flag overrides its key; all but seed and j_values are required, and a null is refused.
+    """
+    keys = [k for k in vars(args) if k in _EXPERIMENT_SETTINGS]
     settings: dict = {}
     if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
+                settings = json.load(handle)
         except OSError as exc:
             raise ValueError(f"cannot read {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"bad JSON in {args.config}: {exc}") from exc
-        if not isinstance(data, dict):
+        if not isinstance(settings, dict):
             raise ValueError(f"{args.config} must hold a JSON object")
-        unknown = set(data) - set(_EXPERIMENT_SETTINGS)
+        unknown = set(settings) - set(keys)
         if unknown:
             raise UsageError(f"unknown config fields: {sorted(unknown)}")
-        settings.update(data)
-    for key in _EXPERIMENT_SETTINGS:
-        if getattr(args, key) is not None:
-            settings[key] = getattr(args, key)
-    required = [f.name for f in fields(ExperimentConfig) if f.init and f.default is MISSING]
-    if not set(required) <= set(settings):
-        raise UsageError(f"experiment requires {', '.join(required)} (flags or config)")
-    return settings
-
-
-def _cmd_experiment(args, seed) -> OutputTable:
-    settings = _load_experiment_settings(args)
-    seed = _resolve_seed(settings.pop("seed", None))
-    config = ExperimentConfig(**settings, seed=seed)
+        for key, value in settings.items():
+            if value is None:
+                raise ValueError(f"{key} in {args.config} is null: give a value or leave it out")
+    settings.update((k, getattr(args, k)) for k in keys if getattr(args, k) is not None)
+    missing = [k for k in keys if k not in settings and k not in ("seed", "j_values")]
+    if missing:
+        raise UsageError(f"experiment {args.what} requires {', '.join(missing)} (flags or config)")
+    config = ExperimentConfig(**{"seed": seed, **settings})
     what = args.what
     if what == "height-ratio":
         rows = run_height_ratio(config, progress=log_to_stderr)
     elif what == "record-concentration":
-        if config.epsilon is None:
-            raise UsageError("record-concentration requires --epsilon (or config epsilon)")
         rows = run_record_concentration(config, progress=log_to_stderr)
     else:
         rows = run_dominance_check(config, progress=log_to_stderr)
-    params = {
-        "what": what,
-        "n_values": list(config.n_values),
-        "theta_spec": str(config.theta_spec),
-        "trials": config.trials,
-    }
-    if config.epsilon is not None:
-        params["epsilon"] = config.epsilon
-    if config.j_values is not None:
-        params["j_values"] = list(config.j_values)
-    return OutputTable(f"experiment {what}", params, seed, rows)
+    given = {k: getattr(config, k) for k in keys if k != "seed" and getattr(config, k) is not None}
+    params = {"what": what, **given, "theta_spec": str(config.theta_spec)}
+    return OutputTable(f"experiment {what}", params, config.seed, rows)
 
 
 def main(argv=None) -> int:

@@ -401,15 +401,21 @@ _ROUTED_FLAGS = (
     (["exact", "split-pmf", "--n", "5"], "--k", ("0", *_INTS)),
     (["bound", "profile-tail", "--n", "10", "--epsilon", "0.1", "--M", "3"], "--k", _INTS),
 )
-# the flags of each exact and bound group, and a value for each flag
+# the flags that some commands of a group read and others do not, and a value for each flag
 _GROUP_FLAGS = {
     "exact": ("--n", "--theta", "--t", "--k"),
     "bound": ("--n", "--theta", "--epsilon", "--M", "--k", "--eta", "--t"),
+    "experiment": ("--epsilon", "--j-values"),
 }
-_VALUES = {"--n": "5", "--theta": "2", "--t": "0.5", "--k": "2", "--epsilon": "0.5", "--M": "3", "--eta": "4"}
+_VALUES = {
+    "--n": "5", "--theta": "2", "--t": "0.5", "--k": "2", "--epsilon": "0.5", "--M": "3", "--eta": "4",
+    "--n-values": "10", "--theta-spec": "1", "--trials": "3", "--j-values": "1,2",
+}
+# the config value of each experiment setting that the flag's value above stands for
+_CONFIG_VALUES = {"n_values": [10], "theta_spec": 1, "trials": 3, "epsilon": 0.5, "j_values": [1, 2]}
 # (required flags, optional flags) of each command; all of them also take --seed, --out, --format
 _SAMPLE_FLAGS = (("--n",), ("--theta", "--trials", "--method", "--seed"))
-_EXPERIMENT_FLAGS = (("--n-values", "--theta-spec", "--trials"), ("--epsilon", "--j-values", "--seed"))
+_EXPERIMENT_FLAGS = ("--n-values", "--theta-spec", "--trials")
 _COMMANDS = {
     ("sample", "perm"): _SAMPLE_FLAGS,
     ("sample", "tree"): _SAMPLE_FLAGS,
@@ -422,10 +428,55 @@ _COMMANDS = {
     ("bound", "chernoff"): (("--n", "--epsilon"), ("--theta", "--seed")),
     ("bound", "profile-tail"): (("--n", "--epsilon", "--M", "--k"), ("--theta", "--seed")),
     ("bound", "height-tail"): (("--n", "--eta"), ("--theta", "--t", "--seed")),
-    ("experiment", "height-ratio"): _EXPERIMENT_FLAGS,
-    ("experiment", "record-concentration"): _EXPERIMENT_FLAGS,
-    ("experiment", "dominance"): _EXPERIMENT_FLAGS,
+    ("experiment", "height-ratio"): (_EXPERIMENT_FLAGS, ("--seed",)),
+    ("experiment", "record-concentration"): ((*_EXPERIMENT_FLAGS, "--epsilon"), ("--seed",)),
+    ("experiment", "dominance"): (_EXPERIMENT_FLAGS, ("--j-values", "--seed")),
 }
+
+
+def _key(flag):
+    """The config key of an experiment flag."""
+    return flag[2:].replace("-", "_")
+
+
+def _config(tmp_path, settings):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(settings))
+    return str(path)
+
+
+# the one experiment command that reads each setting that not all of them read
+_READER = {"epsilon": "record-concentration", "j_values": "dominance"}
+
+
+def _config_argv(tmp_path, key, value):
+    """The argv of the experiment that reads ``key``, its config giving key = value and the
+    command's other required settings."""
+    command = ("experiment", _READER.get(key, "height-ratio"))
+    settings = {_key(f): _CONFIG_VALUES[_key(f)] for f in _COMMANDS[command][0]}
+    return [*command, "--config", _config(tmp_path, {**settings, key: value})]
+
+
+def _missing(command, flag):
+    """The usage error of ``command`` run without its required ``flag``."""
+    if command[0] == "experiment":
+        return f"{' '.join(command)} requires {_key(flag)} (flags or config)"
+    return f"the following arguments are required: {flag}"
+
+
+# (command, flag) of each flag of the command's group that the command does not read
+_UNREAD = [
+    (command, flag)
+    for command, (required, optional) in _COMMANDS.items()
+    for flag in _GROUP_FLAGS.get(command[0], ())
+    if flag not in required + optional
+]
+# (command, flag) of each required flag of each command
+_REQUIRED = [(command, flag) for command, (required, _) in _COMMANDS.items() for flag in required]
+
+
+def _params(pairs):
+    return [pytest.param(command, flag, id=f"{' '.join(command)} {flag}") for command, flag in pairs]
 
 
 def _with_values(command, flags):
@@ -451,15 +502,7 @@ class TestErrors:
         assert len(lines) == 1 and "Traceback" not in err
         assert f"argument {flag}: bad {name} {text!r}: {name} must be " in lines[0]
 
-    @pytest.mark.parametrize(
-        "command,flag",
-        [
-            pytest.param(command, flag, id=f"{' '.join(command)} {flag}")
-            for command, (required, optional) in _COMMANDS.items()
-            for flag in _GROUP_FLAGS.get(command[0], ())
-            if flag not in required + optional
-        ],
-    )
+    @pytest.mark.parametrize("command,flag", _params(_UNREAD))
     def test_flag_the_command_does_not_read_exits_2(self, capsys, command, flag):
         argv = _with_values(command, _COMMANDS[command][0])
         assert run_cli(argv, capsys)[0] == 0
@@ -469,22 +512,33 @@ class TestErrors:
         lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert lines == [f"rbtrees: error: unrecognized arguments: {flag} {_VALUES[flag]}"]
 
-    @pytest.mark.parametrize(
-        "command,flag",
-        [
-            pytest.param(command, flag, id=f"{' '.join(command)} {flag}")
-            for command, (required, _) in _COMMANDS.items()
-            if command[0] != "experiment"  # a config file may give these, see below
-            for flag in required
-        ],
-    )
+    @pytest.mark.parametrize("command,flag", _params(c for c in _UNREAD if c[0][0] == "experiment"))
+    def test_config_key_the_command_does_not_read_exits_2(self, tmp_path, capsys, command, flag):
+        # the config key of a flag the command refuses is refused the same way
+        argv = _with_values(command, _COMMANDS[command][0])
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--config", _config(tmp_path, {_key(flag): _CONFIG_VALUES[_key(flag)]})])
+        assert excinfo.value.code == 2
+        lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert lines == [f"rbtrees: error: unknown config fields: [{_key(flag)!r}]"]
+
+    @pytest.mark.parametrize("command,flag", _params(_REQUIRED))
     def test_missing_required_flag_is_named_and_exits_2(self, capsys, command, flag):
         with pytest.raises(SystemExit) as excinfo:
             main(_with_values(command, [f for f in _COMMANDS[command][0] if f != flag]))
         assert excinfo.value.code == 2
         lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(lines) == 1
-        assert lines[0].endswith(f"error: the following arguments are required: {flag}")
+        assert lines[0].endswith(f"error: {_missing(command, flag)}")
+
+    @pytest.mark.parametrize("command,flag", _params(c for c in _REQUIRED if c[0][0] == "experiment"))
+    def test_missing_config_setting_is_named_and_exits_2(self, tmp_path, capsys, command, flag):
+        given = {_key(f): _CONFIG_VALUES[_key(f)] for f in _COMMANDS[command][0] if f != flag}
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--config", _config(tmp_path, given)])
+        assert excinfo.value.code == 2
+        lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert lines == [f"rbtrees: error: {_missing(command, flag)}"]
 
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -532,12 +586,7 @@ class TestErrors:
         ),
     )
     def test_bad_config_value_exits_1(self, tmp_path, capsys, field, value):
-        settings = {"n_values": [10], "theta_spec": 1, "trials": 5, field: value}
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(settings))
-        code, out, err = run_cli(
-            ["experiment", "height-ratio", "--config", str(config), "--threads", "1"], capsys
-        )
+        code, out, err = run_cli(_config_argv(tmp_path, field, value), capsys)
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -564,15 +613,26 @@ class TestErrors:
 
     @pytest.mark.parametrize("field", ("epsilon", "theta_spec"))
     def test_config_integer_past_the_float_range_exits_1(self, tmp_path, capsys, field):
-        settings = {"n_values": [10], "theta_spec": 1, "trials": 5, field: 10**400}
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(settings))
-        code, out, err = run_cli(
-            ["experiment", "height-ratio", "--config", str(config), "--threads", "1"], capsys
-        )
+        code, out, err = run_cli(_config_argv(tmp_path, field, 10**400), capsys)
         assert code == 1
         assert out == ""
         assert err == f"error: {field} is too large for a float\n"
+
+    @pytest.mark.parametrize("field", ("n_values", "theta_spec", "trials", "seed", "epsilon", "j_values"))
+    def test_null_config_value_exits_1(self, tmp_path, capsys, field):
+        # a null is an input, not an absent key: it must not fall back to the default
+        argv = _config_argv(tmp_path, field, None)
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {field} in {argv[-1]} is null: give a value or leave it out\n"
+
+    def test_undecodable_config_names_its_file(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b"\xff\xfe")
+        code, out, err = run_cli(["experiment", "height-ratio", "--config", str(config)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: bad JSON in {config}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("via", ("flag", "config"))
     @pytest.mark.parametrize("spec", ("1/0", "constant:3/0", "power:1000", "power:-1000"))
@@ -628,10 +688,9 @@ class TestErrors:
             ["experiment", "height-ratio", "--n-values", "10,1000,100000", "--theta-spec", "power:-70",
              "--trials", "20000", "--threads", "1"],
             ["exact", "enumerate", "--n", "9"],
-            # ExperimentConfig checks epsilon and j_values for every experiment command
-            ["experiment", "height-ratio", "--n-values", "10", "--theta-spec", "1", "--trials", "1",
-             "--epsilon", "0", "--threads", "1"],
-            ["experiment", "height-ratio", "--n-values", "10", "--theta-spec", "1", "--trials", "1",
+            ["experiment", "record-concentration", "--n-values", "10", "--theta-spec", "1",
+             "--trials", "1", "--epsilon", "0", "--threads", "1"],
+            ["experiment", "dominance", "--n-values", "10", "--theta-spec", "1", "--trials", "1",
              "--j-values", "2,-1", "--threads", "1"],
             # a profile matrix of 3 x (10**12 + 1) int64 entries (21.8 TiB) cannot be allocated
             ["experiment", "dominance", "--n-values", "10", "--theta-spec", "1", "--trials", "3",
