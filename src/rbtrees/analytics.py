@@ -317,21 +317,48 @@ def chernoff_record_tail(params: RbParams, epsilon: float) -> tuple[float, float
     return upper, lower, min(1.0, upper + lower)
 
 
+def _poisson_tail(x: float, j: int) -> float:
+    """P(Poisson(x) >= j) for x > 0 and j >= 1.
+
+    Sums the side of the mode away from it: from pmf(j) up by factors x/k if x < j, else from
+    pmf(j - 1) down by factors k/x, returning one minus that sum. The first term is the
+    largest, so every term is a probability and the sum stops once a term falls below the
+    float epsilon of the running total; a small upper tail keeps its relative precision. The
+    first term's exponent rounds parts of size x, which costs about 1e-15 * x absolute.
+    """
+    if x < j:
+        k = j
+        term = total = math.exp(j * math.log(x) - x - math.lgamma(j + 1))
+        while term > total * 2.2e-17:
+            k += 1
+            term *= x / k
+            total += term
+        return total
+    k = j - 1
+    term = total = math.exp(k * math.log(x) - x - math.lgamma(j))
+    while term > total * 2.2e-17:
+        term *= k / x
+        k -= 1
+        total += term
+    return 1.0 - total
+
+
 def beta_product_survival(theta: float, j: int, c: float) -> float:
     """P(product of j independent B-variables exceeds c), B with CDF x**theta.
 
-    -log(B) is exponential with rate theta, so the product's log is a
-    negative Gamma(j) sum and the survival probability is the regularized
-    lower incomplete gamma P(j, theta * (-log c)).
+    -log(B) is exponential with rate theta, so the product exceeds c exactly when fewer than
+    j arrivals of a rate-theta Poisson process fall in [0, -log c]: the survival is
+    P(Poisson(x) >= j) with x = theta * (-log c), the finite sum of :func:`_poisson_tail`
+    (the regularized lower incomplete gamma P(j, x)). An x that underflows to 0 or overflows
+    to inf, at the ends of theta's range, gives 0.0 or 1.0.
     """
     theta = check_real("theta", theta, POSITIVE, rule="positive and finite")
     c = check_real("c", c, POSITIVE, 1.0, rule="strictly between 0 and 1")
     j = check_int("j", j)
     if j == 0:
         return 1.0
-    from scipy.special import gammainc
-
-    return float(gammainc(j, theta * (-math.log(c))))
+    x = theta * -math.log(c)
+    return _poisson_tail(x, j) if 0.0 < x < math.inf else float(x > 0.0)
 
 
 def profile_tail_constants(theta: float, epsilon: float) -> tuple[float, float]:

@@ -24,7 +24,14 @@ from typing import Mapping
 
 import numpy as np
 
-from .analytics import ExactDistribution, beta_product_survival, c_star, chernoff_record_tail, mu
+from .analytics import (
+    ExactDistribution,
+    _poisson_tail,
+    beta_product_survival,
+    c_star,
+    chernoff_record_tail,
+    mu,
+)
 from .model import POSITIVE, RbParams, build_bst, check_int, check_real, height, record_count_tree
 from .samplers import (
     _EXACT_MAX,
@@ -408,8 +415,11 @@ def chi_square_gof(observed: Mapping, expected: ExactDistribution) -> ChiSquareR
 
     Cells are pooled in support order until each expected count reaches 5
     (a trailing remainder merges backwards). The p-value is the chi-square
-    upper tail at cells - 1 degrees of freedom, computed through the
-    regularized incomplete gamma.
+    upper tail at cells - 1 degrees of freedom, Q(dof/2, x) with x = statistic/2, as a finite
+    sum: for even dof, P(Poisson(x) < dof/2); for odd dof, erfc(sqrt(x)) plus the terms
+    x**(a + 1/2) * exp(-x) / Gamma(a + 3/2) for a < dof // 2 of the recurrence
+    Q(s + 1, x) = Q(s, x) + x**s * exp(-x) / Gamma(s + 1), capped at 1.0 against rounding.
+    A statistic of 0 gives 1.0.
     """
     if not expected.support:
         raise ValueError("expected distribution has empty support")
@@ -441,9 +451,15 @@ def chi_square_gof(observed: Mapping, expected: ExactDistribution) -> ChiSquareR
         (obs - total * prob) ** 2 / (total * prob) for obs, prob in cells
     )
     dof = len(cells) - 1
-    from scipy.special import gammaincc
-
-    p_value = float(gammaincc(dof / 2.0, statistic / 2.0))
+    x = statistic / 2.0
+    if x == 0.0:
+        p_value = 1.0
+    elif dof % 2 == 0:
+        p_value = 1.0 - _poisson_tail(x, dof // 2)
+    else:
+        log_x = math.log(x)
+        terms = (math.exp((a + 0.5) * log_x - x - math.lgamma(a + 1.5)) for a in range(dof // 2))
+        p_value = min(1.0, math.fsum([math.erfc(math.sqrt(x)), *terms]))
     return ChiSquareResult(statistic=statistic, p_value=p_value, dof=dof, cells=len(cells))
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
 from rbtrees.analytics import (
     ENUMERATION_MAX_N,
@@ -383,6 +384,48 @@ class TestBetaProductSurvival:
         exact = beta_product_survival(theta, j, c)
         se = math.sqrt(exact * (1 - exact) / 10**6)
         assert abs(emp - exact) <= 3 * se
+
+    def test_matches_gammainc(self):
+        # scipy's regularized incomplete gamma P(j, x) is the independent reference for the
+        # Poisson sum, at x = theta * -log(c) = e**U with U uniform on [-12, 7]
+        rng = np.random.default_rng(28)
+        size = 50_000
+        js = rng.integers(1, 61, size=size)
+        cs = rng.uniform(0.01, 0.99, size=size)
+        thetas = np.exp(rng.uniform(-12.0, 7.0, size=size)) / -np.log(cs)
+        cases = [(float(theta), int(j), float(c)) for theta, j, c in zip(thetas, js, cs)]
+        got = np.array([beta_product_survival(*case) for case in cases])
+        want = gammainc(js, [theta * -math.log(c) for theta, _, c in cases])
+        err = np.abs(got - want)
+        assert err.max() <= 1e-12
+        # scipy flushes some tails below the normal range to 0, where the sum keeps them
+        small = (want < 0.5) & (want >= np.finfo(float).tiny)
+        assert small.sum() > size // 4
+        assert np.all(err[small] <= 1e-12 * want[small])
+
+    @pytest.mark.parametrize(
+        "theta,j,c",
+        (
+            (1e6, 1, 1e-6),
+            (1e6, 60, 1e-6),
+            (1e6, 13_815_511, 1e-6),  # j at x = 1e6 * ln(1e6), the middle of the law
+            (1e6, 10**8, 1e-6),
+            (1e4, 10_000, math.exp(-1.0)),
+            (1e4 - 0.7, 10_000, math.exp(-1.0)),
+            (1e4 + 0.5, 10_001, math.exp(-1.0)),
+        ),
+    )
+    def test_far_from_the_grid_stays_a_probability(self, theta, j, c):
+        p = beta_product_survival(theta, j, c)
+        assert math.isfinite(p) and 0.0 <= p <= 1.0
+        # the first term's exponent rounds parts of size x, so the error grows with x
+        x = theta * -math.log(c)
+        assert p == pytest.approx(float(gammainc(j, x)), abs=1e-14 * x)
+
+    def test_x_past_the_float_range(self):
+        # theta * -log(c) underflows to 0 or overflows to inf only at the ends of theta's range
+        assert beta_product_survival(5e-324, 3, 0.999999) == 0.0
+        assert beta_product_survival(1e308, 3, 1e-300) == 1.0
 
     def test_errors(self):
         with pytest.raises(ValueError):
