@@ -197,8 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
         group = groups.add_parser(name, help=help_text, allow_abbrev=False)
         return group.add_subparsers(dest="what", required=True)
 
-    def add_command(commands, what, model=True):
+    def add_leaf(commands, what):
+        # main reports a UsageError through the parser of the command that ran
         p = commands.add_parser(what, allow_abbrev=False)
+        p.set_defaults(error=p.error)
+        return p
+
+    def add_command(commands, what, model=True):
+        p = add_leaf(commands, what)
         if model:
             p.add_argument("--n", type=size, required=True)
             p.add_argument("--theta", type=theta, default=DEFAULT_THETA)
@@ -236,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     threads = _flag("threads", check_int, least=1)
 
     def add_experiment(what):
-        p = experiment.add_parser(what, allow_abbrev=False)
+        p = add_leaf(experiment, what)
         p.add_argument("--config", default=None, help="JSON config mirroring ExperimentConfig")
         p.add_argument("--n-values", type=_int_list, default=None)
         p.add_argument("--theta-spec", default=None)
@@ -360,7 +366,7 @@ def _bound_rows(args, flags: dict, seed: int) -> list:
 
 _ROWS = {"sample": _sample_rows, "exact": _exact_rows, "bound": _bound_rows}
 # namespace entries that are not a command's own flags
-_NOT_FLAGS = ("command", "what", "seed", "out", "format")
+_NOT_FLAGS = ("command", "what", "seed", "out", "format", "error")
 
 
 # each experiment setting names a config key and the dest of the flag that overrides it
@@ -426,7 +432,7 @@ def main(argv=None) -> int:
         emit(table, args.format or "csv", args.out)
         return 0
     except UsageError as exc:
-        parser.error(str(exc))
+        args.error(str(exc))
     except (ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -371,8 +371,10 @@ class TestSeeds:
         with pytest.raises(SystemExit) as excinfo:
             main(["sample", "height", "--n", "20", "--trials", "5"])
         assert excinfo.value.code == 2
-        last = capsys.readouterr().err.splitlines()[-1]
-        assert last.startswith(f"rbtrees: error: $RBL_SEED: bad seed {env!r}: seed must be an ")
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rbtrees sample height [-h] --n N")
+        last = err.splitlines()[-1]
+        assert last.startswith(f"rbtrees sample height: error: $RBL_SEED: bad seed {env!r}: seed must be an ")
 
 
 # (argv, flag, values its rule refuses): every flag whose argparse type is the shared rule
@@ -520,7 +522,7 @@ class TestErrors:
             main([*argv, "--config", _config(tmp_path, {_key(flag): _CONFIG_VALUES[_key(flag)]})])
         assert excinfo.value.code == 2
         lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-        assert lines == [f"rbtrees: error: unknown config fields: [{_key(flag)!r}]"]
+        assert lines == [f"rbtrees {' '.join(command)}: error: unknown config fields: [{_key(flag)!r}]"]
 
     @pytest.mark.parametrize("command,flag", _params(_REQUIRED))
     def test_missing_required_flag_is_named_and_exits_2(self, capsys, command, flag):
@@ -538,7 +540,15 @@ class TestErrors:
             main([*command, "--config", _config(tmp_path, given)])
         assert excinfo.value.code == 2
         lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-        assert lines == [f"rbtrees: error: {_missing(command, flag)}"]
+        assert lines == [f"rbtrees {' '.join(command)}: error: {_missing(command, flag)}"]
+
+    @pytest.mark.parametrize("command,flag", _params(_REQUIRED))
+    def test_usage_line_names_the_command(self, capsys, command, flag):
+        # a missing flag that argparse finds and one the CLI finds print the command's usage
+        with pytest.raises(SystemExit) as excinfo:
+            main(_with_values(command, [f for f in _COMMANDS[command][0] if f != flag]))
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.startswith(f"usage: rbtrees {' '.join(command)} [-h] ")
 
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
