@@ -320,11 +320,12 @@ def chernoff_record_tail(params: RbParams, epsilon: float) -> tuple[float, float
 def _poisson_tail(x: float, j: int) -> float:
     """P(Poisson(x) >= j) for x > 0 and j >= 1.
 
-    Sums the side of the mode away from it: from pmf(j) up by factors x/k if x < j, else from
-    pmf(j - 1) down by factors k/x, returning one minus that sum. The first term is the
-    largest, so every term is a probability and the sum stops once a term falls below the
-    float epsilon of the running total; a small upper tail keeps its relative precision. The
-    first term's exponent rounds parts of size x, which costs about 1e-15 * x absolute.
+    Sums the side of j away from the mode x: if x < j, the upper tail from pmf(j) on by
+    factors x/k; otherwise the lower sum from pmf(j - 1) down by factors k/x, and returns one
+    minus it. Each sum starts at its largest term, so every term is a probability, and it
+    stops once a term falls below the float epsilon of the running total; a small upper tail
+    keeps its relative precision. The first term's exponent rounds parts of size x, which
+    costs about 1e-15 * x absolute.
     """
     if x < j:
         k = j

@@ -147,24 +147,21 @@ class TestChiSquare:
         assert result.statistic == 0.0
         assert result.p_value == 1.0
 
-    def test_exact_match_gives_p_one_at_odd_dof(self):
-        expected = ExactDistribution(support=(0, 1), probs=(0.5, 0.5))
-        result = chi_square_gof({0: 50, 1: 50}, expected)
-        assert (result.statistic, result.dof, result.p_value) == (0.0, 1, 1.0)
-
     @pytest.mark.parametrize("parity", ("even", "odd"))
     def test_p_value_matches_gammaincc(self, parity):
         # scipy's regularized upper incomplete gamma Q(dof/2, stat/2) is the independent
-        # reference, from a statistic far below dof to one several times above it
+        # reference, from a statistic of 0 (an exact match, p = 1) and far below dof to one
+        # several times above it
         rng = np.random.default_rng(29)
         checked = 0
         for dof in range(2 if parity == "even" else 1, 201, 2):
             cells = dof + 1
             expected = ExactDistribution(support=tuple(range(cells)), probs=(1.0 / cells,) * cells)
-            for spread in (1, 2, 5, 8, 12, 19):
+            for spread in (0, 1, 2, 5, 8, 12, 19):
                 counts = 20 + rng.integers(-spread, spread + 1, size=cells)
                 result = chi_square_gof(dict(enumerate(counts.tolist())), expected)
                 assert result.dof == dof
+                assert result.p_value == 1.0 or spread > 0
                 reference = float(gammaincc(dof / 2.0, result.statistic / 2.0))
                 assert abs(result.p_value - reference) <= 1e-12
                 checked += reference > 1e-6
