@@ -11,16 +11,17 @@ theta / (theta + k), independently of every other step, so a block of paths
 reads one uniform per near step and a thinned Poisson process over the far
 ones. Trees, heights and record counts all take their paths from it, so on
 the same stream they share their rightmost path. The profile matrix draws the
-same path's left-subtree sizes split by split instead, each from its
-Beta-binomial law in closed form, which is cheaper for its first few entries.
+same path's left-subtree sizes split by split instead: each split is the gap
+to the scan's next record, drawn from one uniform by inverting its exact
+survival, which is cheaper for its first few entries.
 
 Randomness contract: a (seed, stream_index) pair of unsigned 64-bit integers
 identifies a stream, a PCG64 engine keyed by a SeedSequence of the pair's four
 32-bit words: distinct pairs give independent streams, identical pairs
 identical draws within this implementation. The stream yields uniform
-variates, only in vectors, and, for profile-matrix splits and far spine steps,
-binomial and Poisson variates from the same engine. Cross-platform
-bit-exactness is not promised.
+variates, only in vectors, and, for far spine steps, Poisson variates from the
+same engine; no binomial variate is drawn. Cross-platform bit-exactness is not
+promised.
 """
 
 from __future__ import annotations
@@ -47,9 +48,11 @@ from .model import NO_CHILD, BstTree, Permutation, RbParams, check_int
 # others none. A tree of at most _TINY_TREE nodes draws its path in a plain loop instead, with the
 # same draws (timeit minima, theta = 0.5, 1 and 5, shared 2-core Xeon): a path took 4 us by the
 # loop and 11-12 us through _record_keys at n = 6, 7 and 12 us at 32, 11-12 and 12-13 us at 64.
-# The profile matrix's closed-form splits drew k_0..k_5 of 20,000 trees at n = 10**4, theta = 2
-# in 13-17 ms, and k_0..k_20 in 48-58 ms, against 40-56 ms for their paths from _record_keys
-# in calls of 1024 paths.
+# The profile matrix's splits, each one uniform inverted through one table of n + 1 floats,
+# drew k_0..k_5 of 20,000 trees at n = 10**4, theta = 2 in 3.4-5.6 ms and k_0..k_20 in 11-16 ms,
+# against 12-13 and 45-49 ms as Binomial(m - 1, W) draws, and 40-56 ms for their paths from
+# _record_keys in calls of 1024 paths. The table is built per call, 6-7 ms at n = 10**6 and
+# 75-91 ms at 10**7, where k_0..k_20 of 20,000 trees took 94 ms against 38 ms by binomial draws.
 # Uniform subtrees of at most _EXACT_MAX nodes draw their height from one row of
 # analytics.uniform_height_table. Heights of 200 trees each at n = 10**3, 10**4, 10**5 and 6 at
 # 10**6 (theta = 1, serial) took 100, 34, 18 and 16 ms with cutoffs 64, 256, 1024 and 2048 on
@@ -60,10 +63,10 @@ _DENSE_MIN = 1024
 
 
 class RandomSource:
-    """A reproducible stream of uniform variates, with binomial and Poisson ones on request.
+    """A reproducible stream of uniform variates, with Poisson ones on request.
 
     Uniforms come only in vectors, straight from the engine: ``randoms(a)`` followed by
-    ``randoms(b)`` equals ``randoms(a + b)`` when no binomial or Poisson draw comes between.
+    ``randoms(b)`` equals ``randoms(a + b)`` when no Poisson draw comes between.
     """
 
     def __init__(self, seed: int, stream_index: int = 0):
@@ -81,10 +84,6 @@ class RandomSource:
     def randoms(self, count: int) -> np.ndarray:
         """The next ``count`` uniform variates in [0, 1)."""
         return self._gen.random(count)
-
-    def binomial(self, trials, probs):
-        """Binomial(trials, probs) variates from the stream's engine, elementwise for arrays."""
-        return self._gen.binomial(trials, probs)
 
     def poisson(self, lam, size=None):
         """Poisson(lam) variates from the stream's engine, elementwise for arrays, as numpy's."""
@@ -352,32 +351,82 @@ def sample_record_count(
     return counts[0] if trials is None else counts
 
 
+def _split_table(n: int, theta: float) -> np.ndarray:
+    """The ascending table A of the scan's log survivals, which the profile matrix inverts.
+
+    For i < n, A[i] = sum of log1p(theta / s) over s = n - i..n - 1 is -log P(no record in
+    the first i of n steps), the negated analytics._log_survival_prefixes(n, theta, n - 1)
+    summed left to right; A[n] = +inf. A tree of the m = n - d nodes left after d has a left
+    subtree of at least k of them with chance exp(A[d] - A[d + k]).
+    """
+    table = np.arange(n + 1, dtype=float)
+    terms = table[1:n]
+    np.subtract(n, terms, out=terms)
+    np.divide(theta, terms, out=terms)
+    np.log1p(terms, out=terms)
+    np.cumsum(table[:n], out=table[:n])
+    # at n = 0 this is A[0], which no draw reads
+    table[n] = np.inf
+    return table
+
+
 def sample_left_profile_matrix(
     params: RbParams, trials: int, max_j: int, rng: RandomSource
 ) -> np.ndarray:
     """Profile entries k_0..k_max_j for many independent trees at once.
 
     Returns an int64 array of shape (trials, max_j + 1); positions past a
-    tree's spine end are 0. Column j holds the left-subtree size of each tree's
-    j-th spine node, of the m >= 1 nodes left after the first j: it is
-    Beta-binomial(m - 1, 1, theta), drawn as Binomial(m - 1, W) with W = 1 - U**(1/theta)
-    of law Beta(1, theta), so P(K = k) = theta (m-1)!/(m-1-k)! Gamma(theta+m-1-k)/Gamma(theta+m).
-    Each column reads one uniform per live tree, then its binomial draws.
+    tree's spine end are 0. Column j holds the left-subtree size K of each tree's
+    j-th spine node, of the m = n - d >= 1 nodes left after the first d: by Feller's
+    coupling the gap to the scan's next record, so P(K >= k) = exp(A[d] - A[d + k]) over
+    the table A of :func:`_split_table`, the law of analytics.root_split_distribution at m.
+    Each column reads one uniform u per live tree and inverts that survival: K = i - d - 1
+    for the first i with A[i] >= A[d] - log(u), and at least 0, so u = 0 gives K = m - 1.
     """
     n, theta = params.n, params.theta
     trials = _trial_count(trials)
     max_j = check_int("max_j", max_j)
-    remaining = np.full(trials, n, dtype=np.int64)
     out = np.zeros((trials, max_j + 1), dtype=np.int64)
+    table = _split_table(n, theta)
+    # P(K >= k) = Gamma(m) Gamma(m - k + theta) / (Gamma(m - k) Gamma(m + theta)), and
+    # Gamma(x + theta) / Gamma(x) is about (x + pad)**theta, so K is about (m + pad) W with
+    # W = 1 - u**(1/theta): a first guess at i that searchsorted only has to mend where it
+    # misses, for at most 2% of the trees at theta = 0.01..100 and 6-14% at theta >= n
+    pad = (theta - 1.0) / 2.0
+    # the live trees, and the nodes d each has used
+    rows = np.arange(trials if n else 0)
+    used = np.zeros(len(rows), dtype=np.int64)
     for j in range(max_j + 1):
-        active = remaining > 0
-        if not active.any():
+        if not len(rows):
             break
-        m = remaining[active]
-        # theta -> 0 sends log(U) / theta to -inf and W to 1, so K = m - 1, as the limit law
+        # theta -> 0 sends log(u) / theta to -inf and W to 1; u = 0 sends t to +inf
         with np.errstate(divide="ignore", over="ignore"):
-            w = -np.expm1(np.log(rng.randoms(len(m))) / theta)
-        ks = rng.binomial(m - 1, w)
-        out[active, j] = ks
-        remaining[active] -= ks + 1
+            w = np.log(rng.randoms(len(rows)))
+            t = table[used]
+            t -= w
+            w /= theta
+        # i = i0 - 1 = d + min(W (m + pad), m - 1), as expm1 gives -W and d - n - pad = -(m + pad)
+        np.expm1(w, out=w)
+        w *= np.subtract(used, n + pad)
+        np.minimum(w, np.subtract(n - 1, used), out=w)
+        i = w.astype(np.int64)
+        i += used
+        # the guess holds where A[i0 - 1] < t <= A[i0]; w's buffer takes both reads
+        miss = np.take(table, i, out=w) >= t
+        i += 1
+        miss |= np.take(table, i, out=w) < t
+        del w
+        miss = miss.nonzero()[0]
+        if len(miss):
+            # t can round to A[d] where theta >> n, so i stays past d
+            i[miss] = np.maximum(table.searchsorted(t[miss]), used[miss] + 1)
+        del t, miss
+        i -= used
+        i -= 1
+        out[rows, j] = i
+        used += i
+        used += 1
+        live = used < n
+        if not live.all():
+            rows, used = rows[live], used[live]
     return out

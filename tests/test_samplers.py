@@ -1,7 +1,10 @@
 """Sampler laws against the enumeration oracle and analytic survivals."""
 
+import bisect
+import hashlib
 import itertools
 import math
+import platform
 from collections import Counter
 
 import numpy as np
@@ -11,6 +14,7 @@ from scipy.stats import chi2, chi2_contingency
 import rbtrees.samplers as samplers
 from rbtrees.analytics import (
     ExactDistribution,
+    _log_survival_prefixes,
     enumerate_exact,
     left_root_tail,
     mu,
@@ -226,7 +230,7 @@ def _split_law(m, theta):
 
 
 class TestSplitLaw:
-    # the closed-form Beta-binomial draw of the profile matrix against the exact root split law
+    # the profile matrix's inverted split survival against the exact root split law
     @pytest.mark.parametrize("theta", (0.5, 3.0))
     def test_scalar_draw(self, theta):
         m, trials = 200, 50000
@@ -703,7 +707,7 @@ class TestRecordCountSampler:
 
 class TestProfileMatrix:
     def test_first_column_law(self):
-        # the vectorized Beta-binomial draw against the enumerated left size
+        # the vectorized inversion of the split survival against the enumerated left size
         n, theta, trials = 7, 2.0, 30000
         expected = enumerate_exact(RbParams(n, theta)).left_subtree_size
         matrix = sample_left_profile_matrix(RbParams(n, theta), trials, 0, RandomSource(6, 0))
@@ -741,3 +745,90 @@ class TestProfileMatrix:
         # the rule and message of sample_height_only and sample_record_count
         with pytest.raises(ValueError, match="trials"):
             sample_left_profile_matrix(RbParams(10, 1.0), trials, 3, RandomSource(0))
+
+    @pytest.mark.parametrize("theta", (0.5, 2.0, 7.0))
+    def test_rows_match_the_exact_profile_law(self, theta):
+        # whole rows, not column 0 alone: row r's spine is its first n - sum(r) entries
+        n, trials = 7, 10**5
+        weights = {}
+        laws = enumerate_exact(RbParams(n, theta))
+        for (sizes, _h), p in zip(laws.profile_height.support, laws.profile_height.probs):
+            weights[sizes] = weights.get(sizes, 0.0) + p
+        matrix = sample_left_profile_matrix(RbParams(n, theta), trials, n, RandomSource(31, 0))
+        counts = Counter(tuple(row[: n - sum(row)]) for row in matrix.tolist())
+        result = chi_square_gof(counts, ExactDistribution.from_weights(weights))
+        assert result.dof >= 60
+        assert result.p_value > ALPHA
+
+    @pytest.mark.parametrize(
+        "n,theta",
+        [(n, theta) for n in (0, 1, 2) for theta in (0.0, 0.5, 2.0, 1e300)]
+        + [(1000, 0.0), (1000, 1e-300), (1000, 2.0), (1000, 1e300)],
+    )
+    def test_edges_and_extremes_give_valid_profiles(self, n, theta):
+        matrix = sample_left_profile_matrix(RbParams(n, theta), 400, n, RandomSource(5, 0))
+        assert matrix.dtype == np.int64 and matrix.shape == (400, n + 1)
+        assert (matrix >= 0).all()
+        spine = n - matrix.sum(axis=1)
+        assert (spine >= min(n, 1)).all()
+        # past a tree's spine every entry is 0
+        assert all(not row[r:].any() for row, r in zip(matrix, spine))
+        if n <= 1 or theta == 1e300:
+            assert not matrix.any()
+        elif theta <= 1e-300:
+            assert (matrix[:, 0] == n - 1).all() and not matrix[:, 1:].any()
+        elif n == 2:
+            assert {tuple(row) for row in matrix.tolist()} == {(0, 0, 0), (1, 0, 0)}
+
+    @pytest.mark.parametrize("theta", (0.5, 2.0, 1e300))
+    @pytest.mark.parametrize("u", (0.0, 1.0 - 2.0**-53))
+    def test_extreme_uniforms(self, u, theta):
+        # u = 0 takes the whole tree, k_0 = n - 1; the largest u takes no node at every
+        # split, also where theta >> n rounds A[d] - log(u) to A[d]
+        class Constant(RandomSource):
+            def randoms(self, count):
+                return np.full(count, u)
+
+        n = 1000
+        matrix = sample_left_profile_matrix(RbParams(n, theta), 3, 20, Constant(0))
+        expected = np.zeros((3, 21), dtype=np.int64)
+        if u == 0.0:
+            expected[:, 0] = n - 1
+        assert np.array_equal(matrix, expected)
+
+    @pytest.mark.parametrize("n,theta", ((300, 0.3), (300, 2.0), (300, 1e4), (5, 1e15)))
+    def test_guess_and_bisection_agree(self, n, theta):
+        # the vectorized guess, mended by searchsorted where it misses, against a plain
+        # bisection of the same table for each tree's uniform, tree by tree
+        got = sample_left_profile_matrix(RbParams(n, theta), 500, 30, RandomSource(8, 0))
+        table = samplers._split_table(n, theta).tolist()
+        rng = RandomSource(8, 0)
+        used = [0] * len(got)
+        expected = np.zeros_like(got)
+        for j in range(got.shape[1]):
+            live = [r for r in range(len(got)) if used[r] < n]
+            for r, u in zip(live, rng.randoms(len(live)).tolist()):
+                d = used[r]
+                i = max(bisect.bisect_left(table, table[d] - math.log(u)), d + 1)
+                expected[r, j] = i - d - 1
+                used[r] = i
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("n", (10, 10**4))
+    @pytest.mark.parametrize("theta", (1e-3, 2.0, 1e4, 1e15))
+    def test_split_table_is_the_log_survival(self, n, theta):
+        table = samplers._split_table(n, theta)
+        expected = -np.array(list(_log_survival_prefixes(n, theta, n - 1)))
+        assert len(table) == n + 1 and table[n] == np.inf
+        np.testing.assert_allclose(table[:n], expected, rtol=1e-12, atol=0.0)
+
+    def test_draws_keep_their_bytes(self):
+        # no artifact shows the matrix's draws: dominance rows report only an excess that its
+        # c = 1 grid point holds at 0. As for tests/artifacts.txt, a numpy upgrade that moves
+        # these bytes fails this test too.
+        matrix = sample_left_profile_matrix(RbParams(1000, 2.0), 256, 20, RandomSource(9, 0))
+        digest = hashlib.sha256(matrix.tobytes()).hexdigest()
+        assert digest == "57c018cab1dd7aafc2ca9cdd7a1e9a74d23603d603c6e3c410d6bbccdc2ad3ad", (
+            f"recorded under python 3.11.7, numpy 2.4.6; "
+            f"running python {platform.python_version()}, numpy {np.__version__}"
+        )
