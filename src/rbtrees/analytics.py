@@ -234,6 +234,25 @@ def _log_survival(n: int, theta: float, k: int) -> float:
     return deque(_log_survival_prefixes(n, theta, k), maxlen=1)[0]
 
 
+def split_survival_table(n: int, theta: float) -> np.ndarray:
+    """The negated :func:`_log_survival_prefixes` ``(n, theta, n - 1)`` as one ascending array.
+
+    For i < n, A[i] = sum of log1p(theta / s) over s = n - i..n - 1 is -log P(no record in
+    the first i of n steps), summed left to right by numpy; A[n] = +inf. Of the m = n - d
+    nodes left after d, the left subtree takes at least k with chance exp(A[d] - A[d + k]):
+    the law of :func:`root_split_distribution` at m. Costs 8 (n + 1) bytes.
+    """
+    table = np.arange(n + 1, dtype=float)
+    terms = table[1:n]
+    np.subtract(n, terms, out=terms)
+    np.divide(theta, terms, out=terms)
+    np.log1p(terms, out=terms)
+    np.cumsum(table[:n], out=table[:n])
+    # at n = 0 this is A[0], which no draw reads
+    table[n] = np.inf
+    return table
+
+
 def root_split_pmf(params: RbParams, k: int) -> float:
     """P(first inserted value equals k) for a record-biased permutation."""
     n, theta = params.n, params.theta

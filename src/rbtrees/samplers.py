@@ -11,9 +11,10 @@ theta / (theta + k), independently of every other step, so a block of paths
 reads one uniform per near step and a thinned Poisson process over the far
 ones. Trees, heights and record counts all take their paths from it, so on
 the same stream they share their rightmost path. The profile matrix draws the
-same path's left-subtree sizes split by split instead: each split is the gap
-to the scan's next record, drawn from one uniform by inverting its exact
-survival, which is cheaper for its first few entries.
+same path's left-subtree sizes split by split instead, which is cheaper for its
+first few entries: each split is the gap to the scan's next record, drawn from
+one uniform by inverting its exact survival, or past _SPLIT_TABLE_MAX nodes
+thinned from a power-law survival, two uniforms a candidate.
 
 Randomness contract: a (seed, stream_index) pair of unsigned 64-bit integers
 identifies a stream, a PCG64 engine keyed by a SeedSequence of the pair's four
@@ -27,11 +28,12 @@ promised.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .analytics import uniform_height_table
+from .analytics import split_survival_table, uniform_height_table
 from .model import NO_CHILD, BstTree, Permutation, RbParams, check_int
 
 # A _record_keys call of c paths reads one uniform for each step k < max(theta, _DENSE_MIN / c)
@@ -51,8 +53,11 @@ from .model import NO_CHILD, BstTree, Permutation, RbParams, check_int
 # The profile matrix's splits, each one uniform inverted through one table of n + 1 floats,
 # drew k_0..k_5 of 20,000 trees at n = 10**4, theta = 2 in 3.4-5.6 ms and k_0..k_20 in 11-16 ms,
 # against 12-13 and 45-49 ms as Binomial(m - 1, W) draws, and 40-56 ms for their paths from
-# _record_keys in calls of 1024 paths. The table is built per call, 6-7 ms at n = 10**6 and
-# 75-91 ms at 10**7, where k_0..k_20 of 20,000 trees took 94 ms against 38 ms by binomial draws.
+# _record_keys in calls of 1024 paths. The table is built per call, 6-7 ms at n = 10**6, and
+# at 10**7 k_0..k_20 of 20,000 trees took 107 ms and 116 MiB peak RSS with it. Thinned, with
+# no table, they took 19-32 ms and 41 MiB at every n from 2**20 to 10**9 (theta = 2), against
+# 24-33 ms with the table at 2**20 and 42-64 ms by binomial draws; the thinning's rejections
+# cost most at theta = n, 36 ms at 10**7 and 54 ms at 10**9 (binomial 33-37 ms).
 # Uniform subtrees of at most _EXACT_MAX nodes draw their height from one row of
 # analytics.uniform_height_table. Heights of 200 trees each at n = 10**3, 10**4, 10**5 and 6 at
 # 10**6 (theta = 1, serial) took 100, 34, 18 and 16 ms with cutoffs 64, 256, 1024 and 2048 on
@@ -60,6 +65,7 @@ from .model import NO_CHILD, BstTree, Permutation, RbParams, check_int
 _EXACT_MAX = 1024
 _TINY_TREE = 32
 _DENSE_MIN = 1024
+_SPLIT_TABLE_MAX = 1 << 20
 
 
 class RandomSource:
@@ -351,25 +357,6 @@ def sample_record_count(
     return counts[0] if trials is None else counts
 
 
-def _split_table(n: int, theta: float) -> np.ndarray:
-    """The ascending table A of the scan's log survivals, which the profile matrix inverts.
-
-    For i < n, A[i] = sum of log1p(theta / s) over s = n - i..n - 1 is -log P(no record in
-    the first i of n steps), the negated analytics._log_survival_prefixes(n, theta, n - 1)
-    summed left to right; A[n] = +inf. A tree of the m = n - d nodes left after d has a left
-    subtree of at least k of them with chance exp(A[d] - A[d + k]).
-    """
-    table = np.arange(n + 1, dtype=float)
-    terms = table[1:n]
-    np.subtract(n, terms, out=terms)
-    np.divide(theta, terms, out=terms)
-    np.log1p(terms, out=terms)
-    np.cumsum(table[:n], out=table[:n])
-    # at n = 0 this is A[0], which no draw reads
-    table[n] = np.inf
-    return table
-
-
 def sample_left_profile_matrix(
     params: RbParams, trials: int, max_j: int, rng: RandomSource
 ) -> np.ndarray:
@@ -378,55 +365,126 @@ def sample_left_profile_matrix(
     Returns an int64 array of shape (trials, max_j + 1); positions past a
     tree's spine end are 0. Column j holds the left-subtree size K of each tree's
     j-th spine node, of the m = n - d >= 1 nodes left after the first d: by Feller's
-    coupling the gap to the scan's next record, so P(K >= k) = exp(A[d] - A[d + k]) over
-    the table A of :func:`_split_table`, the law of analytics.root_split_distribution at m.
-    Each column reads one uniform u per live tree and inverts that survival: K = i - d - 1
-    for the first i with A[i] >= A[d] - log(u), and at least 0, so u = 0 gives K = m - 1.
+    coupling the gap to the scan's next record, whose survival P(K >= k) is
+    exp(A[d] - A[d + k]) over the table A of analytics.split_survival_table, the law of
+    analytics.root_split_distribution at m. Up to _SPLIT_TABLE_MAX nodes each column reads
+    one uniform per live tree and inverts that survival (:func:`_inverted_splits`); past
+    it, where the table would cost more than the draws, the splits are thinned from a
+    power-law survival without a table (:func:`_thinned_splits`), two uniforms a candidate.
     """
     n, theta = params.n, params.theta
     trials = _trial_count(trials)
     max_j = check_int("max_j", max_j)
     out = np.zeros((trials, max_j + 1), dtype=np.int64)
-    table = _split_table(n, theta)
-    # P(K >= k) = Gamma(m) Gamma(m - k + theta) / (Gamma(m - k) Gamma(m + theta)), and
-    # Gamma(x + theta) / Gamma(x) is about (x + pad)**theta, so K is about (m + pad) W with
-    # W = 1 - u**(1/theta): a first guess at i that searchsorted only has to mend where it
-    # misses, for at most 2% of the trees at theta = 0.01..100 and 6-14% at theta >= n
-    pad = (theta - 1.0) / 2.0
+    if n <= _SPLIT_TABLE_MAX:
+        split = partial(_inverted_splits, split_survival_table(n, theta))
+    else:
+        split = _thinned_splits
     # the live trees, and the nodes d each has used
     rows = np.arange(trials if n else 0)
     used = np.zeros(len(rows), dtype=np.int64)
     for j in range(max_j + 1):
         if not len(rows):
             break
-        # theta -> 0 sends log(u) / theta to -inf and W to 1; u = 0 sends t to +inf
-        with np.errstate(divide="ignore", over="ignore"):
-            w = np.log(rng.randoms(len(rows)))
-            t = table[used]
-            t -= w
-            w /= theta
-        # i = i0 - 1 = d + min(W (m + pad), m - 1), as expm1 gives -W and d - n - pad = -(m + pad)
-        np.expm1(w, out=w)
-        w *= np.subtract(used, n + pad)
-        np.minimum(w, np.subtract(n - 1, used), out=w)
-        i = w.astype(np.int64)
-        i += used
-        # the guess holds where A[i0 - 1] < t <= A[i0]; w's buffer takes both reads
-        miss = np.take(table, i, out=w) >= t
-        i += 1
-        miss |= np.take(table, i, out=w) < t
-        del w
-        miss = miss.nonzero()[0]
-        if len(miss):
-            # t can round to A[d] where theta >> n, so i stays past d
-            i[miss] = np.maximum(table.searchsorted(t[miss]), used[miss] + 1)
-        del t, miss
-        i -= used
-        i -= 1
-        out[rows, j] = i
-        used += i
+        k = split(n, theta, used, rng)
+        out[rows, j] = k
+        used += k
         used += 1
         live = used < n
         if not live.all():
             rows, used = rows[live], used[live]
     return out
+
+
+def _inverted_splits(
+    table: np.ndarray, n: int, theta: float, used: np.ndarray, rng: RandomSource
+) -> np.ndarray:
+    """The split K of each tree that has used d < n nodes, by inverting its survival.
+
+    Reads one uniform u per tree: K = i - d - 1 for the first i with A[i] >= A[d] - log(u),
+    and at least 0, so u = 0 gives K = m - 1.
+    """
+    # P(K >= k) = Gamma(m) Gamma(m - k + theta) / (Gamma(m - k) Gamma(m + theta)), and
+    # Gamma(x + theta) / Gamma(x) is about (x + pad)**theta, so K is about (m + pad) W with
+    # W = 1 - u**(1/theta): a first guess at i that searchsorted only has to mend where it
+    # misses, for at most 2% of the trees at theta = 0.01..100 and 6-14% at theta >= n.
+    # searchsorted alone made k_0..k_20 of 20,000 trees at n = 10**4, theta = 2 take 34 ms
+    # against 16 ms with the guess.
+    pad = (theta - 1.0) / 2.0
+    # theta -> 0 sends log(u) / theta to -inf and W to 1; u = 0 sends t to +inf
+    with np.errstate(divide="ignore", over="ignore"):
+        w = np.log(rng.randoms(len(used)))
+        t = table[used]
+        t -= w
+        w /= theta
+    # i = i0 - 1 = d + min(W (m + pad), m - 1), as expm1 gives -W and d - n - pad = -(m + pad)
+    np.expm1(w, out=w)
+    w *= np.subtract(used, n + pad)
+    np.minimum(w, np.subtract(n - 1, used), out=w)
+    i = w.astype(np.int64)
+    i += used
+    # the guess holds where A[i0 - 1] < t <= A[i0]; w's buffer takes both reads
+    miss = np.take(table, i, out=w) >= t
+    i += 1
+    miss |= np.take(table, i, out=w) < t
+    del w
+    miss = miss.nonzero()[0]
+    if len(miss):
+        # t can round to A[d] where theta >> n, so i stays past d
+        i[miss] = np.maximum(table.searchsorted(t[miss]), used[miss] + 1)
+    del t, miss
+    i -= used
+    i -= 1
+    return i
+
+
+def _thinned_splits(n: int, theta: float, used: np.ndarray, rng: RandomSource) -> np.ndarray:
+    """The split K of each tree that has used d < n nodes, by thinning; no table.
+
+    The scan over the m = n - d nodes left meets step s = m - 1, ..., 0 in turn, a record
+    with chance p_s = theta / (theta + s), and K = m - 1 - s at the first record. Mark each
+    step a candidate with chance q_s = 1 - (s / (s + 1))**c, c = max(theta, log2(1 + theta)):
+    steps x..t - 1 then hold no candidate with chance (x / t)**c, so the first candidate
+    below t is ceil(t V**(1/c)) - 1 for a uniform V. As q_s >= p_s at every s >= 1
+    (Bernoulli's inequality for theta >= 1; for theta < 1, log1p(theta y) / log1p(y) rises
+    to c at y = 1), a candidate that a second uniform keeps with chance p_s / q_s is a
+    record, and a tree whose candidate is not kept scans on below it. Step 0 is a record at
+    every theta, q_0 = p_0 = 1.
+    """
+    c = max(theta, math.log1p(theta) / math.log(2.0))
+    top = np.subtract(n, used)
+    first = np.empty_like(top)
+    # the trees still scanning, each below its top
+    pend = np.arange(len(top))
+    # theta = 0 gives c = 0, log(V) / 0 = -inf and the candidate 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while len(pend):
+            u = rng.randoms(2 * len(pend))
+            v, a = u[: len(pend)], u[len(pend) :]
+            below = top[pend]
+            np.log(v, out=v)
+            v /= c
+            np.exp(v, out=v)
+            v *= below
+            np.ceil(v, out=v)
+            s = v.astype(np.int64)
+            s -= 1
+            np.clip(s, 0, below - 1, out=s)
+            # a q_s < p_s, with -q_s = expm1(c log1p(-1 / (s + 1)))
+            q = np.add(s, 1.0)
+            np.reciprocal(q, out=q)
+            np.negative(q, out=q)
+            np.log1p(q, out=q)
+            q *= c
+            np.expm1(q, out=q)
+            q *= a
+            kept = -q < theta / (theta + s)
+            kept |= s == 0
+            first[pend[kept]] = s[kept]
+            rest = ~kept
+            pend = pend[rest]
+            top[pend] = s[rest]
+    # K = m - 1 - s
+    np.subtract(n - 1, used, out=top)
+    top -= first
+    return top

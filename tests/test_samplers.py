@@ -19,6 +19,7 @@ from rbtrees.analytics import (
     left_root_tail,
     mu,
     root_split_distribution,
+    split_survival_table,
     uniform_height_table,
     weight,
 )
@@ -229,6 +230,12 @@ def _split_law(m, theta):
     return ExactDistribution(range(m), root_split_distribution(RbParams(m, theta)))
 
 
+def _split_path(path, monkeypatch):
+    # the profile matrix inverts a table up to samplers._SPLIT_TABLE_MAX nodes and thins past it
+    if path == "thinned":
+        monkeypatch.setattr(samplers, "_SPLIT_TABLE_MAX", 0)
+
+
 class TestSplitLaw:
     # the profile matrix's inverted split survival against the exact root split law
     @pytest.mark.parametrize("theta", (0.5, 3.0))
@@ -250,6 +257,16 @@ class TestSplitLaw:
         sizes = sample_left_profile_matrix(params, trials, 0, RandomSource(23, 0))[:, 0]
         band = dkw_epsilon(trials)
         for k in (1, 10, 1000, 10**5, 5 * 10**5, 9 * 10**5, 999_999):
+            assert abs(float((sizes >= k).mean()) - left_root_tail(params, k)) <= band
+
+    @pytest.mark.parametrize("theta", (0.3, 2.0, 50.0))
+    def test_thinned_draw_past_the_table_cap(self, theta):
+        # past samplers._SPLIT_TABLE_MAX nodes the splits are thinned, with no table
+        n, trials = samplers._SPLIT_TABLE_MAX + 51_424, 20000
+        params = RbParams(n, theta)
+        sizes = sample_left_profile_matrix(params, trials, 0, RandomSource(24, 0))[:, 0]
+        band = dkw_epsilon(trials)
+        for k in (1, 10, 1000, 10**5, 5 * 10**5, 10**6, n - 1):
             assert abs(float((sizes >= k).mean()) - left_root_tail(params, k)) <= band
 
 
@@ -747,8 +764,10 @@ class TestProfileMatrix:
             sample_left_profile_matrix(RbParams(10, 1.0), trials, 3, RandomSource(0))
 
     @pytest.mark.parametrize("theta", (0.5, 2.0, 7.0))
-    def test_rows_match_the_exact_profile_law(self, theta):
+    @pytest.mark.parametrize("path", ("inverted", "thinned"))
+    def test_rows_match_the_exact_profile_law(self, path, theta, monkeypatch):
         # whole rows, not column 0 alone: row r's spine is its first n - sum(r) entries
+        _split_path(path, monkeypatch)
         n, trials = 7, 10**5
         weights = {}
         laws = enumerate_exact(RbParams(n, theta))
@@ -765,7 +784,9 @@ class TestProfileMatrix:
         [(n, theta) for n in (0, 1, 2) for theta in (0.0, 0.5, 2.0, 1e300)]
         + [(1000, 0.0), (1000, 1e-300), (1000, 2.0), (1000, 1e300)],
     )
-    def test_edges_and_extremes_give_valid_profiles(self, n, theta):
+    @pytest.mark.parametrize("path", ("inverted", "thinned"))
+    def test_edges_and_extremes_give_valid_profiles(self, path, n, theta, monkeypatch):
+        _split_path(path, monkeypatch)
         matrix = sample_left_profile_matrix(RbParams(n, theta), 400, n, RandomSource(5, 0))
         assert matrix.dtype == np.int64 and matrix.shape == (400, n + 1)
         assert (matrix >= 0).all()
@@ -779,6 +800,20 @@ class TestProfileMatrix:
             assert (matrix[:, 0] == n - 1).all() and not matrix[:, 1:].any()
         elif n == 2:
             assert {tuple(row) for row in matrix.tolist()} == {(0, 0, 0), (1, 0, 0)}
+
+    @pytest.mark.parametrize("theta", (1e-300, 2.0, 1e300))
+    def test_no_table_past_the_cap(self, theta):
+        # a table of 10**15 + 1 floats could not be allocated, so these rows are thinned
+        n = 10**15
+        matrix = sample_left_profile_matrix(RbParams(n, theta), 300, 20, RandomSource(7, 0))
+        assert (matrix >= 0).all() and (matrix.sum(axis=1) <= n - 1).all()
+        if theta == 1e300:
+            assert not matrix.any()
+        elif theta == 1e-300:
+            assert (matrix[:, 0] == n - 1).all() and not matrix[:, 1:].any()
+        else:
+            # k_0 / n is about Beta(1, theta): the 300 means of k_0 / n sit near 1 / 3
+            assert abs(float(matrix[:, 0].mean()) / n - 1 / 3) < 0.07
 
     @pytest.mark.parametrize("theta", (0.5, 2.0, 1e300))
     @pytest.mark.parametrize("u", (0.0, 1.0 - 2.0**-53))
@@ -801,7 +836,7 @@ class TestProfileMatrix:
         # the vectorized guess, mended by searchsorted where it misses, against a plain
         # bisection of the same table for each tree's uniform, tree by tree
         got = sample_left_profile_matrix(RbParams(n, theta), 500, 30, RandomSource(8, 0))
-        table = samplers._split_table(n, theta).tolist()
+        table = split_survival_table(n, theta).tolist()
         rng = RandomSource(8, 0)
         used = [0] * len(got)
         expected = np.zeros_like(got)
@@ -817,18 +852,25 @@ class TestProfileMatrix:
     @pytest.mark.parametrize("n", (10, 10**4))
     @pytest.mark.parametrize("theta", (1e-3, 2.0, 1e4, 1e15))
     def test_split_table_is_the_log_survival(self, n, theta):
-        table = samplers._split_table(n, theta)
+        table = split_survival_table(n, theta)
         expected = -np.array(list(_log_survival_prefixes(n, theta, n - 1)))
         assert len(table) == n + 1 and table[n] == np.inf
         np.testing.assert_allclose(table[:n], expected, rtol=1e-12, atol=0.0)
 
-    def test_draws_keep_their_bytes(self):
+    @pytest.mark.parametrize(
+        "n,expected",
+        (
+            (1000, "57c018cab1dd7aafc2ca9cdd7a1e9a74d23603d603c6e3c410d6bbccdc2ad3ad"),
+            (10**7, "7ce6247801c9f6b8cdf7bbb0d1135b7bd74cd5b822081f99b2eceb24dea40abc"),
+        ),
+    )
+    def test_draws_keep_their_bytes(self, n, expected):
         # no artifact shows the matrix's draws: dominance rows report only an excess that its
         # c = 1 grid point holds at 0. As for tests/artifacts.txt, a numpy upgrade that moves
-        # these bytes fails this test too.
-        matrix = sample_left_profile_matrix(RbParams(1000, 2.0), 256, 20, RandomSource(9, 0))
+        # these bytes fails this test too. n = 10**7 is past the table's cap.
+        matrix = sample_left_profile_matrix(RbParams(n, 2.0), 256, 20, RandomSource(9, 0))
         digest = hashlib.sha256(matrix.tobytes()).hexdigest()
-        assert digest == "57c018cab1dd7aafc2ca9cdd7a1e9a74d23603d603c6e3c410d6bbccdc2ad3ad", (
+        assert digest == expected, (
             f"recorded under python 3.11.7, numpy 2.4.6; "
             f"running python {platform.python_version()}, numpy {np.__version__}"
         )
