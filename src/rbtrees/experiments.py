@@ -369,16 +369,16 @@ def run_dominance_check(config: ExperimentConfig, progress=None) -> list[Dominan
 
     At the i-th n, one profile matrix of ``config.trials`` trees is drawn from stream
     ``RandomSource(seed, i << 32)``. For each j of ``config.j_values`` (0..20 when None), the
-    empirical survival of the j-th left-subtree size is compared on a threshold grid with the
-    survival of j + n * prod(B_i); dominance is asserted up to twice the DKW band for the
-    trial count. Rows come n by n, each in increasing j.
+    empirical survival of the j-th left-subtree size is compared with that of j + n * prod(B_i)
+    at the grid's thresholds below c = 1, where both can be positive; dominance is asserted up
+    to twice the DKW band for the trial count. Rows come n by n, each in increasing j.
     """
     j_values = sorted(set(range(21) if config.j_values is None else config.j_values))
     if min(config.thetas) <= 0.0:
         raise ValueError("theta must be positive")
     band = dkw_epsilon(config.trials)
-    # thresholds t = j + n * c with c log-spaced in (0, 1]
-    cs = np.logspace(-6.0, 0.0, DOMINANCE_GRID_SIZE)
+    # thresholds t = j + n * c with c log-spaced in (0, 1]; both survivals are 0 at c = 1
+    cs = np.logspace(-6.0, 0.0, DOMINANCE_GRID_SIZE)[:-1]
     rows = []
     for n_index, (n, theta) in enumerate(zip(config.n_values, config.thetas)):
         rng = RandomSource(config.seed, _stream_index(n_index, 0))
@@ -388,9 +388,7 @@ def run_dominance_check(config: ExperimentConfig, progress=None) -> list[Dominan
         for j in j_values:
             above = config.trials - np.searchsorted(profile[:, j], j + n * cs, side="right")
             empirical = above / config.trials
-            dominating = np.array(
-                [0.0 if c >= 1.0 else beta_product_survival(theta, j, float(c)) for c in cs]
-            )
+            dominating = np.array([beta_product_survival(theta, j, c) for c in cs.tolist()])
             max_excess = float(np.max(empirical - dominating))
             rows.append(
                 DominanceRow(

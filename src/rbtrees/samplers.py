@@ -53,10 +53,10 @@ from .model import NO_CHILD, BstTree, Permutation, RbParams, check_int
 # The profile matrix's splits, each one uniform inverted through one table of n + 1 floats,
 # drew k_0..k_5 of 20,000 trees at n = 10**4, theta = 2 in 3.4-5.6 ms and k_0..k_20 in 11-16 ms,
 # against 12-13 and 45-49 ms as Binomial(m - 1, W) draws, and 40-56 ms for their paths from
-# _record_keys in calls of 1024 paths. The table is built per call, 6-7 ms at n = 10**6, and
-# at 10**7 k_0..k_20 of 20,000 trees took 107 ms and 116 MiB peak RSS with it. Thinned, with
+# _record_keys in calls of 1024 paths. The table is built per call, 8.8-9.8 ms at n = 10**6, and
+# at 10**7 k_0..k_20 of 20,000 trees took 118-129 ms and 116 MiB peak RSS with it. Thinned, with
 # no table, they took 19-32 ms and 41 MiB at every n from 2**20 to 10**9 (theta = 2), against
-# 24-33 ms with the table at 2**20 and 42-64 ms by binomial draws; the thinning's rejections
+# 26-35 ms with the table at 2**20 and 42-64 ms by binomial draws; the thinning's rejections
 # cost most at theta = n, 36 ms at 10**7 and 54 ms at 10**9 (binomial 33-37 ms).
 # Uniform subtrees of at most _EXACT_MAX nodes draw their height from one row of
 # analytics.uniform_height_table. Heights of 200 trees each at n = 10**3, 10**4, 10**5 and 6 at

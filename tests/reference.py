@@ -160,3 +160,22 @@ def ref_spine_join(spines):
     tree = np.repeat(np.arange(len(spines)), [len(top) for top in tops])
     top = np.concatenate(tops)
     return size, top, tree, best
+
+
+def ref_log_survival_prefixes(n: int, theta: float, k: int):
+    """The prefix sums of log1p(-theta / (theta + n - i)) over i = 1..j, for j = 0..k < n.
+
+    The j-th is log P(no record in the first j steps). Each term is taken as the equal
+    -log1p(theta / (n - i)), which stays well conditioned where theta / (theta + n - i)
+    rounds to 1 (theta past about 9e15 (n - i)). They are accumulated with compensated
+    summation, so the split law sums to 1 within 1e-12 even for n around 1e4 and extreme
+    theta.
+    """
+    log_prefix = comp = 0.0
+    yield log_prefix
+    for i in range(1, k + 1):
+        term = -math.log1p(theta / (n - i)) - comp
+        total = log_prefix + term
+        comp = (total - log_prefix) - term
+        log_prefix = total
+        yield log_prefix

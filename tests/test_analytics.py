@@ -229,6 +229,28 @@ class TestRootSplit:
             assert rel_err(pmf[k - 1], float(exact)) < 1e-12
             survival *= Fraction(n - k) / (theta + n - k)
 
+    @pytest.mark.parametrize("n", (10**6, 10**7))
+    def test_closed_forms_at_scale(self, n):
+        # theta = 1 is uniform, and at theta = 2, P(first = n) = prod s / (s + 2) over
+        # 1 <= s < n, which is 2 / (n (n + 1)); a plain cumsum of the log terms is 9e-14 to
+        # 1.3e-13 off here
+        for k in (1, n // 2, n):
+            assert rel_err(root_split_pmf(RbParams(n, 1.0), k), 1 / n) <= 1e-14
+        params = RbParams(n, 2.0)
+        last = root_split_pmf(params, n)
+        assert last == left_root_tail(params, n - 1)
+        assert rel_err(last, 2 / (n * (n + 1))) <= 1e-14
+
+    def test_scalar_memory_stays_small(self):
+        # the prefix is read in chunks: a table of all 10**7 log survivals would take 80 MB
+        tracemalloc.start()
+        try:
+            root_split_pmf(RbParams(10**7, 2.0), 10**7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 << 20
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             root_split_pmf(RbParams(3, 1.0), 0)

@@ -415,16 +415,34 @@ class TestDominance:
 
     def test_max_excess_matches_direct_count(self):
         # the survival read from sorted columns against counting entries above each threshold
+        # of the grid's points below c = 1
         config = ExperimentConfig(
             n_values=(50,), theta_spec=0.7, trials=3000, seed=2, j_values=[0, 1, 3]
         )
         profile = sample_left_profile_matrix(RbParams(50, 0.7), 3000, 3, RandomSource(2, 0))
-        cs = np.logspace(-6.0, 0.0, experiments.DOMINANCE_GRID_SIZE)
+        cs = np.logspace(-6.0, 0.0, experiments.DOMINANCE_GRID_SIZE)[:-1]
         for row in run_dominance_check(config):
             thresholds = row.j + 50 * cs
             empirical = (profile[:, row.j][None, :] > thresholds[:, None]).mean(axis=1)
-            dominating = [0.0 if c >= 1.0 else beta_product_survival(0.7, row.j, c) for c in cs]
+            dominating = [beta_product_survival(0.7, row.j, c) for c in cs]
             assert row.max_excess == float(np.max(empirical - dominating))
+
+    def test_max_excess_reads_the_draws(self):
+        # at c = 1 both survivals are 0, so a grid that kept it would read 0.0 for every
+        # sample under the bound, whatever was drawn. From j = 2 on, 200 trees at n = 100 put
+        # no entry above the grid's last threshold below 1, where the largest excess then
+        # falls, so it is the bound's alone there
+        first, second = (
+            run_dominance_check(
+                ExperimentConfig(
+                    n_values=(100,), theta_spec=2.0, trials=200, seed=seed, j_values=[0, 1]
+                )
+            )
+            for seed in (0, 1)
+        )
+        for a, b in zip(first, second):
+            assert a.max_excess < 0.0 and b.max_excess < 0.0
+            assert a.max_excess != b.max_excess
 
     def test_default_j_values(self):
         config = ExperimentConfig(n_values=(100,), theta_spec=2.0, trials=200, seed=3)

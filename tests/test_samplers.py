@@ -14,7 +14,6 @@ from scipy.stats import chi2, chi2_contingency
 import rbtrees.samplers as samplers
 from rbtrees.analytics import (
     ExactDistribution,
-    _log_survival_prefixes,
     enumerate_exact,
     left_root_tail,
     mu,
@@ -45,6 +44,7 @@ from rbtrees.samplers import (
 
 from reference import (
     poisson_binomial_pmf,
+    ref_log_survival_prefixes,
     ref_near_record_keys,
     ref_spine_join,
     ref_spine_sizes,
@@ -849,13 +849,23 @@ class TestProfileMatrix:
                 used[r] = i
         assert np.array_equal(got, expected)
 
-    @pytest.mark.parametrize("n", (10, 10**4))
-    @pytest.mark.parametrize("theta", (1e-3, 2.0, 1e4, 1e15))
-    def test_split_table_is_the_log_survival(self, n, theta):
+    @pytest.mark.parametrize(
+        "theta,n",
+        [(theta, n) for theta in (1e-3, 2.0, 1e4, 1e15) for n in (10, 10**4)]
+        + [(theta, n) for theta in (100.0, 1e3, 1e6) for n in (10**4, 10**5)]
+        + [(1e-3, 10**5), (2.0, 10**5), (2.0, 10**6), (100.0, 10**6)],
+    )
+    def test_split_table_is_the_log_survival(self, theta, n):
+        # against the per-step compensated sum: a plain cumsum is 6.8e-13 off at n = 10**4,
+        # theta = 1e3 and 2.4e-11 at 10**6, theta = 100. Only A <= 700 is checked: past it
+        # exp(-A) is below 1e-304, and an ulp of A is at least 1.1e-13
         table = split_survival_table(n, theta)
-        expected = -np.array(list(_log_survival_prefixes(n, theta, n - 1)))
+        expected = -np.array(list(ref_log_survival_prefixes(n, theta, n - 1)))
         assert len(table) == n + 1 and table[n] == np.inf
-        np.testing.assert_allclose(table[:n], expected, rtol=1e-12, atol=0.0)
+        # ascending, as searchsorted and bisection need
+        assert np.all(np.diff(table) >= 0.0)
+        readable = expected <= 700.0
+        assert np.max(np.abs(table[:n] - expected)[readable]) <= 5e-13
 
     @pytest.mark.parametrize(
         "n,expected",
