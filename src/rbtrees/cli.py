@@ -32,7 +32,6 @@ from .analytics import (
 )
 from .experiments import (
     ExperimentConfig,
-    log_to_stderr,
     parse_theta_value,
     run_dominance_check,
     run_height_ratio,
@@ -402,12 +401,13 @@ def _cmd_experiment(args, seed) -> OutputTable:
         raise UsageError(f"experiment {args.what} requires {', '.join(missing)} (flags or config)")
     config = ExperimentConfig(**{"seed": seed, **settings})
     what = args.what
+    progress = functools.partial(print, file=sys.stderr)
     if what == "height-ratio":
-        rows = run_height_ratio(config, progress=log_to_stderr)
+        rows = run_height_ratio(config, progress=progress)
     elif what == "record-concentration":
-        rows = run_record_concentration(config, progress=log_to_stderr)
+        rows = run_record_concentration(config, progress=progress)
     else:
-        rows = run_dominance_check(config, progress=log_to_stderr)
+        rows = run_dominance_check(config, progress=progress)
     given = {k: getattr(config, k) for k in keys if k != "seed" and getattr(config, k) is not None}
     params = {"what": what, **given, "theta_spec": str(config.theta_spec)}
     return OutputTable(f"experiment {what}", params, config.seed, rows)

@@ -51,9 +51,11 @@ from .model import NO_CHILD, BstTree, Permutation, RbParams, check_int
 # same draws (timeit minima, theta = 0.5, 1 and 5, shared 2-core Xeon): a path took 4 us by the
 # loop and 11-12 us through _record_keys at n = 6, 7 and 12 us at 32, 11-12 and 12-13 us at 64.
 # The profile matrix's splits, each one uniform inverted through one table of n + 1 floats,
-# drew k_0..k_5 of 20,000 trees at n = 10**4, theta = 2 in 3.4-5.6 ms and k_0..k_20 in 11-16 ms,
+# drew k_0..k_5 of 20,000 trees at n = 10**4, theta = 2 in 2.4-2.9 ms and k_0..k_20 in 8.0-9.3 ms,
 # against 12-13 and 45-49 ms as Binomial(m - 1, W) draws, and 40-56 ms for their paths from
-# _record_keys in calls of 1024 paths. The table is built per call, 8.8-9.8 ms at n = 10**6, and
+# _record_keys in calls of 1024 paths. The matrix is stored column by column, as it is drawn and
+# read: stored by row, a column of 20,000 took 255 us to store against 54 us (timeit minima), and
+# the calls took 3.5-6.2 and 12-18 ms. The table is built per call, 8.8-9.8 ms at n = 10**6, and
 # at 10**7 k_0..k_20 of 20,000 trees took 118-129 ms and 116 MiB peak RSS with it. Thinned, with
 # no table, they took 19-32 ms and 41 MiB at every n from 2**20 to 10**9 (theta = 2), against
 # 26-35 ms with the table at 2**20 and 42-64 ms by binomial draws; the thinning's rejections
@@ -362,7 +364,8 @@ def sample_left_profile_matrix(
 ) -> np.ndarray:
     """Profile entries k_0..k_max_j for many independent trees at once.
 
-    Returns an int64 array of shape (trials, max_j + 1); positions past a
+    Returns an int64 array of shape (trials, max_j + 1), stored column by column
+    (its transpose is C-contiguous), the way it is drawn and read; positions past a
     tree's spine end are 0. Column j holds the left-subtree size K of each tree's
     j-th spine node, of the m = n - d >= 1 nodes left after the first d: by Feller's
     coupling the gap to the scan's next record, whose survival P(K >= k) is
@@ -375,7 +378,7 @@ def sample_left_profile_matrix(
     n, theta = params.n, params.theta
     trials = _trial_count(trials)
     max_j = check_int("max_j", max_j)
-    out = np.zeros((trials, max_j + 1), dtype=np.int64)
+    out = np.zeros((max_j + 1, trials), dtype=np.int64)
     if n <= _SPLIT_TABLE_MAX:
         split = partial(_inverted_splits, split_survival_table(n, theta))
     else:
@@ -386,23 +389,23 @@ def sample_left_profile_matrix(
     for j in range(max_j + 1):
         if not len(rows):
             break
-        k = split(n, theta, used, rng)
-        out[rows, j] = k
-        used += k
-        used += 1
+        nxt = split(n, theta, used, rng)
+        out[j][rows] = nxt - used - 1
+        used = nxt
         live = used < n
         if not live.all():
             rows, used = rows[live], used[live]
-    return out
+    return out.T
 
 
 def _inverted_splits(
     table: np.ndarray, n: int, theta: float, used: np.ndarray, rng: RandomSource
 ) -> np.ndarray:
-    """The split K of each tree that has used d < n nodes, by inverting its survival.
+    """Each tree's nodes used after its next split, d + K + 1 from d < n, by inverting K's
+    survival.
 
-    Reads one uniform u per tree: K = i - d - 1 for the first i with A[i] >= A[d] - log(u),
-    and at least 0, so u = 0 gives K = m - 1.
+    Reads one uniform u per tree: the first i with A[i] >= A[d] - log(u), and at least
+    d + 1, so u = 0 gives i = n, K = m - 1.
     """
     # P(K >= k) = Gamma(m) Gamma(m - k + theta) / (Gamma(m - k) Gamma(m + theta)), and
     # Gamma(x + theta) / Gamma(x) is about (x + pad)**theta, so K is about (m + pad) W with
@@ -433,13 +436,12 @@ def _inverted_splits(
         # t can round to A[d] where theta >> n, so i stays past d
         i[miss] = np.maximum(table.searchsorted(t[miss]), used[miss] + 1)
     del t, miss
-    i -= used
-    i -= 1
     return i
 
 
 def _thinned_splits(n: int, theta: float, used: np.ndarray, rng: RandomSource) -> np.ndarray:
-    """The split K of each tree that has used d < n nodes, by thinning; no table.
+    """Each tree's nodes used after its next split, d + K + 1 from d < n, K thinned with no
+    table.
 
     The scan over the m = n - d nodes left meets step s = m - 1, ..., 0 in turn, a record
     with chance p_s = theta / (theta + s), and K = m - 1 - s at the first record. Mark each
@@ -484,7 +486,6 @@ def _thinned_splits(n: int, theta: float, used: np.ndarray, rng: RandomSource) -
             rest = ~kept
             pend = pend[rest]
             top[pend] = s[rest]
-    # K = m - 1 - s
-    np.subtract(n - 1, used, out=top)
-    top -= first
-    return top
+    # d + K + 1 = n - s
+    np.subtract(n, first, out=first)
+    return first

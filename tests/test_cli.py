@@ -213,6 +213,22 @@ class TestExperimentCommand:
         assert [int(r["n"]) for r in rows] == [50, 100]
         assert "height-ratio" in err  # progress on stderr
 
+    def test_height_ratio_per_spec_form_to_csv(self, tmp_path, capsys):
+        for spec, thetas in (("constant:1", [1.0, 1.0]), ("linear:1", [10.0, 40.0])):
+            path = tmp_path / f"height_{spec.replace(':', '_')}.csv"
+            code, out, _ = run_cli(
+                [
+                    "experiment", "height-ratio", "--n-values", "10,40", "--theta-spec", spec,
+                    "--trials", "4", "--out", str(path),
+                ],
+                capsys,
+            )
+            assert (code, out) == (0, "")
+            rows = parse_csv(path.read_text())
+            assert [int(r["n"]) for r in rows] == [10, 40]
+            assert [float(r["theta"]) for r in rows] == thetas
+            assert all(float(r["mean_height"]) >= 1.0 for r in rows)
+
     def test_config_file(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(
@@ -435,6 +451,42 @@ _COMMANDS = {
     ("experiment", "dominance"): (_EXPERIMENT_FLAGS, ("--j-values", "--seed")),
 }
 
+# every run below names --out out.csv, which a refused input must never create
+_HEIGHT_RATIO = [
+    "experiment", "height-ratio", "--n-values", "10,20", "--theta-spec", "1", "--trials", "2",
+    "--out", "out.csv",
+]
+_RECORDS = ["experiment", "record-concentration", *_HEIGHT_RATIO[2:], "--epsilon", "0.5"]
+_DOMINANCE = ["experiment", "dominance", *_HEIGHT_RATIO[2:]]
+_PROFILE_TAIL = [
+    "bound", "profile-tail", "--n", "100", "--epsilon", "0.1", "--M", "3", "--k", "2",
+    "--out", "out.csv",
+]
+# (argv, exit code, last line of stderr) for a rule of each setting, each checked before the
+# first draw; a repeated flag's last value is the one read
+_RULES = (
+    pytest.param([*_RECORDS, "--epsilon", "0"], 1,
+                 "error: epsilon must be a finite positive number, got 0.0", id="epsilon"),
+    pytest.param([*_DOMINANCE, "--theta-spec", "0"], 1, "error: theta must be positive", id="theta"),
+    pytest.param([*_PROFILE_TAIL, "--theta", "20"], 1,
+                 "error: epsilon * theta must be < 1, got 2.0", id="profile-epsilon-theta"),
+    pytest.param([*_DOMINANCE, "--j-values", "-1"], 1,
+                 "error: j_values[0] must be an integer >= 0, got -1", id="j-values"),
+    pytest.param([*_PROFILE_TAIL, "--epsilon", "0"], 1,
+                 "error: epsilon must be positive and finite, got 0.0", id="profile-epsilon"),
+    pytest.param([*_HEIGHT_RATIO, "--trials", "0"], 1,
+                 "error: trials must be in [1, 2**32), got 0", id="trials"),
+    pytest.param([*_HEIGHT_RATIO, "--seed", "-1"], 2,
+                 "rbtrees experiment height-ratio: error: argument --seed: bad seed '-1': "
+                 "seed must be an unsigned 64-bit integer, got -1", id="seed"),
+    pytest.param([*_HEIGHT_RATIO, "--n-values", "10,abc"], 1,
+                 "error: n_values[1] must be an integer >= 1, got 'abc'", id="n-values-integer"),
+    pytest.param([*_HEIGHT_RATIO, "--n-values", "20,10"], 1,
+                 "error: n_values must be strictly increasing", id="n-values-increasing"),
+    pytest.param([*_HEIGHT_RATIO, "--theta-spec", "bogus:1"], 1,
+                 "error: unknown theta spec tag 'bogus'", id="theta-spec-tag"),
+)
+
 
 def _key(flag):
     """The config key of an experiment flag."""
@@ -503,6 +555,35 @@ class TestErrors:
         lines = [line for line in err.splitlines() if f"argument {flag}: " in line]
         assert len(lines) == 1 and "Traceback" not in err
         assert f"argument {flag}: bad {name} {text!r}: {name} must be " in lines[0]
+
+    @pytest.mark.parametrize("argv,code,line", _RULES)
+    def test_rule_states_itself_in_one_line_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, argv, code, line
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").touch()
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        out, err = capsys.readouterr()
+        assert (got, out) == (code, "")
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == line
+        if code == 1:
+            assert err == f"{line}\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_out_under_a_file_names_its_path_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").touch()
+        code, out, err = run_cli([*_HEIGHT_RATIO, "--out", "taken/out.csv"], capsys)
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            "error: cannot write taken/out.csv: [Errno 20] Not a directory: 'taken/out.csv'"
+        )
+        assert (tmp_path / "taken").read_bytes() == b""
 
     @pytest.mark.parametrize("command,flag", _params(_UNREAD))
     def test_flag_the_command_does_not_read_exits_2(self, capsys, command, flag):

@@ -10,7 +10,14 @@ import pytest
 from scipy.special import gammaincc
 
 from rbtrees import experiments, samplers
-from rbtrees.analytics import ExactDistribution, beta_product_survival, enumerate_exact, mu
+from rbtrees.analytics import (
+    ExactDistribution,
+    beta_product_survival,
+    enumerate_exact,
+    left_profile_tail_bound,
+    mu,
+    profile_exceedance_thresholds,
+)
 from rbtrees.experiments import (
     ExperimentConfig,
     chi_square_gof,
@@ -458,6 +465,26 @@ class TestDominance:
             with pytest.raises(ValueError, match="theta must be positive"):
                 run_dominance_check(config)
 
+
+
+def test_bounds_audit_of_one_instance():
+    # record concentration, profile dominance and the left-profile exceedance bound all hold
+    # on fresh draws at one small (n, theta)
+    n, theta, trials, k = 100, 2.0, 200, 2
+    config = ExperimentConfig(
+        n_values=(n,), theta_spec=theta, trials=trials, seed=0, epsilon=0.5, j_values=range(4)
+    )
+    assert run_record_concentration(config)[0].passed
+    assert all(row.passed for row in run_dominance_check(config))
+    params = RbParams(n, theta)
+    M = 2.0 * math.log(math.log(n))
+    bound = left_profile_tail_bound(params, 0.1, M, k)
+    thresholds = np.array(profile_exceedance_thresholds(params, 0.1, M, k))
+    matrix = sample_left_profile_matrix(params, trials, k, RandomSource(0, 1))
+    freq = float((matrix > thresholds[None, :]).any(axis=1).mean())
+    # a binomial standard error that stays positive at freq = 0, as in the acceptance check
+    se = math.sqrt(max(freq, 1.0 / trials) * (1.0 - min(freq, 1.0)) / trials)
+    assert bound >= freq - 3.0 * se
 
 class TestUniformShapeLaw:
     @pytest.mark.parametrize("n", (4, 5, 6))

@@ -752,6 +752,14 @@ class TestProfileMatrix:
             dom = 1.0 - ratio**theta if 0.0 < ratio < 1.0 else (1.0 if ratio <= 0.0 else 0.0)
             assert emp <= dom + band
 
+    @pytest.mark.parametrize("n", (10**4, 10**7))
+    def test_columns_are_contiguous(self, n):
+        # the matrix is drawn and read column by column, so each column is one contiguous
+        # row of its transpose; n = 10**7 is past the table's cap, where splits are thinned
+        matrix = sample_left_profile_matrix(RbParams(n, 2.0), 300, 20, RandomSource(3, 0))
+        assert matrix.shape == (300, 21) and matrix.dtype == np.int64
+        assert matrix.T.flags.c_contiguous
+
     @pytest.mark.parametrize("max_j", (-1, -2))
     def test_rejects_negative_max_j(self, max_j):
         with pytest.raises(ValueError, match="max_j"):
@@ -875,12 +883,22 @@ class TestProfileMatrix:
         ),
     )
     def test_draws_keep_their_bytes(self, n, expected):
-        # no artifact shows the matrix's draws: dominance rows report only an excess that its
-        # c = 1 grid point holds at 0. As for tests/artifacts.txt, a numpy upgrade that moves
-        # these bytes fails this test too. n = 10**7 is past the table's cap.
+        # the dominance artifacts see the matrix's draws only through max_excess, which for
+        # j >= 2 often reads the bound alone. As for tests/artifacts.txt, a numpy upgrade that
+        # moves these bytes fails this test too. n = 10**7 is past the table's cap.
         matrix = sample_left_profile_matrix(RbParams(n, 2.0), 256, 20, RandomSource(9, 0))
         digest = hashlib.sha256(matrix.tobytes()).hexdigest()
         assert digest == expected, (
+            f"recorded under python 3.11.7, numpy 2.4.6; "
+            f"running python {platform.python_version()}, numpy {np.__version__}"
+        )
+
+    def test_rejection_heavy_draws_keep_their_bytes(self):
+        # theta = n past the table's cap, where the thinned splits reject most candidates
+        n = 10**7
+        matrix = sample_left_profile_matrix(RbParams(n, float(n)), 256, 20, RandomSource(9, 0))
+        digest = hashlib.sha256(matrix.tobytes()).hexdigest()
+        assert digest == "965b19fe82f8fc758f6fe3b7d0cf95e378899a7641b6d0246b642a52a63be14a", (
             f"recorded under python 3.11.7, numpy 2.4.6; "
             f"running python {platform.python_version()}, numpy {np.__version__}"
         )
