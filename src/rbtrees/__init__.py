@@ -15,7 +15,6 @@ from .analytics import (
     records_mgf,
     root_split_distribution,
     root_split_pmf,
-    weight,
 )
 from .experiments import (
     ChiSquareResult,

@@ -29,7 +29,6 @@ from .model import (
     check_real,
     height,
     left_profile,
-    record_count_perm,
 )
 
 ENUMERATION_MAX_N = 8
@@ -75,25 +74,6 @@ class ExactDistribution:
             probs=tuple(weights[k] / total for k in keys),
         )
 
-    def as_dict(self) -> dict:
-        return dict(zip(self.support, self.probs))
-
-    def prob(self, key) -> float:
-        for k, p in zip(self.support, self.probs):
-            if k == key:
-                return p
-        return 0.0
-
-    def tail_geq(self, x) -> float:
-        """P(X >= x) for scalar-valued supports."""
-        return math.fsum(p for k, p in zip(self.support, self.probs) if k >= x)
-
-    def tail_leq(self, x) -> float:
-        return math.fsum(p for k, p in zip(self.support, self.probs) if k <= x)
-
-    def mean(self) -> float:
-        return math.fsum(k * p for k, p in zip(self.support, self.probs))
-
 
 @dataclass(frozen=True)
 class EnumeratedLaws:
@@ -133,22 +113,6 @@ def _perm_stats(n: int):
         key = (prof.record_count, values[0], height(tree), prof.sizes)
         counts[key] = counts.get(key, 0) + 1
     return tuple(sorted(counts.items()))
-
-
-def weight(perm: Permutation, theta: float) -> float:
-    """Probability of ``perm`` under the record-biased measure.
-
-    The normalizing constant is the rising factorial theta (theta + 1) ... (theta + n - 1),
-    the Ewens normalizer (records and cycles are equinumerous by Foata's bijection). Its
-    first factor cancels one factor of theta**records, and the rest is summed in log space.
-    """
-    theta = check_real("theta", theta, POSITIVE, rule="positive and finite")
-    n = perm.n
-    if n == 0:
-        return 1.0
-    log_terms = [(record_count_perm(perm) - 1) * math.log(theta)]
-    log_terms += (-math.log(theta + i) for i in range(1, n))
-    return math.exp(math.fsum(log_terms))
 
 
 def mu(n: int, theta: float) -> float:
@@ -470,11 +434,8 @@ def enumerate_exact(params: RbParams) -> EnumeratedLaws:
     capped at 8 and theta = 0 is rejected (the weighting is degenerate
     there; the theta -> 0 limit lives in the samplers).
     """
-    n, theta = params.n, params.theta
-    if n < 1:
-        raise ValueError("enumerate_exact requires n >= 1")
-    if n > ENUMERATION_MAX_N:
-        raise ValueError(f"enumerate_exact iterates n! permutations; n <= {ENUMERATION_MAX_N}")
+    rule = f"an integer with 1 <= n <= {ENUMERATION_MAX_N}, as all n! permutations are iterated"
+    n, theta = check_int("n", params.n, 1, ENUMERATION_MAX_N + 1, rule=rule), params.theta
     if theta <= 0.0:
         raise ValueError("theta must be positive")
     keys = [key for key, _ in _perm_stats(n)]

@@ -417,6 +417,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out is not None:
+            # refuse an unwritable --out before any draw; appending changes no existing file, and
+            # a file the probe makes (through a dangling link too) is removed, so none is left
+            made = not os.path.exists(args.out)
+            try:
+                open(args.out, "a", encoding="utf-8").close()
+            except OSError as exc:
+                raise ValueError(f"cannot write {args.out}: {exc}") from exc
+            if made:
+                os.remove(os.path.realpath(args.out))
         seed = _resolve_seed(args.seed)
         if args.command == "experiment":
             table = _cmd_experiment(args, seed)

@@ -199,10 +199,9 @@ class ChiSquareResult:
     cells: int
 
 
-def dkw_epsilon(trials: int, alpha: float = DKW_ALPHA) -> float:
-    """Uniform empirical-CDF deviation with failure probability alpha."""
-    alpha = check_real("alpha", alpha, POSITIVE, 1.0, rule="strictly between 0 and 1")
-    return math.sqrt(math.log(2.0 / alpha) / (2.0 * check_int("trials", trials, 1)))
+def dkw_epsilon(trials: int) -> float:
+    """Uniform empirical-CDF deviation with failure probability DKW_ALPHA."""
+    return math.sqrt(math.log(2.0 / DKW_ALPHA) / (2.0 * check_int("trials", trials, 1)))
 
 
 def height_normalizer(n: int, theta: float) -> float:

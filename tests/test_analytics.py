@@ -1,6 +1,5 @@
 """Closed forms and bounds against enumeration and numeric oracles."""
 
-import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -26,57 +25,24 @@ from rbtrees.analytics import (
     records_mgf,
     root_split_distribution,
     root_split_pmf,
-    weight,
 )
-from rbtrees.model import LeftProfile, Permutation, RbParams, record_count_perm
+from rbtrees.model import LeftProfile, RbParams
 
 from reference import poisson_binomial_pmf, ref_bst, ref_enumerate_weighted, ref_height, ref_records
 
 THETA_GRID = (0.5, 1.0, 2.0, 5.0)
 
 
+def unsigned_stirling_first(n):
+    """|s(n, r)| for r = 0..n: the number of permutations of S_n with r records."""
+    stirling = [1]
+    for m in range(n):
+        stirling = [a * m + b for a, b in zip([*stirling, 0], [0, *stirling])]
+    return stirling
+
+
 def rel_err(a, b):
     return abs(a - b) / max(abs(b), 1e-300)
-
-
-class TestWeight:
-    def test_s2(self):
-        assert weight(Permutation((1, 2)), 2.0) == pytest.approx(2 / 3, rel=1e-14)
-        assert weight(Permutation((2, 1)), 2.0) == pytest.approx(1 / 3, rel=1e-14)
-
-    @pytest.mark.parametrize("n", (1, 3, 5))
-    def test_uniform_case(self, n):
-        for values in itertools.permutations(range(1, n + 1)):
-            assert weight(Permutation(values), 1.0) == pytest.approx(
-                1 / math.factorial(n), rel=1e-12
-            )
-
-    def test_figure_perm_matches_reference_enumeration(self):
-        theta = 2.5
-        ref = ref_enumerate_weighted(6, theta)
-        assert weight(Permutation((2, 4, 1, 6, 3, 5)), theta) == pytest.approx(
-            ref[(2, 4, 1, 6, 3, 5)], rel=1e-12
-        )
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            weight(Permutation((1, 2)), 0.0)
-
-    @pytest.mark.parametrize("theta", (0.3, 2.5, 1e6))
-    def test_sums_to_one_over_s8(self, theta):
-        total = math.fsum(
-            weight(Permutation(values), theta) for values in itertools.permutations(range(1, 9))
-        )
-        assert abs(total - 1.0) <= 1e-14
-
-    def test_matches_exact_fractions_at_n12(self):
-        # records 5, 7, 9, 12 of a permutation of 12 values, theta = 2.5 exactly in binary
-        perm = Permutation((5, 1, 7, 2, 3, 9, 4, 12, 6, 8, 10, 11))
-        theta = Fraction(5, 2)
-        rising = math.prod(theta + i for i in range(12))
-        exact = theta ** record_count_perm(perm) / rising
-        assert record_count_perm(perm) == 4
-        assert rel_err(weight(perm, 2.5), float(exact)) <= 1e-14
 
 
 class TestMu:
@@ -368,11 +334,12 @@ class TestChernoff:
         params = RbParams(n, theta)
         law = enumerate_exact(params).record
         m = mu(n, theta)
+        outcomes = tuple(zip(law.support, law.probs))
         for eps in (0.1, 0.25, 0.5, 1.0, 2.0):
             upper, lower, two_sided = chernoff_record_tail(params, eps)
             assert two_sided == min(1.0, upper + lower)
-            assert upper + 1e-12 >= law.tail_geq((1 + eps) * m)
-            assert lower + 1e-12 >= law.tail_leq((1 - eps) * m)
+            assert upper + 1e-12 >= math.fsum(p for r, p in outcomes if r >= (1 + eps) * m)
+            assert lower + 1e-12 >= math.fsum(p for r, p in outcomes if r <= (1 - eps) * m)
 
     def test_errors(self):
         for epsilon in (0.0, math.nan, math.inf):
@@ -546,13 +513,16 @@ class TestConditionalHeightTailBound:
 class TestEnumerate:
     def test_s2_laws(self):
         laws = enumerate_exact(RbParams(2, 2.0))
-        assert laws.record.as_dict() == pytest.approx({1: 1 / 3, 2: 2 / 3})
-        assert laws.first_value.as_dict() == pytest.approx({1: 2 / 3, 2: 1 / 3})
-        assert laws.left_subtree_size.as_dict() == pytest.approx({0: 2 / 3, 1: 1 / 3})
+        assert laws.record.support == (1, 2)
+        assert laws.record.probs == pytest.approx((1 / 3, 2 / 3))
+        assert laws.first_value.support == (1, 2)
+        assert laws.first_value.probs == pytest.approx((2 / 3, 1 / 3))
+        assert laws.left_subtree_size.support == (0, 1)
+        assert laws.left_subtree_size.probs == pytest.approx((2 / 3, 1 / 3))
 
     def test_s2_uniform_height(self):
         laws = enumerate_exact(RbParams(2, 1.0))
-        assert laws.height.as_dict() == {1: 1.0}
+        assert (laws.height.support, laws.height.probs) == ((1,), (1.0,))
 
     def test_s3_uniform_height_from_reference(self):
         # direct enumeration of S_3: the balanced tree needs root 2, so
@@ -563,10 +533,11 @@ class TestEnumerate:
             ref[h] = ref.get(h, 0.0) + w
         assert ref == pytest.approx({1: 2 / 6, 2: 4 / 6})
         laws = enumerate_exact(RbParams(3, 1.0))
-        assert laws.height.as_dict() == pytest.approx(ref)
+        assert laws.height.support == tuple(sorted(ref))
+        assert laws.height.probs == pytest.approx([ref[h] for h in laws.height.support])
 
-    @pytest.mark.parametrize("theta", (0.5, 2.0))
-    @pytest.mark.parametrize("n", (3, 4))
+    @pytest.mark.parametrize("theta", (0.5, 2.0, 2.5))
+    @pytest.mark.parametrize("n", (3, 4, 6))
     def test_full_reference_agreement(self, n, theta):
         ref_weights = ref_enumerate_weighted(n, theta)
         ref_record = {}
@@ -579,21 +550,26 @@ class TestEnumerate:
             h = ref_height(ref_bst(values))
             ref_height_law[h] = ref_height_law.get(h, 0.0) + w
         laws = enumerate_exact(RbParams(n, theta))
-        assert laws.record.as_dict() == pytest.approx(ref_record, rel=1e-12)
-        assert laws.first_value.as_dict() == pytest.approx(ref_first, rel=1e-12)
-        assert laws.height.as_dict() == pytest.approx(ref_height_law, rel=1e-12)
+        for law, ref in (
+            (laws.record, ref_record),
+            (laws.first_value, ref_first),
+            (laws.height, ref_height_law),
+        ):
+            assert law.support == tuple(sorted(ref))
+            assert law.probs == pytest.approx([ref[x] for x in law.support], rel=1e-12)
 
     @pytest.mark.parametrize("theta", THETA_GRID)
     def test_matches_closed_forms_n8(self, theta):
         n = ENUMERATION_MAX_N
         params = RbParams(n, theta)
         laws = enumerate_exact(params)
-        for k in range(1, n + 1):
-            assert rel_err(laws.first_value.prob(k), root_split_pmf(params, k)) < 1e-10
+        assert laws.first_value.support == laws.record.support == tuple(range(1, n + 1))
+        for k, p in zip(laws.first_value.support, laws.first_value.probs):
+            assert rel_err(p, root_split_pmf(params, k)) < 1e-10
         probs = [theta / (theta + n - i) for i in range(1, n + 1)]
         pb = poisson_binomial_pmf(probs)
-        for rec in range(1, n + 1):
-            assert rel_err(laws.record.prob(rec), pb[rec]) < 1e-10
+        for rec, p in zip(laws.record.support, laws.record.probs):
+            assert rel_err(p, pb[rec]) < 1e-10
         for t in (-1.0, 0.5, 1.0):
             from_law = math.fsum(
                 p * math.exp(t * rec) for rec, p in zip(laws.record.support, laws.record.probs)
@@ -604,18 +580,62 @@ class TestEnumerate:
     def test_theta_far_above_n(self, n, theta):
         # theta**n overflows a float here; the record law is s(n, r) theta**r normalized,
         # s the unsigned Stirling numbers of the first kind, and tends to {n: 1}
-        stirling = [1]
-        for m in range(n):
-            stirling = [a * m + b for a, b in zip([*stirling, 0], [0, *stirling])]
+        stirling = unsigned_stirling_first(n)
         weights = {r: s * Fraction(theta) ** r for r, s in enumerate(stirling) if s}
         total = sum(weights.values())
         laws = enumerate_exact(RbParams(n, theta))
-        assert laws.record.prob(n) == 1.0
-        for r, w in weights.items():
-            assert rel_err(laws.record.prob(r), float(w / total)) < 1e-12
+        assert laws.first_value.support == laws.record.support == tuple(range(1, n + 1))
+        assert laws.record.probs[-1] == 1.0
+        for r, p in zip(laws.record.support, laws.record.probs):
+            assert rel_err(p, float(weights[r] / total)) < 1e-12
         params = RbParams(n, theta)
-        for k in range(1, n + 1):
-            assert rel_err(laws.first_value.prob(k), root_split_pmf(params, k)) < 1e-12
+        for k, p in zip(laws.first_value.support, laws.first_value.probs):
+            assert rel_err(p, root_split_pmf(params, k)) < 1e-12
+
+    @pytest.mark.parametrize("n", (1, 3, 5))
+    def test_theta_one_is_uniform(self, n):
+        # every permutation weighs 1/n!: the first value is uniform and r records have
+        # chance |s(n, r)| / n!
+        laws = enumerate_exact(RbParams(n, 1.0))
+        assert laws.first_value.support == laws.record.support == tuple(range(1, n + 1))
+        assert laws.first_value.probs == pytest.approx([1 / n] * n, rel=1e-12)
+        stirling = unsigned_stirling_first(n)
+        expected = [stirling[r] / math.factorial(n) for r in laws.record.support]
+        assert laws.record.probs == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("theta", (0.3, 2.5, 1e6))
+    def test_laws_sum_to_one_over_s8(self, theta):
+        laws = enumerate_exact(RbParams(ENUMERATION_MAX_N, theta))
+        for law in (
+            laws.record,
+            laws.first_value,
+            laws.left_subtree_size,
+            laws.height,
+            laws.profile,
+            laws.profile_height,
+            laws.height_record_first,
+        ):
+            assert abs(math.fsum(law.probs) - 1.0) <= 1e-14
+
+    def test_record_law_matches_exact_fractions_at_n8(self):
+        # P(r records) = |s(8, r)| theta**r / (theta (theta + 1) ... (theta + 7)), theta = 2.5
+        # exactly in binary
+        n, theta = ENUMERATION_MAX_N, Fraction(5, 2)
+        rising = math.prod(theta + i for i in range(n))
+        stirling = unsigned_stirling_first(n)
+        laws = enumerate_exact(RbParams(n, 2.5))
+        assert laws.record.support == tuple(range(1, n + 1))
+        for r, p in zip(laws.record.support, laws.record.probs):
+            assert rel_err(p, float(stirling[r] * theta**r / rising)) <= 1e-14
+
+    @pytest.mark.parametrize("theta", THETA_GRID)
+    def test_left_subtree_law_matches_left_root_tail(self, theta):
+        n = ENUMERATION_MAX_N
+        params = RbParams(n, theta)
+        law = enumerate_exact(params).left_subtree_size
+        assert law.support == tuple(range(n))
+        for k in range(n + 1):
+            assert abs(math.fsum(law.probs[k:]) - left_root_tail(params, k)) <= 1e-12
 
     def test_profile_law_consistency(self):
         laws = enumerate_exact(RbParams(5, 2.0))
@@ -625,7 +645,9 @@ class TestEnumerate:
         marg = {}
         for (sizes, _h), p in zip(laws.profile_height.support, laws.profile_height.probs):
             marg[sizes] = marg.get(sizes, 0.0) + p
-        assert marg == pytest.approx(laws.profile.as_dict(), rel=1e-12)
+        assert laws.profile.support == tuple(sorted(marg))
+        expected = [marg[sizes] for sizes in laws.profile.support]
+        assert laws.profile.probs == pytest.approx(expected, rel=1e-12)
 
     def test_errors(self):
         with pytest.raises(ValueError, match=f"n <= {ENUMERATION_MAX_N}"):
@@ -644,10 +666,10 @@ class TestExactDistribution:
             ExactDistribution(support=(1, 2), probs=(0.6, 0.6))
         with pytest.raises(ValueError):
             ExactDistribution(support=(1,), probs=(-1.0,))
+        with pytest.raises(ValueError):
+            ExactDistribution(support=(1, 2), probs=(1.0,))
 
-    def test_helpers(self):
-        dist = ExactDistribution(support=(1, 2, 3), probs=(0.2, 0.3, 0.5))
-        assert dist.tail_geq(2) == pytest.approx(0.8)
-        assert dist.tail_leq(2) == pytest.approx(0.5)
-        assert dist.mean() == pytest.approx(2.3)
-        assert dist.prob(4) == 0.0
+    def test_from_weights_sorts_and_normalizes(self):
+        dist = ExactDistribution.from_weights({3: 2.0, 1: 1.0, 2: 1.0})
+        assert dist.support == (1, 2, 3)
+        assert dist.probs == (0.25, 0.25, 0.5)

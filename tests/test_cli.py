@@ -579,11 +579,24 @@ class TestErrors:
         (tmp_path / "taken").touch()
         code, out, err = run_cli([*_HEIGHT_RATIO, "--out", "taken/out.csv"], capsys)
         assert (code, out) == (1, "")
-        assert "Traceback" not in err
-        assert err.splitlines()[-1] == (
-            "error: cannot write taken/out.csv: [Errno 20] Not a directory: 'taken/out.csv'"
-        )
+        line = "error: cannot write taken/out.csv: [Errno 20] Not a directory: 'taken/out.csv'"
+        # the one line, before any draw: no progress line comes first
+        assert err == f"{line}\n"
         assert (tmp_path / "taken").read_bytes() == b""
+
+    def test_failed_run_leaves_an_existing_out_as_it_was(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out.csv").write_bytes(b"old\n")
+        code, out, err = run_cli([*_HEIGHT_RATIO, "--trials", "0"], capsys)
+        assert (code, out, err) == (1, "", "error: trials must be in [1, 2**32), got 0\n")
+        assert (tmp_path / "out.csv").read_bytes() == b"old\n"
+
+    def test_failed_run_makes_no_file_through_a_dangling_link(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out.csv").symlink_to("target.csv")
+        assert run_cli([*_HEIGHT_RATIO, "--trials", "0"], capsys)[0] == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+        assert (tmp_path / "out.csv").is_symlink() and not (tmp_path / "target.csv").exists()
 
     @pytest.mark.parametrize("command,flag", _params(_UNREAD))
     def test_flag_the_command_does_not_read_exits_2(self, capsys, command, flag):

@@ -197,7 +197,7 @@ class TestChiSquare:
 
 
 def test_dkw_band_formula():
-    assert dkw_epsilon(10**5, 1e-3) == pytest.approx(
+    assert dkw_epsilon(10**5) == pytest.approx(
         math.sqrt(math.log(2000.0) / (2 * 10**5)), rel=1e-12
     )
 

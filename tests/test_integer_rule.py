@@ -11,6 +11,7 @@ import pytest
 from rbtrees.analytics import (
     beta_product_survival,
     conditional_height_tail_bound,
+    enumerate_exact,
     left_profile_tail_bound,
     left_root_tail,
     mu,
@@ -112,11 +113,21 @@ def test_every_integer_argument_refuses_non_integers(argument, value):
         lambda: left_profile_tail_bound(RbParams(10**4, 2.0), 0.1, 4.0, 2.5),
         lambda: profile_exceedance_thresholds(P, 0.1, 1.0, -1),
         lambda: uniform_height_table(True),
+        lambda: enumerate_exact(RbParams(9, 1.0)),
     ),
-    ids=("RbParams-True", "max_j-True", "j-2.5", "eta-2.5", "k-2.5", "thresholds-k--1", "k_max-True"),
+    ids=(
+        "RbParams-True",
+        "max_j-True",
+        "j-2.5",
+        "eta-2.5",
+        "k-2.5",
+        "thresholds-k--1",
+        "k_max-True",
+        "enumerate-n-9",
+    ),
 )
 def test_bools_fractions_and_negatives_do_not_pass_as_integers(call):
-    # each of these once returned a result (or numpy's own error) instead of this one
+    # each of these once returned a result, or numpy's or its own error, instead of this one
     with pytest.raises(ValueError, match=r"^\w+ must be "):
         call()
 

@@ -22,11 +22,10 @@ from rbtrees.analytics import (
     records_mgf,
     root_split_distribution,
     root_split_pmf,
-    weight,
 )
 from rbtrees.cli import main
-from rbtrees.experiments import ExperimentConfig, dkw_epsilon, height_normalizer, resolve_theta
-from rbtrees.model import LeftProfile, Permutation, RbParams, check_real
+from rbtrees.experiments import ExperimentConfig, height_normalizer, resolve_theta
+from rbtrees.model import LeftProfile, RbParams, check_real
 
 P = RbParams(10, 2.0)
 BAD_VALUES = (True, "0.5", None, math.nan, math.inf)
@@ -42,12 +41,16 @@ ARGUMENTS = {
     "RbParams.theta": ("theta", lambda v: RbParams(5, v), -0.5),
     "mu.theta": ("theta", lambda v: mu(10, v), -0.5),
     "height_normalizer.theta": ("theta", lambda v: height_normalizer(10, v), -0.5),
-    "weight.theta": ("theta", lambda v: weight(Permutation((2, 1, 3)), v), 0.0),
     "chernoff_record_tail.epsilon": ("epsilon", lambda v: chernoff_record_tail(P, v), 0.0),
     "beta_product_survival.theta": ("theta", lambda v: beta_product_survival(v, 2, 0.1), 0.0),
     "beta_product_survival.c": ("c", lambda v: beta_product_survival(2.0, 2, v), 1.0),
     "profile_tail_constants.theta": ("theta", lambda v: profile_tail_constants(v, 0.1), 0.0),
     "profile_tail_constants.epsilon": ("epsilon", lambda v: profile_tail_constants(2.0, v), -0.1),
+    "left_profile_tail_bound.epsilon": (
+        "epsilon",
+        lambda v: left_profile_tail_bound(RbParams(10**4, 2.0), v, 4.0, 2),
+        0.0,
+    ),
     "left_profile_tail_bound.M": (
         "M",
         lambda v: left_profile_tail_bound(RbParams(10**4, 2.0), 0.1, v, 2),
@@ -69,7 +72,6 @@ ARGUMENTS = {
         0.0,
     ),
     "records_mgf.t": ("t", lambda v: records_mgf(P, v), -math.inf),
-    "dkw_epsilon.alpha": ("alpha", lambda v: dkw_epsilon(10, v), 1.0),
     "ExperimentConfig.epsilon": ("epsilon", lambda v: _config(epsilon=v), 0.0),
     "ExperimentConfig.theta_spec": ("theta_spec", lambda v: _config(theta_spec=v), -math.inf),
     "resolve_theta.theta_spec": ("theta_spec", lambda v: resolve_theta(v, 10), -math.inf),
@@ -110,9 +112,6 @@ def test_every_real_argument_refuses_what_is_not_a_real_in_range(argument, value
         (lambda: beta_product_survival(math.nan, 2, 0.1), "theta"),
         (lambda: profile_exceedance_thresholds(P, math.nan, 1.0, 2), "epsilon"),
         (lambda: records_mgf(P, math.nan), "t"),
-        (lambda: dkw_epsilon(10, 2.0), "alpha"),
-        (lambda: dkw_epsilon(10, 0.0), "alpha"),
-        (lambda: weight(Permutation((2, 1, 3)), math.inf), "theta"),
         (lambda: mu(10, [0.5]), "theta"),
     ),
     ids=(
@@ -126,9 +125,6 @@ def test_every_real_argument_refuses_what_is_not_a_real_in_range(argument, value
         "beta-nan",
         "thresholds-nan",
         "mgf-nan",
-        "dkw-2",
-        "dkw-0",
-        "weight-inf",
         "mu-list",
     ),
 )

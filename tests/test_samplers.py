@@ -20,7 +20,6 @@ from rbtrees.analytics import (
     root_split_distribution,
     split_survival_table,
     uniform_height_table,
-    weight,
 )
 from rbtrees.experiments import chi_square_gof, dkw_epsilon, resolve_theta
 from rbtrees.model import (
@@ -44,6 +43,7 @@ from rbtrees.samplers import (
 
 from reference import (
     poisson_binomial_pmf,
+    ref_enumerate_weighted,
     ref_log_survival_prefixes,
     ref_near_record_keys,
     ref_spine_join,
@@ -197,9 +197,7 @@ class TestSequential:
     @pytest.mark.parametrize("theta", (0.5, 3.0))
     def test_s5_law(self, theta):
         n, trials = 5, 10**5
-        expected = ExactDistribution.from_weights(
-            {p: weight(Permutation(p), theta) for p in itertools.permutations(range(1, n + 1))}
-        )
+        expected = ExactDistribution.from_weights(ref_enumerate_weighted(n, theta))
         rng = RandomSource(31, 0)
         counts = Counter(sample_sequential(RbParams(n, theta), rng).values for _ in range(trials))
         assert chi_square_gof(counts, expected).p_value > ALPHA
@@ -447,6 +445,24 @@ class TestHeightOnly:
         samples = _height_samples(RbParams(n, theta), RandomSource(41, 0), 20000, BLOCK)
         counts = Counter(sample.height for sample in samples)
         assert chi_square_gof(counts, expected).p_value > ALPHA
+
+    def test_sweep_splits_follow_the_uniform_law(self):
+        # 10**5 uniform BSTs of 4096 nodes, each swept from best -1 and floor 0: every subtree
+        # of more than _EXACT_MAX nodes is split by the sweep's own draw, two levels of them on
+        # the way down, before the table ends it. A split drawn as u ** 1.05 raised E[H] by 0.25
+        # at n = 10**6 and passed every other test; at this seed it reads p = 8.1e-8, against
+        # 0.13 for the uniform split.
+        trials, m = 10**5, 4096
+        heights = samplers._sweep_heights(
+            np.full(trials, m),
+            np.zeros(trials, np.int64),
+            np.arange(trials),
+            np.full(trials, -1),
+            RandomSource(43, 0),
+        )
+        cdf = uniform_height_table(m)[m]
+        expected = ExactDistribution(support=tuple(range(len(cdf) - 1)), probs=tuple(np.diff(cdf)))
+        assert chi_square_gof(Counter(heights.tolist()), expected).p_value > ALPHA
 
     @pytest.mark.parametrize(
         "n,spec", ((0, "1"), (1, "3"), (7, "0.5"), (1000, "1"), (1000, "linear:1"), (10**5, "1"))
