@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 from .analytics import (
     c_star,
@@ -73,7 +73,11 @@ def _format_cell(value) -> str:
 
 
 def _row_dicts(table: OutputTable) -> list[dict]:
-    return [asdict(row) if is_dataclass(row) else row for row in table.rows]
+    # the row dataclasses are flat, so one dict of their fields, with no deep copy
+    return [
+        {f.name: getattr(row, f.name) for f in fields(row)} if is_dataclass(row) else row
+        for row in table.rows
+    ]
 
 
 def render_csv(table: OutputTable) -> str:

@@ -48,11 +48,12 @@ DOMINANCE_GRID_SIZE = 50
 # _BLOCK_NODES nodes, as _block_trials counts them. A block pays a RandomSource, one
 # _record_keys call and the sweep's rounds of numpy calls once: at theta = 1 a height took
 # 4.5, 12 and 25 us in blocks of 64 and 3.0, 6.5 and 17 us in blocks of 256, at n = 10**3,
-# 10**4 and 10**5 (timeit minima, shared 2-core Xeon). Each table read gathers one 51-wide
-# row per node, about 3 kB a tree, so blocks stay at 256: with no cap on trials, 200,000
-# heights at n = 1000 peaked at 252 MiB against 78 MiB. The node cap keeps a block's arrays
-# within those of one tree of 5 * 10**5 nodes at theta = n; with 2**20, n = 10**7 took
-# blocks of 107 trees and peaked at 92 MiB against 76 MiB, and a tree took 1.2 ms either way.
+# 10**4 and 10**5 (timeit minima, shared 2-core Xeon). Each table read gathers one 55-wide
+# row per node, 2.4 kB a tree at n = 1000 and 6 kB at 10**5, so blocks stay at 256: with no
+# cap on trials, 200,000 heights at n = 1000 peaked at 252 MiB against 78 MiB. The node cap
+# keeps a block's arrays within those of one tree of 5 * 10**5 nodes at theta = n. At
+# n = 10**7, theta = 1, 212 trees in blocks of 106 peaked at 59.5-60.2 MiB, against
+# 56.2-57.8 MiB in blocks of 53 with a cutoff of 1024 nodes (n / 1024 frontier nodes a tree).
 _BLOCK_TRIALS = 256
 _BLOCK_NODES = 1 << 19
 
@@ -218,35 +219,39 @@ def _block_trials(n: int, theta: float) -> int:
     """Trials per block at (n, theta): _BLOCK_TRIALS, or fewer to hold at most _BLOCK_NODES nodes.
 
     A tree holds about mu(n, theta) spine records and at most about n / _EXACT_MAX frontier
-    nodes, the subtrees its sweep splits; the rest of its n nodes are never materialized.
+    nodes, the subtrees its sweep splits; the rest of its n nodes are never materialized. At
+    theta = 1 that is _BLOCK_TRIALS trees up to n of about 4.1 * 10**6, and 106 at n = 10**7.
     """
     held = math.ceil(mu(n, theta) + n / _EXACT_MAX)
     return min(_BLOCK_TRIALS, max(1, _BLOCK_NODES // held))
 
 
-def _recursive_heights(params: RbParams, rng: RandomSource, count: int) -> list:
-    return [(s.height, s.records) for s in sample_height_only(params, rng, count)]
+def _recursive_heights(params: RbParams, rng: RandomSource, count: int) -> np.ndarray:
+    samples = sample_height_only(params, rng, count)
+    return np.array([[s.height for s in samples], [s.records for s in samples]])
 
 
-def _sequential_heights(params: RbParams, rng: RandomSource, count: int) -> list:
+def _sequential_heights(params: RbParams, rng: RandomSource, count: int) -> np.ndarray:
+    # one tree at a time: holding a block's trees (40 of 1000 nodes) raised peak RSS by 2.3 MiB
     trees = (build_bst(sample_sequential(params, rng)) for _ in range(count))
-    return [(height(tree), record_count_tree(tree)) for tree in trees]
+    return np.array([(height(tree), record_count_tree(tree)) for tree in trees]).T
 
 
 def _run_trials(draw, config: ExperimentConfig):
     """Yield ``(n, theta, draws)`` for each n of ``config`` in turn, the draws in trial order.
 
     The trials of the i-th n come in blocks of :func:`_block_trials` (n, theta), block b drawn by
-    ``draw(params, rng, count)`` from ``RandomSource(seed, (i << 32) | b)``.
+    ``draw(params, rng, count)`` from ``RandomSource(seed, (i << 32) | b)`` as ints, one per
+    trial along the last axis, and ``draws`` is one int array of the blocks joined along it.
     """
     for n_index, (n, theta) in enumerate(zip(config.n_values, config.thetas)):
         params = RbParams(n, theta)
         size = _block_trials(n, theta)
-        draws = []
+        blocks = []
         for b in range(-(-config.trials // size)):
             rng = RandomSource(config.seed, _stream_index(n_index, b))
-            draws += draw(params, rng, min(size, config.trials - b * size))
-        yield n, theta, draws
+            blocks.append(draw(params, rng, min(size, config.trials - b * size)))
+        yield n, theta, np.concatenate(blocks, axis=-1)
 
 
 def _mean_sd(values: np.ndarray) -> tuple[float, float]:
@@ -295,8 +300,7 @@ def run_height_ratio(
         raise ValueError(f"method must be 'recursive' or 'sequential', got {method!r}")
     draw = {"recursive": _recursive_heights, "sequential": _sequential_heights}[method]
     rows = []
-    for n, theta, draws in _run_trials(draw, config):
-        heights, records = np.array(draws).T
+    for n, theta, (heights, records) in _run_trials(draw, config):
         below = np.flatnonzero(heights < records - 1)
         if below.size:
             t = int(below[0])
@@ -327,10 +331,9 @@ def run_record_concentration(
     if epsilon is None:
         raise ValueError("record concentration requires config.epsilon")
     rows = []
-    for n, theta, draws in _run_trials(sample_record_count, config):
+    for n, theta, counts in _run_trials(sample_record_count, config):
         params = RbParams(n, theta)
         m = mu(n, theta)
-        counts = np.asarray(draws)
         beyond = np.abs(counts / m - 1.0) > epsilon
         freq = float(np.mean(beyond))
         upper, lower, total = chernoff_record_tail(params, epsilon)

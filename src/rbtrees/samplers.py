@@ -62,9 +62,13 @@ from .model import NO_CHILD, BstTree, Permutation, RbParams, check_int
 # cost most at theta = n, 36 ms at 10**7 and 54 ms at 10**9 (binomial 33-37 ms).
 # Uniform subtrees of at most _EXACT_MAX nodes draw their height from one row of
 # analytics.uniform_height_table. Heights of 200 trees each at n = 10**3, 10**4, 10**5 and 6 at
-# 10**6 (theta = 1, serial) took 100, 34, 18 and 16 ms with cutoffs 64, 256, 1024 and 2048 on
-# a 2-core Xeon, and the table 1, 1.5, 9 and 32 ms to build (192 ms at 4096), once per process.
-_EXACT_MAX = 1024
+# 10**6 (theta = 1, one block each, as experiments draws them) took 7.3, 5.3-5.6 and 4.7-4.9 ms
+# in all with cutoffs 1024, 2048 and 4096 (medians of 15, shared 2-core Xeon): at n = 10**5 the
+# sweep visits 76k nodes in 23 rounds, 39k in 20 and 20k in 17. The table is built once per
+# process, in 8, 31 and 150-190 ms, and holds 2049 x 55 floats (0.86 MiB) at 2048. With 4096 a
+# cycle of the benchmark's height-uniform jobs ran 3% faster than with 2048 but peaked 1.6 MiB
+# higher, which its build time does not repay.
+_EXACT_MAX = 2048
 _TINY_TREE = 32
 _DENSE_MIN = 1024
 _SPLIT_TABLE_MAX = 1 << 20

@@ -219,7 +219,9 @@ class TestHeightRatio:
     @pytest.mark.parametrize("method", ("recursive", "sequential"))
     def test_height_below_records_fails(self, monkeypatch, method):
         monkeypatch.setattr(
-            experiments, f"_{method}_heights", lambda params, rng, count: [(0, 5)] * count
+            experiments,
+            f"_{method}_heights",
+            lambda params, rng, count: np.array([[0] * count, [5] * count]),
         )
         config = ExperimentConfig(n_values=(10,), theta_spec=1.0, trials=3, seed=0)
         with pytest.raises(AssertionError, match=r"n=10, theta=1\.0, trial=0"):
@@ -288,7 +290,7 @@ class TestSummarize:
 
     def test_matches_run_height_ratio(self):
         # block b of the i-th n is one sample_height_only call on stream (i << 32) | b; a
-        # block holds 256 trials, or 2**19 // ceil(mu + n / 1024) where that is fewer: 23 at
+        # block holds 256 trials, or 2**19 // ceil(mu + n / 2048) where that is fewer: 23 at
         # n = 2**15, theta = n, where mu is about 22713
         layouts = {
             3.0: {40: (256, 4), 2**15: (256, 4)},
@@ -308,18 +310,31 @@ class TestSummarize:
                 rows.append(summarize(n, theta, heights, records, 5))
             assert run_height_ratio(config) == rows, spec
 
+    @pytest.mark.parametrize("count", (1, 256))
+    @pytest.mark.parametrize("n,theta", ((1, 1.0), (1000, 1.0), (10**5, 1.0), (3000, 3000.0)))
+    def test_recursive_draw_matches_sample_height_only(self, n, theta, count):
+        # the heights and record counts of a block, as one int64 array, from the same draws
+        params = RbParams(n, theta)
+        rng, ref_rng = RandomSource(29, n), RandomSource(29, n)
+        got = experiments._recursive_heights(params, rng, count)
+        samples = sample_height_only(params, ref_rng, count)
+        assert got.dtype == np.int64 and got.shape == (2, count)
+        assert got[0].tolist() == [s.height for s in samples]
+        assert got[1].tolist() == [s.records for s in samples]
+        assert rng.randoms(4).tobytes() == ref_rng.randoms(4).tobytes()
+
 
 class TestBlockTrials:
     @pytest.mark.parametrize("theta", (0.0, 1.0))
     def test_constant_theta_fills_blocks(self, theta):
-        # up to n = 10**6; at 10**7 a tree holds about 9766 frontier nodes, and 53 trees fill
-        # the node budget
-        for n in (1, 2, 1000, 2**15, 10**5, 10**6):
+        # up to n = 4 * 10**6; at 10**7 a tree holds about 4883 frontier nodes and mu records,
+        # 1 at theta = 0 and about 17 at theta = 1, and 107 or 106 trees fill the node budget
+        for n in (1, 2, 1000, 2**15, 10**5, 10**6, 4 * 10**6):
             assert experiments._block_trials(n, theta) == 256
-        assert experiments._block_trials(10**7, theta) == 53
+        assert experiments._block_trials(10**7, theta) == {0.0: 107, 1.0: 106}[theta]
 
     def test_block_holds_at_most_2_to_the_19_nodes(self):
-        # a tree holds about mu(n, theta) spine records and n / 1024 frontier nodes; a block
+        # a tree holds about mu(n, theta) spine records and n / 2048 frontier nodes; a block
         # of one tree is the least, however many that tree holds
         for n in (1, 1000, 2**15, 10**5, 10**6, 10**7):
             for spec in (0.0, 1.0, 316.0, "power:0.5", "linear:0.1", "linear:1", "linear:3"):

@@ -464,6 +464,24 @@ class TestHeightOnly:
         expected = ExactDistribution(support=tuple(range(len(cdf) - 1)), probs=tuple(np.diff(cdf)))
         assert chi_square_gof(Counter(heights.tolist()), expected).p_value > ALPHA
 
+    @pytest.mark.parametrize("m", (2048, 2049, 4097))
+    def test_sweep_follows_the_uniform_law_across_the_cutoff(self, m):
+        # 10**5 uniform BSTs on each side of _EXACT_MAX = 2048 nodes: 2048 reads the table's
+        # last row at once, 2049 is split once before the table ends both halves, 4097 once or
+        # twice; the law is row m of a table built past all three
+        assert samplers._EXACT_MAX == 2048
+        trials = 10**5
+        heights = samplers._sweep_heights(
+            np.full(trials, m),
+            np.zeros(trials, np.int64),
+            np.arange(trials),
+            np.full(trials, -1),
+            RandomSource(47, m),
+        )
+        cdf = uniform_height_table(5000)[m]
+        expected = ExactDistribution(support=tuple(range(len(cdf) - 1)), probs=tuple(np.diff(cdf)))
+        assert chi_square_gof(Counter(heights.tolist()), expected).p_value > ALPHA
+
     @pytest.mark.parametrize(
         "n,spec", ((0, "1"), (1, "3"), (7, "0.5"), (1000, "1"), (1000, "linear:1"), (10**5, "1"))
     )

@@ -19,7 +19,6 @@ PUBLIC = [
     "RbParams",
     "RecordConcentrationRow",
     "TrialSummary",
-    "analytics",
     "beta_product_survival",
     "build_bst",
     "c_star",
@@ -28,7 +27,6 @@ PUBLIC = [
     "conditional_height_tail_bound",
     "dkw_epsilon",
     "enumerate_exact",
-    "experiments",
     "height",
     "height_normalizer",
     "height_via_profile",
@@ -36,7 +34,6 @@ PUBLIC = [
     "left_profile",
     "left_profile_tail_bound",
     "left_root_tail",
-    "model",
     "mu",
     "profile_tail_constants",
     "record_count_perm",
@@ -51,7 +48,6 @@ PUBLIC = [
     "sample_record_count",
     "sample_sequential",
     "sample_tree_recursive",
-    "samplers",
 ]
 
 
