@@ -154,14 +154,10 @@ def uniform_height_table(k_max: int) -> np.ndarray:
     Devroye's recursion, level by level: ``F_h = (F_{h-1} * F_{h-1})[m - 1] / m`` for
     m >= 1, one convolution per level. The table ends at the first column where row k_max
     is 1.0, so every row's last column is 1.0 and later columns would all be ones. Its rows
-    are those of any larger table, bit for bit, cut to its width. Read-only, and kept for the
-    last few sizes asked for: the height sweep asks for one.
+    are those of any larger table, bit for bit, cut to its width. Read-only, as the height
+    sweep keeps the largest one it has built for the life of the process.
     """
-    return _uniform_height_table(check_int("k_max", k_max))
-
-
-@lru_cache(maxsize=4)
-def _uniform_height_table(k_max: int) -> np.ndarray:
+    k_max = check_int("k_max", k_max)
     # row m is exactly 1.0 from column m on, as every input to its convolution is, so the
     # loop ends by column k_max
     sizes = np.arange(1.0, k_max + 1)

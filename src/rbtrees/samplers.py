@@ -45,6 +45,13 @@ from .model import NO_CHILD, BstTree, Permutation, RbParams, check_int
 # Their chances are computed on every call, not cached: a cache keyed by (theta, K) held one
 # array of up to n floats per key for the life of the process, 23 MiB after one path at
 # n = theta = 3 * 10**6, while computing them costs one path of K = 1024 steps 3-6 us.
+# Its far steps run as straight array passes: each (path, range) cell's length, start and rate
+# are repeated once per point the cell holds, k is cast to float once, and near and far keys are
+# sorted together once, as they never share a step. At n = 10**5, theta = n**0.5, 12 paths (28k
+# far points) a call took 0.95 ms against 1.40 ms when each point gathered its range's values
+# through a uint8 index, divided theta by an int64 k and sorted its far keys apart before a
+# stable merge; one path took 64 against 71 us at n = 10**4, theta = 5 and 64 against 76 us at
+# n = 10**6, theta = 1 (timeit minima, shared 2-core Xeon).
 # It frees each large array before it makes the next: holding more at once, near glibc's heap
 # trim threshold, made some processes fault 1.3 MB back in per 10 trees at n = theta = 10**4 and
 # others none. A tree of at most _TINY_TREE nodes draws its path in a plain loop instead, with the
@@ -67,11 +74,15 @@ from .model import NO_CHILD, BstTree, Permutation, RbParams, check_int
 # sweep visits 76k nodes in 23 rounds, 39k in 20 and 20k in 17. The table is built once per
 # process, in 8, 31 and 150-190 ms, and holds 2049 x 55 floats (0.86 MiB) at 2048. With 4096 a
 # cycle of the benchmark's height-uniform jobs ran 3% faster than with 2048 but peaked 1.6 MiB
-# higher, which its build time does not repay.
+# higher, which its build time does not repay. A sweep builds only the rows its largest subtree
+# reads, rounded up to a power of two (128 rows build in 0.6 ms), so `sample height --n 100
+# --trials 10` took 0.22 s against 0.25 s with the whole table (minima of 10 fresh runs).
 _EXACT_MAX = 2048
 _TINY_TREE = 32
 _DENSE_MIN = 1024
 _SPLIT_TABLE_MAX = 1 << 20
+# the largest uniform height table a sweep has read so far (see _height_table)
+_HEIGHT_TABLE = uniform_height_table(0)
 
 
 class RandomSource:
@@ -232,23 +243,48 @@ def _record_keys(n: int, theta: float, rng: RandomSource, count: int) -> np.ndar
     starts = dense << np.arange(((n - 1) // dense).bit_length(), dtype=np.int64)
     lengths = np.minimum(starts, n - starts)
     rates = np.log1p(theta / starts)
-    points = rng.poisson(rates * lengths, (count, len(starts)))
+    points = rng.poisson(rates * lengths, (count, len(starts))).ravel()
     total = int(points.sum())
-    ranges = np.repeat(np.tile(np.arange(len(starts), dtype=np.uint8), count), points.ravel())
-    k = (rng.randoms(total) * lengths[ranges]).astype(np.int64)
-    k += starts[ranges]
-    ratio = np.log1p(theta / k)
+    # trial t's point j steps into the range from s is step k = s + j, key t * n + n - 1 - k;
+    # a range's value is repeated once per point that each trial's cell of it holds
+    def each(values):
+        return values[None].repeat(count, 0).repeat(points)
+
+    u = rng.randoms(total)
+    u *= each(lengths.astype(float))
+    np.trunc(u, out=u)
+    far = u.astype(np.int64)
+    ends = np.arange(count, dtype=np.int64) * n + (n - 1)
+    np.subtract((ends[:, None] - starts).repeat(points), far, out=far)
+    # k as the float that theta / k would cast it to: j is an exact float, and so is s, dense
+    # (the ceiling of a float, or at most _DENSE_MIN) times a power of two, so s + j rounds once
+    u += each(starts.astype(float))
+    np.divide(theta, u, out=u)
+    np.log1p(u, out=u)
+    # a point is kept with chance log1p(theta / k) / rate, its step's rate over its range's
     accept = rng.randoms(total)
-    accept *= rates[ranges]
-    kept = np.flatnonzero(accept < ratio)
-    del ratio, accept  # from here on at most three words per point are held, not five
-    far = np.repeat(np.arange(count) * n + (n - 1), points.sum(axis=1))[kept]
-    far -= k[kept]
-    far.sort()
-    # a step hit by several kept points is one record
-    far = np.concatenate((far[:1], far[1:][far[1:] != far[:-1]]))
-    # two sorted runs, which a stable sort merges in one pass
-    return np.sort(np.concatenate((keys, far)), kind="stable")
+    accept *= each(rates)
+    kept = accept < u
+    del u, accept  # at most four words per point are held at once, and two from here
+    keys = np.concatenate((keys, far.compress(kept)))
+    del far, kept
+    # near and far keys never share a step, but a far step hit by several kept points is
+    # one record
+    keys.sort()
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+
+
+def _height_table(largest: int) -> np.ndarray:
+    """A uniform height table with the rows a sweep of subtrees of at most ``largest`` nodes reads.
+
+    Rows are bit-equal in every table that holds them, so the process keeps the largest table
+    built so far and builds a larger one only for a larger subtree, with rows up to the next
+    power of two, at most _EXACT_MAX.
+    """
+    global _HEIGHT_TABLE
+    if len(_HEIGHT_TABLE) <= min(largest, _EXACT_MAX):
+        _HEIGHT_TABLE = uniform_height_table(min(1 << (largest - 1).bit_length(), _EXACT_MAX))
+    return _HEIGHT_TABLE
 
 
 def _sweep_heights(
@@ -263,7 +299,7 @@ def _sweep_heights(
     _EXACT_MAX nodes read the draw from the exact height table instead. A tree makes the same
     draws swept alone as first in a block. Returns ``best``, updated in place.
     """
-    table = uniform_height_table(_EXACT_MAX)
+    table = _height_table(int(size.max(initial=0)))
     last = table.shape[1] - 1
     # a node's subtree hangs below depth top; the height read from u beats best exactly when
     # u >= P(H_m <= best - top), and a node lives while its size passes that floor

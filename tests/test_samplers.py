@@ -542,6 +542,26 @@ class TestHeightOnly:
         assert (a.height, a.records) == (b.height, b.records)
         assert np.array_equal(a.sizes, b.sizes)
 
+    def test_small_sweeps_build_a_small_table(self, monkeypatch):
+        # a sweep of subtrees of at most 100 nodes builds a table of 128 rows, not 2048, and
+        # draws the heights that the full table gives; a process that holds a larger table
+        # builds none
+        params, trials = RbParams(100, 1.0), 200
+        built = []
+
+        def recorded(k_max):
+            built.append(k_max)
+            return uniform_height_table(k_max)
+
+        monkeypatch.setattr(samplers, "uniform_height_table", recorded)
+        monkeypatch.setattr(samplers, "_HEIGHT_TABLE", uniform_height_table(0))
+        small = [s.height for s in sample_height_only(params, RandomSource(5, 0), trials)]
+        assert built == [128] and len(samplers._HEIGHT_TABLE) == 129
+        monkeypatch.setattr(samplers, "_HEIGHT_TABLE", uniform_height_table(samplers._EXACT_MAX))
+        full = [s.height for s in sample_height_only(params, RandomSource(5, 0), trials)]
+        assert built == [128] and len(samplers._HEIGHT_TABLE) == samplers._EXACT_MAX + 1
+        assert small == full
+
 
 class TestExactHeightTable:
     def test_rows_match_enumeration(self):
@@ -687,6 +707,50 @@ class TestSpineRecords:
             uniforms = RandomSource(63, stream).randoms(count * near).tolist()
             got = keys[keys % n >= n - near].tolist()
             assert got == ref_near_record_keys(count, n, theta, near, uniforms)
+
+    @pytest.mark.parametrize(
+        "n,theta,count,keys_digest,next_digest",
+        (
+            (10**5, (10**5) ** 0.5, 12,
+             "93fe839a41d3bfd88e10093c74100e0ed6c65cee5751733c84052e23887ce481",
+             "1799b5ca039723a80a33a0d3bc8f9425de3d34a2a2a18b5df15a7465efd318b6"),
+            (10**4, 5.0, 256,
+             "189f29bf6fb8862939924573c1938fd7f13056ccc81e2f66ea4ca93d862bd615",
+             "4414b35d010fa361482f662011e3b5ba74a8acc8fa925b0bac771fa89ef8b1a2"),
+            (10**5, 1.0, 200,
+             "ce2a130ebe1e0932b84b4be969f2c39e05a51041235496cad9a28d9f3b5ce588",
+             "a9e465d04d6f526be2dfe75e8cc9b3e4cc33dea807282794b61ec3a9e5b2ed7b"),
+            (10**6, 1.0, 6,
+             "5e64964f3f55ff8260411a149defa61151c11819ae60aeb4c56c397ca6dd5c34",
+             "8d1b13b3b41d557cfac12be667a6d77a85a075c9982fea35611d7327fac29bea"),
+            (10**4, 5.0, 1,
+             "91ba252c428f0a72973c5a9593647c774c46018122aca992fadfb988d89546b0",
+             "17b9501bd96d83ed466e23dff023683e329003c5b1d5ed0a4873a4175bb9a562"),
+            (10**17, 3.0, 2,
+             "eb3d5d2f0e722bfc116b285e934ba20c5b48b95c04c2d5971bfa8bbe6dcdb1f7",
+             "631865b933e26404ac0609f3d6622cc42de183335b33d7a50f47cd96a760182d"),
+            (10**12, 1e-300, 3,
+             "118710132ab1e8518f620107226a59585ea708a63dd8f498a401a70516748d4e",
+             "b69cb0d73ca66aff06d2129f1ad7c7fb2a5dec6f030ac76338fc9c3791df478c"),
+            (10**9, 10**4 + 0.5, 1,
+             "d991907ba35ab1d095bff175ca7e16d3c21c395c80c651efa10fd3bb53a5f6f9",
+             "d0cf2b2ab7c348f10f6fd36ff32b2017a6ed5782a24167a062a7d7ca09e93fa3"),
+        ),
+        ids=("power", "block", "uniform", "uniform-6", "single", "huge-n", "tiny-theta", "wide"),
+    )
+    def test_far_steps_keep_their_bytes(self, n, theta, count, keys_digest, next_digest):
+        # the keys, far steps included, and the stream's position after the call: the law
+        # tests above see the far steps only through counts per range and the first split.
+        # As for tests/artifacts.txt, a numpy upgrade that moves these bytes fails this test too.
+        rng = RandomSource(64, 0)
+        keys = samplers._record_keys(n, theta, rng, count)
+        got = (hashlib.sha256(keys.tobytes()).hexdigest(),
+               hashlib.sha256(rng.randoms(4).tobytes()).hexdigest())
+        assert keys.dtype == np.int64
+        assert got == (keys_digest, next_digest), (
+            f"recorded under python 3.11.7, numpy 2.4.6; "
+            f"running python {platform.python_version()}, numpy {np.__version__}"
+        )
 
 
 class TestRecordCountSampler:
