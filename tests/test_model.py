@@ -1,6 +1,8 @@
 """Tree construction and record statistics against brute-force references."""
 
 import itertools
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,14 @@ from rbtrees.model import (
     record_count_tree,
 )
 
-from reference import ref_bst, ref_from_arena, ref_height, ref_left_sizes, ref_records
+from reference import (
+    ref_bst,
+    ref_from_arena,
+    ref_height,
+    ref_is_valid_bst,
+    ref_left_sizes,
+    ref_records,
+)
 
 FIGURE_PERM = (2, 4, 1, 6, 3, 5)
 
@@ -144,6 +153,35 @@ class TestTypes:
         tree = build_bst(perm_of(2, 1, 3))
         assert is_valid_bst(tree)
         tree.labels[tree.root] = 5
+        assert not is_valid_bst(tree)
+
+    def test_is_valid_bst_matches_reference_on_random_arenas(self):
+        # arenas of up to 7 nodes with random labels in 0..n + 1 (repeats and out-of-range
+        # ones) and random child links (cycles, shared children, unreachable nodes), and
+        # valid trees with one label or link changed
+        rng = random.Random(20261022)
+        agree = Counter()
+        for _ in range(20000):
+            n = rng.randrange(8)
+            if n and rng.random() < 0.5:
+                tree = build_bst(perm_of(*rng.sample(range(1, n + 1), n)))
+                field = rng.choice((tree.labels, tree.left, tree.right))
+                field[rng.randrange(n)] = rng.randrange(-1, n + 2 if field is tree.labels else n)
+            else:
+                tree = BstTree(
+                    labels=[rng.randrange(n + 2) for _ in range(n)],
+                    left=[rng.randrange(-1, n) for _ in range(n)],
+                    right=[rng.randrange(-1, n) for _ in range(n)],
+                    root=rng.randrange(-1, n) if n else -1,
+                )
+            expected = ref_is_valid_bst(tree)
+            assert is_valid_bst(tree) == expected, tree
+            agree[expected] += 1
+        assert min(agree[True], agree[False]) > 2000, agree
+
+    def test_is_valid_bst_refuses_labels_that_do_not_compare(self):
+        tree = build_bst(perm_of(2, 1, 3))
+        tree.labels[tree.left[tree.root]] = "1"
         assert not is_valid_bst(tree)
 
 

@@ -33,6 +33,7 @@ from rbtrees.model import (
     record_count_tree,
 )
 from rbtrees.samplers import (
+    HeightSample,
     RandomSource,
     sample_height_only,
     sample_left_profile_matrix,
@@ -536,11 +537,123 @@ class TestHeightOnly:
                 assert sample.sizes.dtype == spine.dtype and np.array_equal(sample.sizes, spine)
             assert rng.randoms(4).tobytes() == ref_rng.randoms(4).tobytes(), theta
 
+    # (n, theta, trials) -> sha256 prefixes of each tree's "height dtype sha256(sizes)" line,
+    # in order, and of the 4 uniforms after the block, from RandomSource(64, trials); recorded
+    # before sample_height_only returned its block as arrays. At n = theta = 10**5, 7 trees
+    # stand in for 256, as in test_join_matches_the_per_spine_join
+    BLOCK_PINS = {
+    (0, 0.0, 1): ("2dcbd5bd2fd1a080c06a", "93884d952d1050f20ac3"),
+    (0, 0.0, 3): ("13d002857f91959b2d46", "111928ff50925dfc9aae"),
+    (0, 0.0, 256): ("54bd22da1956fda4b5ff", "17fc6ca8eb6d11408922"),
+    (0, 0.5, 1): ("2dcbd5bd2fd1a080c06a", "93884d952d1050f20ac3"),
+    (0, 0.5, 3): ("13d002857f91959b2d46", "111928ff50925dfc9aae"),
+    (0, 0.5, 256): ("54bd22da1956fda4b5ff", "17fc6ca8eb6d11408922"),
+    (0, 1.0, 1): ("2dcbd5bd2fd1a080c06a", "93884d952d1050f20ac3"),
+    (0, 1.0, 3): ("13d002857f91959b2d46", "111928ff50925dfc9aae"),
+    (0, 1.0, 256): ("54bd22da1956fda4b5ff", "17fc6ca8eb6d11408922"),
+    (1, 0.0, 1): ("c4457cf1b4e40059d915", "93884d952d1050f20ac3"),
+    (1, 0.0, 3): ("90f391fb91d557897d1b", "111928ff50925dfc9aae"),
+    (1, 0.0, 256): ("a0fd1f409c4897bc9c12", "17fc6ca8eb6d11408922"),
+    (1, 0.5, 1): ("c4457cf1b4e40059d915", "49db8106c646e5341b3a"),
+    (1, 0.5, 3): ("90f391fb91d557897d1b", "bb90de90d6d28bba160a"),
+    (1, 0.5, 256): ("a0fd1f409c4897bc9c12", "d6426a1decdf65b3b2d0"),
+    (1, 1.0, 1): ("c4457cf1b4e40059d915", "49db8106c646e5341b3a"),
+    (1, 1.0, 3): ("90f391fb91d557897d1b", "bb90de90d6d28bba160a"),
+    (1, 1.0, 256): ("a0fd1f409c4897bc9c12", "d6426a1decdf65b3b2d0"),
+    (7, 0.0, 1): ("19b75e7114f83b18a574", "49db8106c646e5341b3a"),
+    (7, 0.0, 3): ("c5c3123b185ffe81dc9f", "bb90de90d6d28bba160a"),
+    (7, 0.0, 256): ("36bc4c13792affa98c49", "d6426a1decdf65b3b2d0"),
+    (7, 0.5, 1): ("0a0dbfa1fc362ee9d44b", "94659aee551a78bc2f25"),
+    (7, 0.5, 3): ("a9b8dd688d227d385741", "74eb8481e1fc7d86f844"),
+    (7, 0.5, 256): ("111d8fbbe81b4ed97ba2", "86fbeb5167815100ee7c"),
+    (7, 1.0, 1): ("0a0dbfa1fc362ee9d44b", "94659aee551a78bc2f25"),
+    (7, 1.0, 3): ("ac4d1f64bae0a2dd8a4d", "74eb8481e1fc7d86f844"),
+    (7, 1.0, 256): ("ff363e5ae846f4dc6171", "aca9e2fa87dce2d047e4"),
+    (7, 7.0, 1): ("c6fc464e154c988bc79a", "04f56a5d25c1a158835d"),
+    (7, 7.0, 3): ("42284bdc53e51a1606a5", "8984b9173bb633470f35"),
+    (7, 7.0, 256): ("75496570659060f5f894", "a00549490b862043193f"),
+    (1000, 0.0, 1): ("ea4285cc6e310bc13498", "49db8106c646e5341b3a"),
+    (1000, 0.0, 3): ("7a4d36cd1d729e547ed9", "bb90de90d6d28bba160a"),
+    (1000, 0.0, 256): ("8a0e8a86bd7460e6b4dc", "d6426a1decdf65b3b2d0"),
+    (1000, 0.5, 1): ("3ee1db70b631d6c895c6", "c033a73e327f3d1a5e36"),
+    (1000, 0.5, 3): ("d02008116fadcd89e25f", "60933f9077839f37ccef"),
+    (1000, 0.5, 256): ("8820b44f283986ecb7a0", "fdb36607c9c28b0c7857"),
+    (1000, 1.0, 1): ("c520b49ea75aea7d449d", "61eb3e07678d6b9f3877"),
+    (1000, 1.0, 3): ("94d0db94fed17ffe10ef", "7d8852af490601a27d46"),
+    (1000, 1.0, 256): ("be9d24cf8dbdca7efd6d", "e7759d64adf9c304bb70"),
+    (1000, 1000.0, 1): ("191216ecf901ade1730b", "cfdbb6039a2ba5f37ad1"),
+    (1000, 1000.0, 3): ("1782b86a879c0f398d77", "5665b810fd578427740e"),
+    (1000, 1000.0, 256): ("b88bec6bb7b0195fbc88", "000bd87aa0e3516ce999"),
+    (10**5, 0.0, 1): ("dc9346baeb1c0008181d", "322edf85633344d03f3d"),
+    (10**5, 0.0, 3): ("5a199449f85a3a2003f5", "384e188ef08f76e0dc0d"),
+    (10**5, 0.0, 256): ("73b9913226bf01a46566", "51a5bb155af5588dc0db"),
+    (10**5, 0.5, 1): ("aa7de00ef8b69341c446", "7f07662bc4f84d0568e3"),
+    (10**5, 0.5, 3): ("1a6126820d933c336905", "40ae1ab3e50641965f97"),
+    (10**5, 0.5, 256): ("ca4df1e49df2c53e8f76", "f4342e22003fd202e45f"),
+    (10**5, 1.0, 1): ("688e37a7903df2b8e752", "2102182339273592e133"),
+    (10**5, 1.0, 3): ("fe0f6788b283e00a9a2f", "bcebf6c96caa43856a8a"),
+    (10**5, 1.0, 256): ("b1b8ef838ce173cb9214", "d9d445f1063175e94ae5"),
+    (10**5, 1e5, 1): ("1addf9e39cedec6d3cb6", "b0ff3e69d30a23420aae"),
+    (10**5, 1e5, 3): ("61c6cbc0e83a56bd7285", "f6452c2d61a12173c98d"),
+    (10**5, 1e5, 7): ("7c736cc03de1ac8a12e9", "80d6c48d800325f5d803"),
+    }
+
+    @staticmethod
+    def _item_line(sample):
+        digest = hashlib.sha256(sample.sizes.tobytes()).hexdigest()
+        return f"{sample.height} {sample.sizes.dtype} {digest}\n".encode()
+
+    @pytest.mark.parametrize("n,theta,trials", BLOCK_PINS, ids=str)
+    def test_block_keeps_its_bytes(self, n, theta, trials):
+        rng = RandomSource(64, trials)
+        block = sample_height_only(RbParams(n, theta), rng, trials)
+        items = hashlib.sha256()
+        for sample in block:
+            items.update(self._item_line(sample))
+        got = (items.hexdigest()[:20], hashlib.sha256(rng.randoms(4).tobytes()).hexdigest()[:20])
+        assert got == self.BLOCK_PINS[n, theta, trials], (
+            f"recorded under python 3.11.7, numpy 2.4.6; "
+            f"running python {platform.python_version()}, numpy {np.__version__}"
+        )
+
+    @pytest.mark.parametrize("n,theta,trials", BLOCK_PINS, ids=str)
+    def test_block_reads_as_its_samples(self, n, theta, trials):
+        # len, indexing from either end, iteration and unpacking give the same HeightSamples,
+        # and the block's arrays hold their heights and record counts
+        block = sample_height_only(RbParams(n, theta), RandomSource(64, trials), trials)
+        items = list(block)
+        assert len(block) == len(items) == trials
+        assert all(isinstance(s, HeightSample) for s in items)
+        for i, sample in enumerate(items):
+            for got in (block[i], block[i - trials]):
+                assert type(got) is HeightSample and got.height == sample.height
+                assert got.sizes.dtype == np.int64 and np.array_equal(got.sizes, sample.sizes)
+        with pytest.raises(IndexError):
+            block[trials]
+        if trials == 1:
+            (one,) = block
+            assert self._item_line(one) == self._item_line(items[0])
+        for name, values in (("heights", [s.height for s in items]),
+                             ("records", [s.records for s in items])):
+            array = getattr(block, name)
+            assert array.dtype == np.int64 and array.tolist() == values
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[:1] = 0
+
     def test_reproducible(self):
         a = sample_height_only(RbParams(5000, 1.5), RandomSource(123, 9))
         b = sample_height_only(RbParams(5000, 1.5), RandomSource(123, 9))
         assert (a.height, a.records) == (b.height, b.records)
         assert np.array_equal(a.sizes, b.sizes)
+
+    @pytest.mark.parametrize("k_max", (0, 5, 100, 2048))
+    def test_flat_table_read_is_a_view(self, k_max, monkeypatch):
+        # the sweep reads the table through ravel(), which copies (0.86 MiB at 2048 rows, every
+        # round) unless the table is C-contiguous
+        monkeypatch.setattr(samplers, "_HEIGHT_TABLE", uniform_height_table(0))
+        table = samplers._height_table(k_max)
+        assert np.shares_memory(table.ravel(), table)
 
     def test_small_sweeps_build_a_small_table(self, monkeypatch):
         # a sweep of subtrees of at most 100 nodes builds a table of 128 rows, not 2048, and
