@@ -37,8 +37,8 @@ from .experiments import (
     run_height_ratio,
     run_record_concentration,
 )
-from .model import LeftProfile, RbParams, build_bst, check_int, check_real
-from .model import height, record_count_tree
+from .model import LeftProfile, RbParams, check_int, check_real, height, insertion_height
+from .model import record_count_perm, record_count_tree
 from .samplers import RandomSource, sample_height_only, sample_sequential, sample_tree_recursive
 
 SEED_ENV_VAR = "RBL_SEED"
@@ -303,9 +303,11 @@ def _sample_rows(args, flags: dict, seed: int) -> list:
 
         def draw_tree(rng) -> tuple[int, int, int]:
             if method == "sequential":
-                tree = build_bst(sample_sequential(params, rng))
-            else:
-                tree = sample_tree_recursive(params, rng)
+                # the first value inserted is the root, and the records make its rightmost path
+                perm = sample_sequential(params, rng)
+                root_label = perm.values[0] if n else 0
+                return insertion_height(perm.values), record_count_perm(perm), root_label
+            tree = sample_tree_recursive(params, rng)
             root_label = tree.labels[tree.root] if not tree.is_empty else 0
             return height(tree), record_count_tree(tree), root_label
 

@@ -13,6 +13,7 @@ children)`` holds without special cases.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from numbers import Real
 
@@ -175,6 +176,30 @@ def build_bst(perm: Permutation) -> BstTree:
     return tree
 
 
+def insertion_height(values: Sequence[int]) -> int:
+    """The height of ``build_bst`` of these values, in O(n) and with no tree built.
+
+    Inserted, v becomes a child of one of its neighbours among the values inserted before it,
+    its predecessor or its successor: the one inserted later, which is the deeper. So
+    depth(v) = 1 + max(depth(pred), depth(succ)), with sentinels 0 and n + 1 of depth -1. The
+    neighbours come from deleting the values from a linked list of 0..n + 1 in reverse
+    insertion order. ``values`` must be a permutation of 1..n; the empty one gives -1.
+    """
+    n = len(values)
+    # v's links in the list; once v is deleted they stay its neighbours among earlier values
+    prev = list(range(-1, n + 1))
+    succ = list(range(1, n + 3))
+    for v in reversed(values):
+        p, s = prev[v], succ[v]
+        succ[p] = s
+        prev[s] = p
+    depth = [-1] * (n + 2)
+    for v in values:
+        a, b = depth[prev[v]], depth[succ[v]]
+        depth[v] = (a if a > b else b) + 1
+    return max(depth)
+
+
 def _subtree_height(tree: BstTree, idx: int) -> int:
     """Height of the subtree rooted at arena index ``idx`` (-1 if absent)."""
     if idx == NO_CHILD:
@@ -192,22 +217,6 @@ def _subtree_height(tree: BstTree, idx: int) -> int:
         if r != NO_CHILD:
             stack.append((r, depth + 1))
     return best
-
-
-def _subtree_size(tree: BstTree, idx: int) -> int:
-    if idx == NO_CHILD:
-        return 0
-    count = 0
-    stack = [idx]
-    left, right = tree.left, tree.right
-    while stack:
-        node = stack.pop()
-        count += 1
-        if left[node] != NO_CHILD:
-            stack.append(left[node])
-        if right[node] != NO_CHILD:
-            stack.append(right[node])
-    return count
 
 
 def height(tree: BstTree) -> int:
@@ -246,8 +255,21 @@ def left_profile(tree: BstTree) -> LeftProfile:
     """Left-subtree sizes along the rightmost path of a non-empty tree."""
     if tree.is_empty:
         raise ValueError("left_profile of the empty tree")
-    sizes = tuple(_subtree_size(tree, tree.left[node]) for node in _spine(tree))
-    return LeftProfile(sizes)
+    left, right = tree.left, tree.right
+    sizes = []
+    node = tree.root
+    while node != NO_CHILD:
+        # the list grows as the loop walks it, so it ends holding the whole left subtree
+        top = left[node]
+        walk = [top] if top != NO_CHILD else []
+        for sub in walk:
+            if left[sub] != NO_CHILD:
+                walk.append(left[sub])
+            if right[sub] != NO_CHILD:
+                walk.append(right[sub])
+        sizes.append(len(walk))
+        node = right[node]
+    return LeftProfile(tuple(sizes))
 
 
 def height_via_profile(tree: BstTree) -> int:

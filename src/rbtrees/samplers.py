@@ -56,8 +56,10 @@ from .model import NO_CHILD, BstTree, Permutation, RbParams, check_int
 # It frees each large array before it makes the next: holding more at once, near glibc's heap
 # trim threshold, made some processes fault 1.3 MB back in per 10 trees at n = theta = 10**4 and
 # others none. A tree of at most _TINY_TREE nodes draws its path in a plain loop instead, with the
-# same draws (timeit minima, theta = 0.5, 1 and 5, shared 2-core Xeon): a path took 4 us by the
-# loop and 11-12 us through _record_keys at n = 6, 7 and 12 us at 32, 11-12 and 12-13 us at 64.
+# same draws (timeit minima, theta = 0.5, 1 and 5, shared 2-core Xeon): a path took 2.0-2.2 us by
+# the loop and 6.7-8.0 us through _record_keys at n = 6, 4.2-4.7 and 7.1-8.1 us at 32, 7.0-7.6
+# and 7.3-8.1 us at 64. Such a tree then fills lists made at full size and is wrapped once: at
+# n = 6 a whole tree took 5.9-6.1 us, against 7.1-7.5 us growing three lists node by node.
 # The profile matrix's splits, each one uniform inverted through one table of n + 1 floats,
 # drew k_0..k_5 of 20,000 trees at n = 10**4, theta = 2 in 2.4-2.9 ms and k_0..k_20 in 8.0-9.3 ms,
 # against 12-13 and 45-49 ms as Binomial(m - 1, W) draws, and 40-56 ms for their paths from
@@ -163,46 +165,44 @@ def sample_tree_recursive(params: RbParams, rng: RandomSource) -> BstTree:
     them; a tree of at most _TINY_TREE nodes with theta > 0 makes the same draws in one plain
     loop. Every node off the path is a uniform split, left subtree of the deepest path node
     first, right children before left ones, each reading the next of one vector of uniforms.
+    Nodes are numbered in that order, path first, so a right child is always its parent's
+    index + 1.
     """
     n, theta = params.n, params.theta
-    tree = BstTree()
     if n == 0:
-        return tree
+        return BstTree()
     if theta > 0.0 and n <= _TINY_TREE:
         u = rng.randoms(n).tolist()
         spine = [j + 1 for j in range(n) if u[j] < theta / (theta + (n - 1 - j))]
     else:
         spine = (_record_keys(n, theta, rng, 1) + 1).tolist()
-    labels, left, right = tree.labels, tree.left, tree.right
-    tree.root = 0
-    labels.extend(spine)
-    left.extend([NO_CHILD] * len(spine))
-    right.extend(range(1, len(spine)))
-    right.append(NO_CHILD)
-    # stack entries: (lo, hi, parent index, is_left_child); the deepest path node's is on top
-    stack = [
-        (prev + 1, label - 1, idx, True)
-        for idx, (prev, label) in enumerate(zip([0, *spine], spine))
-        if prev + 1 < label
-    ]
     records = len(spine)
-    splits = memoryview(rng.randoms(n - records))
-    while stack:
-        lo, hi, parent, is_left = stack.pop()
-        idx = len(labels)
-        label = lo + int(splits[idx - records] * (hi - lo + 1))
-        labels.append(label)
-        left.append(NO_CHILD)
-        right.append(NO_CHILD)
-        if is_left:
-            left[parent] = idx
-        else:
-            right[parent] = idx
+    labels = spine + [0] * (n - records)
+    left = [NO_CHILD] * n
+    # node i's right child is i + 1 until it turns out to have none
+    right = list(range(1, n + 1))
+    right[records - 1] = NO_CHILD
+    # stack entries: (lo, hi, parent of a left child or NO_CHILD); the deepest path node's is
+    # on top
+    stack = []
+    lo = 1
+    for idx, label in enumerate(spine):
         if lo < label:
-            stack.append((lo, label - 1, idx, True))
+            stack.append((lo, label - 1, idx))
+        lo = label + 1
+    for idx, x in enumerate(rng.randoms(n - records).tolist(), records):
+        lo, hi, parent = stack.pop()
+        labels[idx] = label = lo + int(x * (hi - lo + 1))
+        if parent != NO_CHILD:
+            left[parent] = idx
+        if lo < label:
+            stack.append((lo, label - 1, idx))
         if label < hi:
-            stack.append((label + 1, hi, idx, False))
-    return tree
+            # popped next, as node idx + 1
+            stack.append((label + 1, hi, NO_CHILD))
+        else:
+            right[idx] = NO_CHILD
+    return BstTree(labels, left, right, 0)
 
 
 class HeightSample(NamedTuple):

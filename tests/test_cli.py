@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from rbtrees.cli import OutputTable, build_parser, emit, main
 from rbtrees.analytics import c_star, mu, root_split_distribution
 from rbtrees.experiments import TrialSummary
-from rbtrees.model import RbParams
+from rbtrees.model import BstTree, RbParams
 
 
 def run_cli(argv, capsys):
@@ -111,6 +111,26 @@ class TestSampleCommands:
         assert sum(int(r["count"]) for r in rows) == 500
         assert all(r["method"] == "recursive" for r in rows)
         assert all(int(r["height"]) >= int(r["records"]) - 1 for r in rows)
+
+    def test_sequential_tree_tally_builds_no_tree(self, capsys, monkeypatch):
+        # height, records and root label come from the permutation itself; building a BstTree
+        # fails the run. The empty tree's row reads as the recursive method's
+        def refuse(tree, *args, **kwargs):
+            raise AssertionError("sample tree --method sequential built a BstTree")
+
+        argv = ["sample", "tree", "--theta", "2", "--trials", "200", "--seed", "4"]
+        with monkeypatch.context() as patch:
+            patch.setattr(BstTree, "__init__", refuse)
+            code, out, _ = run_cli(argv + ["--n", "9", "--method", "sequential"], capsys)
+            assert code == 0
+            rows = parse_csv(out)
+            assert sum(int(r["count"]) for r in rows) == 200
+            assert all(int(r["height"]) >= int(r["records"]) - 1 for r in rows)
+            code, empty, _ = run_cli(argv + ["--n", "0", "--method", "sequential"], capsys)
+            assert code == 0
+        code, recursive, _ = run_cli(argv + ["--n", "0", "--method", "recursive"], capsys)
+        assert code == 0
+        assert empty == recursive.replace("recursive", "sequential")
 
     def test_height_summary_row(self, capsys):
         code, out, _ = run_cli(

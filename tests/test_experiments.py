@@ -29,7 +29,7 @@ from rbtrees.experiments import (
     run_record_concentration,
     summarize,
 )
-from rbtrees.model import RbParams, build_bst, height, record_count_tree
+from rbtrees.model import BstTree, RbParams, build_bst, height, record_count_tree
 from rbtrees.samplers import (
     RandomSource,
     sample_height_only,
@@ -235,6 +235,16 @@ class TestHeightRatio:
         trees = [build_bst(sample_sequential(RbParams(30, 2.0), rng)) for rng in streams]
         row = summarize(30, 2.0, [height(t) for t in trees], [record_count_tree(t) for t in trees], 6)
         assert run_height_ratio(config, method="sequential") == [row]
+
+    def test_sequential_builds_no_tree(self, monkeypatch):
+        # heights come from the insertion order itself; building a BstTree fails the run
+        def refuse(tree, *args, **kwargs):
+            raise AssertionError("the sequential height path built a BstTree")
+
+        monkeypatch.setattr(BstTree, "__init__", refuse)
+        config = ExperimentConfig(n_values=(1, 30, 200), theta_spec=2.0, trials=20, seed=6)
+        rows = run_height_ratio(config, method="sequential")
+        assert [row.n for row in rows] == [1, 30, 200]
 
     def test_rejects_unknown_method(self):
         config = ExperimentConfig(n_values=(10,), theta_spec=1.0, trials=3, seed=0)

@@ -16,6 +16,7 @@ from rbtrees.model import (
     build_bst,
     height,
     height_via_profile,
+    insertion_height,
     is_valid_bst,
     left_profile,
     record_count_perm,
@@ -77,6 +78,31 @@ class TestHeight:
         n = 9
         assert height(build_bst(Permutation(tuple(range(1, n + 1))))) == n - 1
         assert height(build_bst(Permutation(tuple(range(n, 0, -1))))) == n - 1
+
+
+class TestInsertionHeight:
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_matches_the_built_tree_on_all_of_s_n(self, n):
+        for values in itertools.permutations(range(1, n + 1)):
+            assert insertion_height(values) == height(build_bst(Permutation(values)))
+
+    @pytest.mark.parametrize("n", (100, 1000))
+    def test_matches_the_built_tree_on_random_permutations(self, n):
+        rng = random.Random(n)
+        values = list(range(1, n + 1))
+        for _ in range(200):
+            rng.shuffle(values)
+            assert insertion_height(values) == height(build_bst(Permutation(tuple(values))))
+
+    def test_conventions(self):
+        assert insertion_height(()) == -1
+        assert insertion_height((1,)) == 0
+
+    def test_spines_past_the_recursion_limit(self):
+        # 5000 levels, deeper than Python's default recursion limit of 1000
+        n = 5000
+        assert insertion_height(range(1, n + 1)) == n - 1
+        assert insertion_height(range(n, 0, -1)) == n - 1
 
 
 class TestRecords:

@@ -343,6 +343,69 @@ class TestRecursiveSampler:
         assert result.p_value > ALPHA
 
 
+class TestSmallSamplerBytes:
+    # (n, theta) -> ((trees, next), (perms, next)): sha256 prefixes of 50 draws' lines from
+    # RandomSource(65, n), a tree's "labels left right root" or a permutation's values, and of
+    # the 4 uniforms after them. n = 32 and 33 sit on either side of _TINY_TREE
+    PINS = {
+        (1, 0.0): (("f311f7ac2676dbad73b1", "a457398beb2b26e71fac"),
+                   ("0847465c6e6371902d8d", "0e01eaef46e123a5b28d")),
+        (1, 0.5): (("f311f7ac2676dbad73b1", "a1ce30936b9175dbad09"),
+                   ("0847465c6e6371902d8d", "0e01eaef46e123a5b28d")),
+        (1, 5.0): (("f311f7ac2676dbad73b1", "a1ce30936b9175dbad09"),
+                   ("0847465c6e6371902d8d", "0e01eaef46e123a5b28d")),
+        (6, 0.0): (("fdd73c4bd4ac1cab7ab7", "b8193e6fa2a302059ca1"),
+                   ("ec3734682bc41730e09b", "30340bb6407636d2a6bd")),
+        (6, 0.5): (("fd2f85f2d902c72d22cb", "b219b8b243923b746f44"),
+                   ("c74b6243721d9c6b4297", "30340bb6407636d2a6bd")),
+        (6, 5.0): (("1ccfc25a79ac3ce0b576", "a0dfacdbd098e98c34b6"),
+                   ("d2fcf4d96e7458923656", "30340bb6407636d2a6bd")),
+        (32, 0.0): (("e219f507e6e852f2351c", "7dc99d2951b88795c178"),
+                    ("eb7c13fe95d2c74945d6", "6348c26d121871dc528c")),
+        (32, 0.5): (("a074f7059acc3271dec3", "7549de4c325c5047bff6"),
+                    ("34bd8d6e1a27713550ca", "6348c26d121871dc528c")),
+        (32, 5.0): (("6eb9dd78c731351b7e44", "f0b997896184a420f276"),
+                    ("d7fae1fcdaf03429714b", "6348c26d121871dc528c")),
+        (33, 0.0): (("caf67e92b3c1adcb86d9", "ea3a75327fb9c675ab7b"),
+                    ("3dd7e894a689a2afdca5", "216b7fdc2de358bf4b10")),
+        (33, 0.5): (("ea846343a4087c967f6c", "e7a9debc3bf6e7875440"),
+                    ("47f91d81c3ca7f60be3f", "216b7fdc2de358bf4b10")),
+        (33, 5.0): (("4bf50a741dc21d6c93c3", "1273dc334e3fb5881cb9"),
+                    ("3a51c470a1e98b0847ee", "216b7fdc2de358bf4b10")),
+        (100, 0.0): (("75e3efe420ac3deb7bcf", "484ec8299992f5b97ea4"),
+                     ("c2eac751cca7987ff6d5", "d73d108ec41d78ac9d0e")),
+        (100, 0.5): (("eea293e31d4c2d49d2f3", "7b8b3937ddf42e829fb5"),
+                     ("59d439942d30e643c675", "d73d108ec41d78ac9d0e")),
+        (100, 5.0): (("5daa27a9c13185ff9c3a", "52ef947d021b12ad54a6"),
+                     ("eaea0aca28b66b6896d3", "d73d108ec41d78ac9d0e")),
+    }
+
+    @staticmethod
+    def _digests(draw_line, n):
+        rng = RandomSource(65, n)
+        lines = hashlib.sha256()
+        for _ in range(50):
+            lines.update(f"{draw_line(rng)}\n".encode())
+        return lines.hexdigest()[:20], hashlib.sha256(rng.randoms(4).tobytes()).hexdigest()[:20]
+
+    @pytest.mark.parametrize("n,theta", PINS, ids=str)
+    def test_draws_keep_their_bytes(self, n, theta):
+        # the raw trees and permutations, not only their statistics, and the stream's position
+        # after them; a numpy upgrade that moves these bytes fails this test too
+        params = RbParams(n, theta)
+
+        def tree_line(rng):
+            tree = sample_tree_recursive(params, rng)
+            return f"{tree.labels} {tree.left} {tree.right} {tree.root}"
+
+        got = (self._digests(tree_line, n),
+               self._digests(lambda rng: sample_sequential(params, rng).values, n))
+        assert got == self.PINS[n, theta], (
+            f"recorded under python 3.11.7, numpy 2.4.6; "
+            f"running python {platform.python_version()}, numpy {np.__version__}"
+        )
+
+
 class TestTwoSamplerAgreement:
     @pytest.mark.parametrize("theta", (0.5, 1.0, 2.0, 5.0))
     def test_joint_laws_agree_with_oracle(self, theta):
