@@ -24,6 +24,7 @@ from .model import (
     LeftProfile,
     Permutation,
     RbParams,
+    _built,
     build_bst,
     check_int,
     check_real,
@@ -107,8 +108,7 @@ def _perm_stats(n: int):
     """Aggregate (record, first, height, profile sizes) counts over S_n."""
     counts: dict[tuple, int] = {}
     for values in itertools.permutations(range(1, n + 1)):
-        perm = Permutation(values)
-        tree = build_bst(perm)
+        tree = build_bst(_built(Permutation, "values", values))
         prof = left_profile(tree)
         key = (prof.record_count, values[0], height(tree), prof.sizes)
         counts[key] = counts.get(key, 0) + 1

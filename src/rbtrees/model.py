@@ -72,9 +72,26 @@ class RbParams:
         object.__setattr__(self, "theta", theta)
 
 
+def _built(cls, name: str, value):
+    """A ``cls`` whose one field ``name`` holds ``value``, made without ``__post_init__``.
+
+    Only for values that the library built valid by construction, so that they are not checked
+    a second time; every other caller goes through the checking constructor.
+    """
+    obj = object.__new__(cls)
+    object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class Permutation:
-    """A bijection on {1, ..., n} stored as the value sequence."""
+    """A bijection on {1, ..., n} stored as the value sequence.
+
+    The constructor checks every value. ``samplers.sample_sequential`` and the enumeration in
+    ``analytics._perm_stats`` skip that check through ``_built``: their tuples of exact ints are
+    permutations by construction (swap-remove steps that fill each position once, and
+    ``itertools.permutations`` of 1..n).
+    """
 
     values: tuple[int, ...]
 
@@ -107,6 +124,9 @@ class LeftProfile:
     the rightmost path, so ``record_count``, that path's length, is
     ``len(sizes)``, and a profile extracted from a tree of size n satisfies
     ``record_count + sum(sizes) == n``.
+
+    The constructor checks every size. :func:`left_profile` skips that check through
+    ``_built``: its sizes are lengths of lists, so exact ints >= 0.
     """
 
     sizes: tuple[int, ...]
@@ -149,18 +169,17 @@ class BstTree:
 
 
 def build_bst(perm: Permutation) -> BstTree:
-    """Insert the permutation's values in order and return the resulting tree."""
-    tree = BstTree()
-    labels, left, right = tree.labels, tree.left, tree.right
-    for v in perm.values:
-        idx = len(labels)
-        labels.append(v)
-        left.append(NO_CHILD)
-        right.append(NO_CHILD)
-        if idx == 0:
-            tree.root = 0
-            continue
-        cur = tree.root
+    """Insert the permutation's values in order and return the resulting tree.
+
+    Node i holds the i-th value inserted, so the root is node 0.
+    """
+    labels = list(perm.values)
+    n = len(labels)
+    left = [NO_CHILD] * n
+    right = [NO_CHILD] * n
+    for idx in range(1, n):
+        v = labels[idx]
+        cur = 0
         while True:
             if v < labels[cur]:
                 nxt = left[cur]
@@ -173,7 +192,7 @@ def build_bst(perm: Permutation) -> BstTree:
                     right[cur] = idx
                     break
             cur = nxt
-    return tree
+    return BstTree(labels, left, right, 0 if n else NO_CHILD)
 
 
 def insertion_height(values: Sequence[int]) -> int:
@@ -204,19 +223,23 @@ def _subtree_height(tree: BstTree, idx: int) -> int:
     """Height of the subtree rooted at arena index ``idx`` (-1 if absent)."""
     if idx == NO_CHILD:
         return -1
-    best = 0
-    stack = [(idx, 0)]
     left, right = tree.left, tree.right
-    while stack:
-        node, depth = stack.pop()
-        if depth > best:
-            best = depth
+    # breadth first over one list that grows as it is walked: when the walk reaches the end of
+    # a level, every node of the next one has been appended, so the list's length marks its end
+    walk = [idx]
+    depth = -1
+    end = i = 0
+    for node in walk:
+        if i == end:
+            depth += 1
+            end = len(walk)
+        i += 1
         l, r = left[node], right[node]
         if l != NO_CHILD:
-            stack.append((l, depth + 1))
+            walk.append(l)
         if r != NO_CHILD:
-            stack.append((r, depth + 1))
-    return best
+            walk.append(r)
+    return depth
 
 
 def height(tree: BstTree) -> int:
@@ -269,7 +292,7 @@ def left_profile(tree: BstTree) -> LeftProfile:
                 walk.append(right[sub])
         sizes.append(len(walk))
         node = right[node]
-    return LeftProfile(tuple(sizes))
+    return _built(LeftProfile, "sizes", tuple(sizes))
 
 
 def height_via_profile(tree: BstTree) -> int:
@@ -296,7 +319,8 @@ def is_valid_bst(tree: BstTree) -> bool:
 
     One in-order walk from the root must meet the labels 1, 2, ..., size in turn. A node
     reached twice (a shared child, a cycle through right children) breaks that order, and a
-    cycle through left children grows the stack past size.
+    cycle through left children grows the stack past size. A link or root that names no node
+    of the arena, below NO_CHILD or past its end, gives False.
     """
     n = tree.size
     if tree.is_empty:
@@ -305,16 +329,21 @@ def is_valid_bst(tree: BstTree) -> bool:
     stack = []
     node = tree.root
     expect = 1
-    while True:
-        while node != NO_CHILD:
-            if len(stack) == n:
+    try:
+        while True:
+            while node != NO_CHILD:
+                # a link below NO_CHILD would index from the end of the arena
+                if node < 0 or len(stack) == n:
+                    return False
+                stack.append(node)
+                node = left[node]
+            if not stack:
+                return expect == n + 1
+            node = stack.pop()
+            if labels[node] != expect:
                 return False
-            stack.append(node)
-            node = left[node]
-        if not stack:
-            return expect == n + 1
-        node = stack.pop()
-        if labels[node] != expect:
-            return False
-        expect += 1
-        node = right[node]
+            expect += 1
+            node = right[node]
+    except IndexError:
+        # a link, or the root, past the end of the arena or of a link list
+        return False

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analytics import split_survival_table, uniform_height_table
-from .model import NO_CHILD, BstTree, Permutation, RbParams, check_int
+from .model import NO_CHILD, BstTree, Permutation, RbParams, _built, check_int
 
 # A _record_keys call of c paths reads one uniform for each step k < max(theta, _DENSE_MIN / c)
 # of each path: a budget of _DENSE_MIN near uniforms per call, not per path. So one path of at
@@ -56,10 +56,10 @@ from .model import NO_CHILD, BstTree, Permutation, RbParams, check_int
 # It frees each large array before it makes the next: holding more at once, near glibc's heap
 # trim threshold, made some processes fault 1.3 MB back in per 10 trees at n = theta = 10**4 and
 # others none. A tree of at most _TINY_TREE nodes draws its path in a plain loop instead, with the
-# same draws (timeit minima, theta = 0.5, 1 and 5, shared 2-core Xeon): a path took 2.0-2.2 us by
-# the loop and 6.7-8.0 us through _record_keys at n = 6, 4.2-4.7 and 7.1-8.1 us at 32, 7.0-7.6
-# and 7.3-8.1 us at 64. Such a tree then fills lists made at full size and is wrapped once: at
-# n = 6 a whole tree took 5.9-6.1 us, against 7.1-7.5 us growing three lists node by node.
+# same draws (timeit minima over 5 processes, theta = 0.5, 1 and 5, shared 2-core Xeon): a path
+# took 2.1-2.2 us by the loop and 7.3-7.5 us through _record_keys at n = 6, 4.3-4.5 and 7.4-7.8 us
+# at 32, 7.0-7.3 and 7.7 us at 64. Such a tree then fills lists made at full size and is wrapped
+# once: at n = 6 a whole tree took 5.4-6.1 us, against 7.1-7.5 us growing three lists node by node.
 # The profile matrix's splits, each one uniform inverted through one table of n + 1 floats,
 # drew k_0..k_5 of 20,000 trees at n = 10**4, theta = 2 in 2.4-2.9 ms and k_0..k_20 in 8.0-9.3 ms,
 # against 12-13 and 45-49 ms as Binomial(m - 1, W) draws, and 40-56 ms for their paths from
@@ -138,8 +138,7 @@ def sample_sequential(params: RbParams, rng: RandomSource) -> Permutation:
     slots = list(range(n))
     where = list(range(n))
     lo = 0
-    # a memoryview reads Python floats from the array's 8 bytes per uniform
-    u = memoryview(rng.randoms(2 * n))
+    u = rng.randoms(2 * n).tolist()
     for i in range(1, n + 1):
         others = n - i
         if others == 0 or u[2 * i - 2] < theta / (theta + others):
@@ -155,7 +154,10 @@ def sample_sequential(params: RbParams, rng: RandomSource) -> Permutation:
         if pos == lo and others:
             while values[lo]:
                 lo += 1
-    return Permutation(tuple(values))
+    # a permutation by construction, as each step fills one open position, so it skips the
+    # constructor's check: a call took 4.3 us at n = 6 and 472 us at n = 1000, against 5.8 and
+    # 568 us checked and with u read through a memoryview (timeit minima, shared 2-core Xeon)
+    return _built(Permutation, "values", tuple(values))
 
 
 def sample_tree_recursive(params: RbParams, rng: RandomSource) -> BstTree:

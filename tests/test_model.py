@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbtrees.model import (
+    NO_CHILD,
     BstTree,
     LeftProfile,
     Permutation,
@@ -79,6 +80,14 @@ class TestHeight:
         assert height(build_bst(Permutation(tuple(range(1, n + 1))))) == n - 1
         assert height(build_bst(Permutation(tuple(range(n, 0, -1))))) == n - 1
 
+    @pytest.mark.parametrize("order", ["sorted", "reversed"])
+    def test_long_spines(self, order):
+        # one level per node, so the breadth-first walk ends 4,999 levels down
+        n = 5000
+        values = range(1, n + 1) if order == "sorted" else range(n, 0, -1)
+        tree = build_bst(Permutation(tuple(values)))
+        assert height(tree) == height_via_profile(tree) == n - 1
+
 
 class TestInsertionHeight:
     @pytest.mark.parametrize("n", range(0, 8))
@@ -148,6 +157,15 @@ class TestLeftProfile:
         with pytest.raises(ValueError):
             LeftProfile(sizes=(-1,))
 
+    def test_sizes_are_exact_ints_on_all_of_s7(self):
+        # left_profile skips the constructor's check, so its walk must give what it would pass
+        for values in itertools.permutations(range(1, 8)):
+            prof = left_profile(build_bst(perm_of(*values)))
+            assert type(prof.sizes) is tuple
+            assert all(type(k) is int and k >= 0 for k in prof.sizes)
+            assert prof.record_count + sum(prof.sizes) == 7
+            assert prof == LeftProfile(prof.sizes) and hash(prof) == hash(LeftProfile(prof.sizes))
+
 
 class TestHeightViaProfile:
     def test_worked_example(self):
@@ -204,6 +222,42 @@ class TestTypes:
             assert is_valid_bst(tree) == expected, tree
             agree[expected] += 1
         assert min(agree[True], agree[False]) > 2000, agree
+
+    @pytest.mark.parametrize("values", [(1,), (2, 1, 3), FIGURE_PERM])
+    def test_is_valid_bst_refuses_links_that_name_no_node(self, values):
+        # a link or root of -3, -2, n or n + 1 names no node: below NO_CHILD it would index
+        # from the end of a list, past the arena's end it would raise IndexError
+        n = len(values)
+        base = build_bst(perm_of(*values))
+        assert is_valid_bst(base)
+        for bad in (-3, -2, n, n + 1):
+            tree = BstTree(list(base.labels), list(base.left), list(base.right), bad)
+            assert not is_valid_bst(tree), (bad, tree)
+            for field in ("left", "right"):
+                for node in range(n):
+                    tree = BstTree(list(base.labels), list(base.left), list(base.right), base.root)
+                    getattr(tree, field)[node] = bad
+                    assert not is_valid_bst(tree), (bad, tree)
+        assert not is_valid_bst(BstTree([1, 2], [-1, -1], [7, -1], 0))
+        assert not is_valid_bst(BstTree([1, 2, 3], [-1, -1, -1], [-2, 2, -1], 0))
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_is_valid_bst_with_link_lists_of_another_length(self, n):
+        # shorter link lists leave a node without its links; longer ones hold entries that no
+        # node of the arena reads, so they change nothing
+        base = build_bst(perm_of(*range(n, 0, -1)))
+        for field in ("left", "right"):
+            links = getattr(base, field)
+            for shorter in range(n):
+                tree = BstTree(list(base.labels), list(base.left), list(base.right), base.root)
+                setattr(tree, field, links[:shorter])
+                assert not is_valid_bst(tree), tree
+            tree = BstTree(list(base.labels), list(base.left), list(base.right), base.root)
+            setattr(tree, field, links + [NO_CHILD, 0])
+            assert is_valid_bst(tree), tree
+            # a link to node n reads the extra entries but finds no label there
+            tree.left[n - 1] = n
+            assert not is_valid_bst(tree), tree
 
     def test_is_valid_bst_refuses_labels_that_do_not_compare(self):
         tree = build_bst(perm_of(2, 1, 3))

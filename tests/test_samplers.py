@@ -27,6 +27,7 @@ from rbtrees.model import (
     RbParams,
     build_bst,
     height,
+    height_via_profile,
     is_valid_bst,
     left_profile,
     record_count_perm,
@@ -45,6 +46,8 @@ from rbtrees.samplers import (
 from reference import (
     poisson_binomial_pmf,
     ref_enumerate_weighted,
+    ref_from_arena,
+    ref_height,
     ref_log_survival_prefixes,
     ref_near_record_keys,
     ref_spine_join,
@@ -167,6 +170,20 @@ class TestSequential:
             perm = sample_sequential(RbParams(n, 0.0), RandomSource(3, n))
             assert perm.values[0] == n
             assert record_count_perm(perm) == 1
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 6, 33, 1000])
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 5.0, "n"])
+    def test_values_are_exact_ints_of_a_permutation(self, n, theta):
+        # sample_sequential skips the Permutation constructor's check, so its values must be
+        # what that check would pass, and compare and hash as the checked object does
+        theta = float(n) if theta == "n" else theta
+        for stream in range(5):
+            perm = sample_sequential(RbParams(n, theta), RandomSource(37, stream))
+            assert type(perm.values) is tuple
+            assert all(type(v) is int for v in perm.values)
+            assert sorted(perm.values) == list(range(1, n + 1))
+            checked = Permutation(perm.values)
+            assert perm == checked and hash(perm) == hash(checked)
 
     def test_valid_and_seeded(self):
         perm1 = sample_sequential(RbParams(500, 2.0), RandomSource(11, 4))
@@ -297,6 +314,16 @@ class TestRecursiveSampler:
         tree = sample_tree_recursive(RbParams(9, 0.0), RandomSource(1))
         assert record_count_tree(tree) == 1
         assert tree.labels[tree.root] == 9
+
+    def test_height_matches_reference(self):
+        # nodes are numbered path first, not in insertion order, so the breadth-first walk
+        # meets a level's nodes out of index order
+        rng = RandomSource(37, 1)
+        for t in range(2000):
+            n, theta = 1 + t % 80, (0.0, 0.5, 1.0, 5.0)[t // 80 % 4]
+            tree = sample_tree_recursive(RbParams(n, theta), rng)
+            expected = ref_height(ref_from_arena(tree))
+            assert height(tree) == height_via_profile(tree) == expected, tree
 
     @pytest.mark.parametrize(
         "n,spec",
